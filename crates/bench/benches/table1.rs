@@ -23,13 +23,13 @@ mod real {
         // binary instead.
         let quick = ["is_empty", "length"];
         for benchmark in transcribed() {
-            let goal = (benchmark.goal.unwrap())();
-            if !quick.contains(&goal.name.as_str()) {
+            let spec = benchmark.spec.unwrap();
+            if !quick.contains(&spec.goal) {
                 continue;
             }
+            let goal = spec.load().expect("the spec loads");
             group.bench_function(benchmark.name, |b| {
                 b.iter(|| {
-                    let goal = (benchmark.goal.unwrap())();
                     let config = Variant::Default.config(Duration::from_secs(30), benchmark.bounds);
                     run_goal(&goal, config)
                 })

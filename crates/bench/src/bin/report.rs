@@ -14,7 +14,7 @@
 //!
 //! `batch` runs the whole `specs/` corpus through the parallel engine
 //! (with span profiling on, so every goal entry carries its per-phase
-//! timing split) and writes the machine-readable `BENCH_pr9.json`
+//! timing split) and writes the machine-readable `BENCH_pr10.json`
 //! timing report (per goal: solved/timings/winning rung/budget-ledger
 //! accounting/enumeration and incremental-solver counters; plus the
 //! validity-cache counters). `--compare` prints per-goal deltas against
@@ -61,6 +61,15 @@ fn parse_flag(args: &[String], name: &str) -> Option<u64> {
         .and_then(|v| v.parse().ok())
 }
 
+/// Unwraps a report, or prints why it could not run (a spec that failed
+/// to load) and exits 1.
+fn or_exit<T>(report: Result<T, Box<dyn std::error::Error>>) -> T {
+    report.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(1)
+    })
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let which = args.first().map(String::as_str).unwrap_or("all");
@@ -71,11 +80,14 @@ fn main() {
     match which {
         "table1" => {
             println!("== Table 1: benchmarks and Synquid results ==");
-            println!("{}", format_table1(&run_table1(timeout, ablations)));
+            println!(
+                "{}",
+                format_table1(&or_exit(run_table1(timeout, ablations)))
+            );
         }
         "table2" => {
             println!("== Table 2: comparison to other synthesizers ==");
-            println!("{}", format_table2(&run_table2(timeout)));
+            println!("{}", format_table2(&or_exit(run_table2(timeout))));
         }
         "fig7" => {
             println!("== Figure 7: non-recursive (SyGuS) benchmarks ==");
@@ -88,7 +100,7 @@ fn main() {
                 .position(|a| a == "--out")
                 .and_then(|i| args.get(i + 1))
                 .cloned()
-                .unwrap_or_else(|| "BENCH_pr9.json".to_string());
+                .unwrap_or_else(|| "BENCH_pr10.json".to_string());
             let compare = args
                 .iter()
                 .position(|a| a == "--compare")
@@ -291,9 +303,12 @@ fn main() {
         }
         "all" => {
             println!("== Table 1: benchmarks and Synquid results ==");
-            println!("{}", format_table1(&run_table1(timeout, ablations)));
+            println!(
+                "{}",
+                format_table1(&or_exit(run_table1(timeout, ablations)))
+            );
             println!("== Table 2: comparison to other synthesizers ==");
-            println!("{}", format_table2(&run_table2(timeout)));
+            println!("{}", format_table2(&or_exit(run_table2(timeout))));
             println!("== Figure 7: non-recursive (SyGuS) benchmarks ==");
             println!("{}", format_fig7(&run_fig7(max_n, timeout)));
         }

@@ -16,7 +16,7 @@
 //! binary's `batch` subcommand additionally runs the whole `specs/`
 //! corpus through the parallel engine and emits a machine-readable
 //! timing report ([`batch_report_json`], uploaded by CI as
-//! `BENCH_pr7.json`), the markdown corpus table embedded in the README
+//! `BENCH_pr10.json`), the markdown corpus table embedded in the README
 //! ([`corpus_markdown_table`]), and per-goal deltas against a previous
 //! artifact ([`compare_batch`] — CI fails when a previously solved goal
 //! regressed to a timeout).
@@ -48,33 +48,40 @@ pub struct Table1Row {
     pub results: Option<Vec<(Variant, RunResult)>>,
 }
 
-/// Runs (the transcribed subset of) Table 1.
+/// Runs (the transcribed subset of) Table 1, loading each transcribed
+/// row's goal from its `.sq` spec.
 ///
 /// `timeout` bounds each individual synthesis run; `ablations` selects
 /// whether the T-nrt / T-ncc / T-nmus columns are measured in addition to
-/// T-all.
-pub fn run_table1(timeout: Duration, ablations: bool) -> Vec<Table1Row> {
+/// T-all. Errors when a row's spec fails to load.
+pub fn run_table1(
+    timeout: Duration,
+    ablations: bool,
+) -> Result<Vec<Table1Row>, Box<dyn std::error::Error>> {
     let variants: Vec<Variant> = if ablations {
         Variant::all().to_vec()
     } else {
         vec![Variant::Default]
     };
-    table1()
-        .into_iter()
-        .map(|benchmark| {
-            let results = benchmark.goal.map(|build| {
-                variants
+    let mut rows = Vec::new();
+    for benchmark in table1() {
+        let results = match benchmark.spec {
+            Some(spec) => {
+                let goal = spec.load()?;
+                let runs = variants
                     .iter()
                     .map(|variant| {
-                        let goal = build();
                         let config = variant.config(timeout, benchmark.bounds);
                         (*variant, run_goal(&goal, config))
                     })
-                    .collect()
-            });
-            Table1Row { benchmark, results }
-        })
-        .collect()
+                    .collect();
+                Some(runs)
+            }
+            None => None,
+        };
+        rows.push(Table1Row { benchmark, results });
+    }
+    Ok(rows)
 }
 
 /// Formats the regenerated Table 1 as text.
@@ -122,23 +129,25 @@ pub struct Table2Row {
 }
 
 /// Runs Table 2: competitor numbers are quoted, the Synquid column is
-/// measured for transcribed benchmarks.
-pub fn run_table2(timeout: Duration) -> Vec<Table2Row> {
+/// measured for transcribed benchmarks. Errors when a spec fails to load.
+pub fn run_table2(timeout: Duration) -> Result<Vec<Table2Row>, Box<dyn std::error::Error>> {
     let t1 = table1();
-    table2()
-        .into_iter()
-        .map(|row| {
-            let measured = row
-                .table1_name
-                .and_then(|name| t1.iter().find(|b| b.name == name))
-                .and_then(|b| b.goal.map(|build| (b, build)))
-                .map(|(b, build)| {
-                    let goal = build();
-                    run_goal(&goal, Variant::Default.config(timeout, b.bounds))
-                });
-            Table2Row { row, measured }
-        })
-        .collect()
+    let mut rows = Vec::new();
+    for row in table2() {
+        let transcribed = row
+            .table1_name
+            .and_then(|name| t1.iter().find(|b| b.name == name))
+            .and_then(|b| b.spec.map(|spec| (b.bounds, spec)));
+        let measured = match transcribed {
+            Some((bounds, spec)) => Some(run_goal(
+                &spec.load()?,
+                Variant::Default.config(timeout, bounds),
+            )),
+            None => None,
+        };
+        rows.push(Table2Row { row, measured });
+    }
+    Ok(rows)
 }
 
 /// Formats the regenerated Table 2 as text.
@@ -1073,7 +1082,7 @@ mod tests {
     fn table1_report_includes_all_rows_without_running() {
         // Zero-second timeout: transcribed rows fail fast, but the report
         // structure still covers all 64 benchmarks.
-        let rows = run_table1(Duration::from_millis(1), false);
+        let rows = run_table1(Duration::from_millis(1), false).expect("specs load");
         assert_eq!(rows.len(), 64);
         let text = format_table1(&rows);
         assert!(text.contains("not transcribed"));

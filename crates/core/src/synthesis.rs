@@ -291,9 +291,9 @@ impl Synthesizer {
         self.node_counter = 0;
         self.current_node = 0;
         // One synthesis run stays on one thread, so the run's phase
-        // profile is the delta of the thread-local span aggregation
-        // around it (no locks, no cross-worker bleed).
-        let profile_base = synquid_telemetry::profiling_enabled().then(synquid_telemetry::snapshot);
+        // profile is a thread-local window around it (no locks, no
+        // cross-worker bleed).
+        let profile = synquid_telemetry::window();
         let mut result = self.synthesize_goal(goal, start);
         // A search that exhausted its candidates *after* the deadline
         // passed (or cancellation fired) may have done so only because
@@ -310,8 +310,8 @@ impl Synthesizer {
         // Record wall time on failures too: [`Synthesizer::stats`] (and
         // `RunResult::stats`) are meaningful for timed-out runs.
         self.stats.elapsed_secs = start.elapsed().as_secs_f64();
-        if let Some(base) = profile_base {
-            self.stats.phases = synquid_telemetry::snapshot().delta_since(&base);
+        if let Some(profile) = profile {
+            self.stats.phases = profile.close();
         }
         // Refresh the result's stats copy with the final elapsed time and
         // the captured phase profile.
@@ -400,8 +400,7 @@ impl Synthesizer {
                 self.smt.stats().conflicts_reused,
             )
         });
-        let phase_base =
-            (enabled && synquid_telemetry::profiling_enabled()).then(synquid_telemetry::snapshot);
+        let phase_window = enabled.then(synquid_telemetry::window).flatten();
         events::emit(|| {
             Event::new("search")
                 .uint("node", node)
@@ -422,8 +421,8 @@ impl Synthesizer {
             let memo_hits = (self.stats.memo_hits - hits0) as u64;
             let memo_misses = (self.stats.memo_misses - misses0) as u64;
             let lemmas_replayed = (self.smt.stats().conflicts_reused - replayed0) as u64;
-            let phases = phase_base
-                .map(|base| synquid_telemetry::snapshot().delta_since(&base))
+            let phases = phase_window
+                .map(synquid_telemetry::Window::close)
                 .filter(|delta| !delta.is_empty());
             events::emit(|| {
                 let mut event = Event::new("node_finish")

@@ -1,36 +1,43 @@
 //! The benchmark suite of the paper's evaluation (Sec. 4).
 //!
 //! [`table1`] lists all 64 synthesis problems of Table 1 with their group,
-//! the component set description, and the synthesis time reported in the
-//! paper (`T-all`, seconds). For the subset of benchmarks whose
-//! specifications have been transcribed into this reproduction, the entry
-//! carries a [`Goal`] builder; the remaining entries are kept so that the
-//! reproduction honestly reports coverage instead of silently shrinking
-//! the table.
+//! the synthesis time reported in the paper (`T-all`, seconds), and the
+//! exploration bounds. A row transcribed into this reproduction names the
+//! `.sq` spec that defines its goal ([`SpecGoal`]); the remaining rows are
+//! kept so that the reproduction honestly reports coverage instead of
+//! silently shrinking the table.
 //!
 //! [`table2`] lists the cross-tool comparison of Table 2 (competitor
 //! numbers are quoted from the paper, the Synquid column is measured by
 //! the harness), and [`sygus`] generates the `max_n` / `array_search_n`
-//! family of Fig. 7.
+//! family of Fig. 7. That family is built in Rust rather than read from
+//! `.sq` files: it is parametric in `n`, and the key argument of
+//! `array_search_n` is refined in terms of the arguments after it, which
+//! a `.sq` signature cannot express (binders scope to their right).
 
-use crate::components::{
-    add_bool_components, add_comparison_components, add_int_constants, base_environment,
-    bst_environment, bst_type, elems_of, ilist_type, len_of, list_environment, list_type,
-    sorting_environment,
-};
-use crate::goals::{
-    goal_heap_insert, goal_heap_member, goal_heap_singleton, goal_heap_two, goal_insert_at_end,
-    goal_list_delete, goal_list_member, goal_make_address_book, goal_map, goal_merge,
-    goal_merge_address_books, goal_remove_duplicates, goal_reverse, goal_sorted_head,
-    goal_strict_delete, goal_strict_insert, goal_take, goal_tree_count, goal_tree_member,
-    goal_tree_preorder, goal_unique_delete, goal_unique_insert,
-};
 use synquid_core::Goal;
-use synquid_logic::{Sort, Term};
-use synquid_types::{BaseType, RType, Schema};
+use synquid_logic::{Qualifier, Sort, Term};
+use synquid_types::{BaseType, Environment, RType, Schema};
+
+/// Where a transcribed Table 1 goal is defined: a file of the `specs/`
+/// corpus and the name of the goal declared in it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SpecGoal {
+    /// Path relative to `specs/`, e.g. `"take.sq"` or `"table1/map.sq"`.
+    pub file: &'static str,
+    /// The goal's name (`name = ??`) in that file.
+    pub goal: &'static str,
+}
+
+impl SpecGoal {
+    /// Parses the spec file and returns the goal.
+    pub fn load(&self) -> Result<Goal, Box<dyn std::error::Error>> {
+        crate::spec::load_goal(self.file, self.goal)
+    }
+}
 
 /// One row of Table 1.
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct Benchmark {
     /// Benchmark name as it appears in the paper.
     pub name: &'static str,
@@ -42,17 +49,16 @@ pub struct Benchmark {
     pub paper_code_size: usize,
     /// Exploration bounds `(application depth, match depth)`.
     pub bounds: (usize, usize),
-    /// Goal builder, for benchmarks transcribed into this reproduction.
-    pub goal: Option<fn() -> Goal>,
+    /// The goal's spec, for benchmarks transcribed into this reproduction.
+    pub spec: Option<SpecGoal>,
 }
 
-impl std::fmt::Debug for Benchmark {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Benchmark")
-            .field("name", &self.name)
-            .field("group", &self.group)
-            .field("transcribed", &self.goal.is_some())
-            .finish()
+impl Benchmark {
+    fn defined_in(self, file: &'static str, goal: &'static str) -> Benchmark {
+        Benchmark {
+            spec: Some(SpecGoal { file, goal }),
+            ..self
+        }
     }
 }
 
@@ -62,242 +68,34 @@ fn nu_int() -> Term {
 fn ivar(n: &str) -> Term {
     Term::var(n, Sort::Int)
 }
-fn list_sort(elem: Sort) -> Sort {
-    Sort::Data("List".into(), vec![elem])
-}
-fn avar(n: &str) -> Term {
-    Term::var(n, Sort::var("a"))
-}
-
-// ---------------------------------------------------------------------
-// Transcribed goals
-// ---------------------------------------------------------------------
-
-fn goal_replicate() -> Goal {
-    // replicate :: n: Nat → x: α → {List α | len ν = n}
-    // Components (Table 1): 0, inc, dec, ≤, ≠.
-    let mut env = list_environment();
-    add_comparison_components(&mut env, Sort::Int);
-    let ret = RType::refined(
-        BaseType::Data("List".into(), vec![RType::tyvar("a")]),
-        len_of(Term::value_var(list_sort(Sort::var("a")))).eq(ivar("n")),
-    );
-    let ty = RType::fun_n(
-        vec![("n".into(), RType::nat()), ("x".into(), RType::tyvar("a"))],
-        ret,
-    );
-    Goal::new("replicate", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_is_empty() -> Goal {
-    // is_empty :: xs: List α → {Bool | ν ⇔ len xs = 0}
-    let mut env = list_environment();
-    add_bool_components(&mut env);
-    let ret = RType::refined(
-        BaseType::Bool,
-        Term::value_var(Sort::Bool)
-            .iff(len_of(Term::var("xs", list_sort(Sort::var("a")))).eq(Term::int(0))),
-    );
-    let ty = RType::fun("xs", list_type(RType::tyvar("a")), ret);
-    Goal::new("is_empty", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_append() -> Goal {
-    // append :: xs: List α → ys: List α →
-    //   {List α | len ν = len xs + len ys ∧ elems ν = elems xs + elems ys}
-    let env = list_environment();
-    let ls = list_sort(Sort::var("a"));
-    let es = Sort::var("a");
-    let nu = Term::value_var(ls.clone());
-    let xs = Term::var("xs", ls.clone());
-    let ys = Term::var("ys", ls.clone());
-    let ret = RType::refined(
-        BaseType::Data("List".into(), vec![RType::tyvar("a")]),
-        len_of(nu.clone())
-            .eq(len_of(xs.clone()).plus(len_of(ys.clone())))
-            .and(elems_of(nu, es.clone()).eq(elems_of(xs, es.clone()).union(elems_of(ys, es)))),
-    );
-    let ty = RType::fun_n(
-        vec![
-            ("xs".into(), list_type(RType::tyvar("a"))),
-            ("ys".into(), list_type(RType::tyvar("a"))),
-        ],
-        ret,
-    );
-    Goal::new("append", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_duplicate_each() -> Goal {
-    // double :: xs: List α → {List α | len ν = len xs + len xs}
-    let env = list_environment();
-    let ls = list_sort(Sort::var("a"));
-    let ret = RType::refined(
-        BaseType::Data("List".into(), vec![RType::tyvar("a")]),
-        len_of(Term::value_var(ls.clone()))
-            .eq(len_of(Term::var("xs", ls.clone())).plus(len_of(Term::var("xs", ls)))),
-    );
-    let ty = RType::fun("xs", list_type(RType::tyvar("a")), ret);
-    Goal::new("double", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_drop() -> Goal {
-    // drop :: n: Nat → xs: {List α | len ν ≥ n} → {List α | len ν = len xs - n}
-    // Components (Table 1): 0, inc, dec, ≤, ≠.
-    let mut env = list_environment();
-    add_comparison_components(&mut env, Sort::Int);
-    let ls = list_sort(Sort::var("a"));
-    let arg = RType::refined(
-        BaseType::Data("List".into(), vec![RType::tyvar("a")]),
-        len_of(Term::value_var(ls.clone())).ge(ivar("n")),
-    );
-    let ret = RType::refined(
-        BaseType::Data("List".into(), vec![RType::tyvar("a")]),
-        len_of(Term::value_var(ls.clone())).eq(len_of(Term::var("xs", ls)).minus(ivar("n"))),
-    );
-    let ty = RType::fun_n(vec![("n".into(), RType::nat()), ("xs".into(), arg)], ret);
-    Goal::new("drop", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_length() -> Goal {
-    // length :: xs: List α → {Int | ν = len xs}
-    let env = list_environment();
-    let ls = list_sort(Sort::var("a"));
-    let ret = RType::refined(BaseType::Int, nu_int().eq(len_of(Term::var("xs", ls))));
-    let ty = RType::fun("xs", list_type(RType::tyvar("a")), ret);
-    Goal::new("length", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_stutter_head() -> Goal {
-    // head-or-default (delete value stand-in within the List group is not
-    // transcribed); this benchmark corresponds to "i-th element" simplified
-    // to the first element with a default:
-    // elem_or :: d: α → xs: List α → {α | len xs = 0 ⇒ ν = d}
-    // Components (Table 1): 0, inc, dec, ≤, ≠.
-    let mut env = list_environment();
-    add_comparison_components(&mut env, Sort::Int);
-    let ls = list_sort(Sort::var("a"));
-    let ret = RType::refined(
-        BaseType::TypeVar("a".into()),
-        len_of(Term::var("xs", ls))
-            .eq(Term::int(0))
-            .implies(Term::value_var(Sort::var("a")).eq(avar("d"))),
-    );
-    let ty = RType::fun_n(
-        vec![
-            ("d".into(), RType::tyvar("a")),
-            ("xs".into(), list_type(RType::tyvar("a"))),
-        ],
-        ret,
-    );
-    Goal::new("elem_or_default", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_insert_sorted() -> Goal {
-    // insert (sorted) :: x: α → xs: IList α →
-    //   {IList α | ielems ν = ielems xs + [x]}
-    let env = sorting_environment();
-    let is = Sort::Data("IList".into(), vec![Sort::var("a")]);
-    let es = Sort::var("a");
-    let ielems = |t: Term| Term::app("ielems", vec![t], Sort::set(es.clone()));
-    let ret = RType::refined(
-        BaseType::Data("IList".into(), vec![RType::tyvar("a")]),
-        ielems(Term::value_var(is.clone()))
-            .eq(ielems(Term::var("xs", is.clone())).union(Term::singleton(es.clone(), avar("x")))),
-    );
-    let ty = RType::fun_n(
-        vec![
-            ("x".into(), RType::tyvar("a")),
-            ("xs".into(), ilist_type(RType::tyvar("a"))),
-        ],
-        ret,
-    );
-    Goal::new("insert_sorted", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_insertion_sort() -> Goal {
-    // sort :: xs: List α → {IList α | ielems ν = elems xs}
-    // with insert (sorted) provided as a component.
-    let mut env = sorting_environment();
-    let es = Sort::var("a");
-    let is = Sort::Data("IList".into(), vec![es.clone()]);
-    let ielems = |t: Term| Term::app("ielems", vec![t], Sort::set(es.clone()));
-    // Component: insert :: x: α → xs: IList α → {IList α | ielems ν = ielems xs + [x]}
-    let insert_ret = RType::refined(
-        BaseType::Data("IList".into(), vec![RType::tyvar("a")]),
-        ielems(Term::value_var(is.clone()))
-            .eq(ielems(Term::var("xs", is.clone())).union(Term::singleton(es.clone(), avar("x")))),
-    );
-    env.add_var(
-        "insert",
-        Schema::forall(
-            vec!["a".into()],
-            RType::fun_n(
-                vec![
-                    ("x".into(), RType::tyvar("a")),
-                    ("xs".into(), ilist_type(RType::tyvar("a"))),
-                ],
-                insert_ret,
-            ),
-        ),
-    );
-    let ls = list_sort(es.clone());
-    let ret = RType::refined(
-        BaseType::Data("IList".into(), vec![RType::tyvar("a")]),
-        ielems(Term::value_var(is)).eq(elems_of(Term::var("xs", ls), es)),
-    );
-    let ty = RType::fun("xs", list_type(RType::tyvar("a")), ret);
-    Goal::new("insertion_sort", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_bst_member() -> Goal {
-    // member :: x: α → t: BST α → {Bool | ν ⇔ x ∈ keys t}
-    let env = bst_environment();
-    let es = Sort::var("a");
-    let bs = Sort::Data("BST".into(), vec![es.clone()]);
-    let keys = |t: Term| Term::app("keys", vec![t], Sort::set(es.clone()));
-    let ret = RType::refined(
-        BaseType::Bool,
-        Term::value_var(Sort::Bool).iff(avar("x").member(keys(Term::var("t", bs)))),
-    );
-    let ty = RType::fun_n(
-        vec![
-            ("x".into(), RType::tyvar("a")),
-            ("t".into(), bst_type(RType::tyvar("a"))),
-        ],
-        ret,
-    );
-    Goal::new("bst_member", env, Schema::forall(vec!["a".into()], ty))
-}
-
-fn goal_bst_insert() -> Goal {
-    // insert :: x: α → t: BST α → {BST α | keys ν = keys t + [x]}
-    let env = bst_environment();
-    let es = Sort::var("a");
-    let bs = Sort::Data("BST".into(), vec![es.clone()]);
-    let keys = |t: Term| Term::app("keys", vec![t], Sort::set(es.clone()));
-    let ret = RType::refined(
-        BaseType::Data("BST".into(), vec![RType::tyvar("a")]),
-        keys(Term::value_var(bs.clone()))
-            .eq(keys(Term::var("t", bs)).union(Term::singleton(es.clone(), avar("x")))),
-    );
-    let ty = RType::fun_n(
-        vec![
-            ("x".into(), RType::tyvar("a")),
-            ("t".into(), bst_type(RType::tyvar("a"))),
-        ],
-        ret,
-    );
-    Goal::new("bst_insert", env, Schema::forall(vec!["a".into()], ty))
-}
 
 // ---------------------------------------------------------------------
 // SyGuS benchmarks (Fig. 7)
 // ---------------------------------------------------------------------
 
+/// The Fig. 7 component library: the standard qualifiers and the integer
+/// comparisons `leq`, `lt`, `neq`, `eq`.
+fn sygus_environment() -> Environment {
+    let mut env = Environment::new();
+    env.add_qualifiers(Qualifier::standard(Sort::Int));
+    env.add_qualifiers(Qualifier::standard(Sort::var("a")));
+    let compare = |body: Term| {
+        RType::fun_n(
+            vec![("x".into(), RType::int()), ("y".into(), RType::int())],
+            RType::refined(BaseType::Bool, Term::value_var(Sort::Bool).iff(body)),
+        )
+    };
+    let (x, y) = (ivar("x"), ivar("y"));
+    env.add_var("leq", compare(x.clone().le(y.clone())));
+    env.add_var("lt", compare(x.clone().lt(y.clone())));
+    env.add_var("neq", compare(x.clone().neq(y.clone())));
+    env.add_var("eq", compare(x.eq(y)));
+    env
+}
+
 /// `max_n`: the maximum of `n` integer arguments (Fig. 7, left).
 pub fn max_n(n: usize) -> Goal {
-    let mut env = base_environment();
-    add_comparison_components(&mut env, Sort::Int);
+    let env = sygus_environment();
     let args: Vec<(String, RType)> = (1..=n).map(|i| (format!("x{i}"), RType::int())).collect();
     let nu = nu_int();
     let at_least = Term::conjunction((1..=n).map(|i| nu.clone().ge(ivar(&format!("x{i}")))));
@@ -314,9 +112,14 @@ pub fn max_n(n: usize) -> Goal {
 /// `n` strictly increasing arguments (Fig. 7, right). The result is the
 /// number of array elements smaller than the key.
 pub fn array_search_n(n: usize) -> Goal {
-    let mut env = base_environment();
-    add_comparison_components(&mut env, Sort::Int);
-    add_int_constants(&mut env, n as i64);
+    let mut env = sygus_environment();
+    // Integer constants `c0 … cn` for the positional results.
+    for i in 0..=n as i64 {
+        env.add_var(
+            format!("c{i}"),
+            RType::refined(BaseType::Int, nu_int().eq(Term::int(i))),
+        );
+    }
     let mut args: Vec<(String, RType)> = vec![("k".into(), RType::int())];
     for i in 1..=n {
         let refinement = if i == 1 {
@@ -368,7 +171,7 @@ pub fn sygus(max_n_param: usize) -> Vec<(String, usize, Goal)> {
 // Table 1
 // ---------------------------------------------------------------------
 
-/// All 64 rows of Table 1. `goal` is `Some` for the transcribed subset.
+/// All 64 rows of Table 1. `spec` is `Some` for the transcribed subset.
 pub fn table1() -> Vec<Benchmark> {
     fn row(
         group: &'static str,
@@ -376,7 +179,6 @@ pub fn table1() -> Vec<Benchmark> {
         paper_time: f64,
         paper_code_size: usize,
         bounds: (usize, usize),
-        goal: Option<fn() -> Goal>,
     ) -> Benchmark {
         Benchmark {
             name,
@@ -384,276 +186,97 @@ pub fn table1() -> Vec<Benchmark> {
             paper_time,
             paper_code_size,
             bounds,
-            goal,
+            spec: None,
         }
     }
     vec![
-        row("List", "is empty", 0.02, 6, (1, 1), Some(goal_is_empty)),
-        row(
-            "List",
-            "is member",
-            0.11,
-            18,
-            (2, 1),
-            Some(goal_list_member),
-        ),
-        row(
-            "List",
-            "duplicate each element",
-            0.05,
-            16,
-            (3, 1),
-            Some(goal_duplicate_each),
-        ),
-        row("List", "replicate", 0.05, 21, (3, 0), Some(goal_replicate)),
-        row(
-            "List",
-            "append two lists",
-            0.15,
-            15,
-            (3, 1),
-            Some(goal_append),
-        ),
-        row("List", "concatenate list of lists", 0.05, 12, (3, 1), None),
-        row(
-            "List",
-            "take first n elements",
-            0.12,
-            27,
-            (2, 1),
-            Some(goal_take),
-        ),
-        row(
-            "List",
-            "drop first n elements",
-            0.10,
-            20,
-            (2, 1),
-            Some(goal_drop),
-        ),
-        row(
-            "List",
-            "delete value",
-            0.10,
-            26,
-            (3, 1),
-            Some(goal_list_delete),
-        ),
-        row("List", "map", 0.03, 22, (3, 1), Some(goal_map)),
-        row("List", "zip", 0.08, 22, (3, 2), None),
-        row("List", "zip with function", 0.07, 33, (3, 2), None),
-        row("List", "cartesian product", 0.30, 26, (3, 1), None),
-        row(
-            "List",
-            "i-th element",
-            0.05,
-            20,
-            (2, 1),
-            Some(goal_stutter_head),
-        ),
-        row("List", "index of element", 0.08, 20, (3, 1), None),
-        row(
-            "List",
-            "insert at end",
-            0.10,
-            19,
-            (3, 1),
-            Some(goal_insert_at_end),
-        ),
-        row("List", "reverse", 0.09, 12, (3, 1), Some(goal_reverse)),
-        row("List", "foldr", 0.10, 32, (3, 1), None),
-        row(
-            "List",
-            "length using fold",
-            0.03,
-            17,
-            (2, 1),
-            Some(goal_length),
-        ),
-        row("List", "append using fold", 0.04, 20, (3, 0), None),
-        row(
-            "Unique list",
-            "insert",
-            0.27,
-            26,
-            (2, 1),
-            Some(goal_unique_insert),
-        ),
-        row(
-            "Unique list",
-            "delete",
-            0.18,
-            22,
-            (2, 1),
-            Some(goal_unique_delete),
-        ),
-        row(
-            "Unique list",
-            "remove duplicates",
-            0.36,
-            47,
-            (2, 1),
-            Some(goal_remove_duplicates),
-        ),
-        row(
-            "Unique list",
-            "remove adjacent dupl.",
-            1.33,
-            32,
-            (3, 2),
-            None,
-        ),
-        row("Unique list", "integer range", 2.36, 23, (3, 0), None),
-        row(
-            "Strictly sorted list",
-            "insert",
-            0.18,
-            41,
-            (2, 1),
-            Some(goal_strict_insert),
-        ),
-        row(
-            "Strictly sorted list",
-            "delete",
-            0.10,
-            29,
-            (2, 1),
-            Some(goal_strict_delete),
-        ),
-        row("Strictly sorted list", "intersect", 0.33, 40, (3, 2), None),
-        row(
-            "Sorting",
-            "insert (sorted)",
-            0.25,
-            34,
-            (3, 1),
-            Some(goal_insert_sorted),
-        ),
-        row(
-            "Sorting",
-            "insertion sort",
-            0.06,
-            12,
-            (2, 1),
-            Some(goal_insertion_sort),
-        ),
-        row("Sorting", "sort by folding", 2.14, 47, (3, 1), None),
-        row(
-            "Sorting",
-            "extract minimum",
-            4.28,
-            40,
-            (2, 1),
-            Some(goal_sorted_head),
-        ),
-        row("Sorting", "selection sort", 0.49, 16, (3, 1), None),
-        row("Sorting", "balanced split", 0.96, 33, (3, 2), None),
-        row("Sorting", "merge", 2.19, 41, (2, 1), Some(goal_merge)),
-        row("Sorting", "merge sort", 2.10, 25, (3, 2), None),
-        row("Sorting", "partition", 2.84, 40, (3, 2), None),
-        row("Sorting", "append with pivot", 0.22, 22, (3, 1), None),
-        row("Sorting", "quick sort", 2.71, 22, (3, 2), None),
-        row(
-            "Tree",
-            "is member",
-            0.29,
-            28,
-            (2, 1),
-            Some(goal_tree_member),
-        ),
-        row(
-            "Tree",
-            "node count",
-            0.20,
-            18,
-            (2, 1),
-            Some(goal_tree_count),
-        ),
-        row(
-            "Tree",
-            "preorder",
-            0.21,
-            18,
-            (2, 1),
-            Some(goal_tree_preorder),
-        ),
-        row("Tree", "create balanced", 0.14, 29, (3, 1), None),
-        row("BST", "is member", 0.09, 37, (2, 1), Some(goal_bst_member)),
-        row("BST", "insert", 0.91, 55, (3, 1), Some(goal_bst_insert)),
-        row("BST", "delete", 5.68, 68, (3, 2), None),
-        row("BST", "BST sort", 1.38, 115, (3, 2), None),
-        row(
-            "Binary Heap",
-            "is member",
-            0.38,
-            43,
-            (2, 1),
-            Some(goal_heap_member),
-        ),
-        row(
-            "Binary Heap",
-            "insert",
-            0.51,
-            55,
-            (2, 1),
-            Some(goal_heap_insert),
-        ),
-        row(
-            "Binary Heap",
-            "1-element constructor",
-            0.02,
-            8,
-            (1, 0),
-            Some(goal_heap_singleton),
-        ),
-        row(
-            "Binary Heap",
-            "2-element constructor",
-            0.08,
-            55,
-            (2, 0),
-            Some(goal_heap_two),
-        ),
-        row(
-            "Binary Heap",
-            "3-element constructor",
-            2.10,
-            246,
-            (3, 0),
-            None,
-        ),
-        row("AVL", "rotate left", 11.08, 91, (3, 1), None),
-        row("AVL", "rotate right", 19.23, 91, (3, 1), None),
-        row("AVL", "balance", 1.56, 119, (3, 1), None),
-        row("AVL", "insert", 1.84, 47, (3, 1), None),
-        row("AVL", "extract minimum", 1.92, 25, (3, 2), None),
-        row("AVL", "delete", 15.67, 63, (3, 2), None),
-        row("RBT", "balance left", 5.62, 137, (3, 1), None),
-        row("RBT", "balance right", 7.63, 137, (3, 1), None),
-        row("RBT", "insert", 8.95, 112, (3, 1), None),
-        row("User", "desugar AST", 1.17, 46, (3, 1), None),
-        row(
-            "User",
-            "make address book",
-            0.62,
-            35,
-            (2, 1),
-            Some(goal_make_address_book),
-        ),
-        row(
-            "User",
-            "merge address books",
-            0.35,
-            19,
-            (2, 1),
-            Some(goal_merge_address_books),
-        ),
+        row("List", "is empty", 0.02, 6, (1, 1)).defined_in("is_empty.sq", "is_empty"),
+        row("List", "is member", 0.11, 18, (2, 1)).defined_in("elem.sq", "list_member"),
+        row("List", "duplicate each element", 0.05, 16, (3, 1)).defined_in("double.sq", "double"),
+        row("List", "replicate", 0.05, 21, (3, 0)).defined_in("replicate.sq", "replicate"),
+        row("List", "append two lists", 0.15, 15, (3, 1)).defined_in("append.sq", "append"),
+        row("List", "concatenate list of lists", 0.05, 12, (3, 1)),
+        row("List", "take first n elements", 0.12, 27, (2, 1)).defined_in("take.sq", "take"),
+        row("List", "drop first n elements", 0.10, 20, (2, 1)).defined_in("drop.sq", "drop"),
+        row("List", "delete value", 0.10, 26, (3, 1)).defined_in("delete.sq", "list_delete"),
+        row("List", "map", 0.03, 22, (3, 1)).defined_in("table1/map.sq", "map"),
+        row("List", "zip", 0.08, 22, (3, 2)),
+        row("List", "zip with function", 0.07, 33, (3, 2)),
+        row("List", "cartesian product", 0.30, 26, (3, 1)),
+        row("List", "i-th element", 0.05, 20, (2, 1))
+            .defined_in("table1/elem_or_default.sq", "elem_or_default"),
+        row("List", "index of element", 0.08, 20, (3, 1)),
+        row("List", "insert at end", 0.10, 19, (3, 1))
+            .defined_in("insert_at_end.sq", "insert_at_end"),
+        row("List", "reverse", 0.09, 12, (3, 1)).defined_in("reverse.sq", "reverse"),
+        row("List", "foldr", 0.10, 32, (3, 1)),
+        row("List", "length using fold", 0.03, 17, (2, 1)).defined_in("length.sq", "length"),
+        row("List", "append using fold", 0.04, 20, (3, 0)),
+        row("Unique list", "insert", 0.27, 26, (2, 1))
+            .defined_in("table1/unique_insert.sq", "unique_insert"),
+        row("Unique list", "delete", 0.18, 22, (2, 1))
+            .defined_in("table1/unique_delete.sq", "unique_delete"),
+        row("Unique list", "remove duplicates", 0.36, 47, (2, 1))
+            .defined_in("table1/remove_duplicates.sq", "remove_duplicates"),
+        row("Unique list", "remove adjacent dupl.", 1.33, 32, (3, 2)),
+        row("Unique list", "integer range", 2.36, 23, (3, 0)),
+        row("Strictly sorted list", "insert", 0.18, 41, (2, 1))
+            .defined_in("table1/strict_insert.sq", "strict_insert"),
+        row("Strictly sorted list", "delete", 0.10, 29, (2, 1))
+            .defined_in("table1/strict_delete.sq", "strict_delete"),
+        row("Strictly sorted list", "intersect", 0.33, 40, (3, 2)),
+        row("Sorting", "insert (sorted)", 0.25, 34, (3, 1))
+            .defined_in("insert_sorted.sq", "insert_sorted"),
+        row("Sorting", "insertion sort", 0.06, 12, (2, 1))
+            .defined_in("table1/insertion_sort.sq", "insertion_sort"),
+        row("Sorting", "sort by folding", 2.14, 47, (3, 1)),
+        row("Sorting", "extract minimum", 4.28, 40, (2, 1))
+            .defined_in("table1/sorted_head.sq", "sorted_head"),
+        row("Sorting", "selection sort", 0.49, 16, (3, 1)),
+        row("Sorting", "balanced split", 0.96, 33, (3, 2)),
+        row("Sorting", "merge", 2.19, 41, (2, 1)).defined_in("table1/merge.sq", "merge"),
+        row("Sorting", "merge sort", 2.10, 25, (3, 2)),
+        row("Sorting", "partition", 2.84, 40, (3, 2)),
+        row("Sorting", "append with pivot", 0.22, 22, (3, 1)),
+        row("Sorting", "quick sort", 2.71, 22, (3, 2)),
+        row("Tree", "is member", 0.29, 28, (2, 1)).defined_in("tree_member.sq", "tree_member"),
+        row("Tree", "node count", 0.20, 18, (2, 1)).defined_in("tree_count.sq", "tree_count"),
+        row("Tree", "preorder", 0.21, 18, (2, 1))
+            .defined_in("table1/tree_preorder.sq", "tree_preorder"),
+        row("Tree", "create balanced", 0.14, 29, (3, 1)),
+        row("BST", "is member", 0.09, 37, (2, 1)).defined_in("bst_member.sq", "bst_member"),
+        row("BST", "insert", 0.91, 55, (3, 1)).defined_in("bst_insert.sq", "bst_insert"),
+        row("BST", "delete", 5.68, 68, (3, 2)),
+        row("BST", "BST sort", 1.38, 115, (3, 2)),
+        row("Binary Heap", "is member", 0.38, 43, (2, 1))
+            .defined_in("table1/heap_member.sq", "heap_member"),
+        row("Binary Heap", "insert", 0.51, 55, (2, 1))
+            .defined_in("table1/heap_insert.sq", "heap_insert"),
+        row("Binary Heap", "1-element constructor", 0.02, 8, (1, 0))
+            .defined_in("heap_singleton.sq", "heap_singleton"),
+        row("Binary Heap", "2-element constructor", 0.08, 55, (2, 0))
+            .defined_in("table1/heap_two.sq", "heap_two"),
+        row("Binary Heap", "3-element constructor", 2.10, 246, (3, 0)),
+        row("AVL", "rotate left", 11.08, 91, (3, 1)),
+        row("AVL", "rotate right", 19.23, 91, (3, 1)),
+        row("AVL", "balance", 1.56, 119, (3, 1)),
+        row("AVL", "insert", 1.84, 47, (3, 1)),
+        row("AVL", "extract minimum", 1.92, 25, (3, 2)),
+        row("AVL", "delete", 15.67, 63, (3, 2)),
+        row("RBT", "balance left", 5.62, 137, (3, 1)),
+        row("RBT", "balance right", 7.63, 137, (3, 1)),
+        row("RBT", "insert", 8.95, 112, (3, 1)),
+        row("User", "desugar AST", 1.17, 46, (3, 1)),
+        row("User", "make address book", 0.62, 35, (2, 1))
+            .defined_in("table1/make_address_book.sq", "make_address_book"),
+        row("User", "merge address books", 0.35, 19, (2, 1))
+            .defined_in("table1/merge_address_books.sq", "merge_address_books"),
     ]
 }
 
 /// The benchmarks of Table 1 whose specifications have been transcribed.
 pub fn transcribed() -> Vec<Benchmark> {
-    table1().into_iter().filter(|b| b.goal.is_some()).collect()
+    table1().into_iter().filter(|b| b.spec.is_some()).collect()
 }
 
 /// One row of Table 2 (comparison with other synthesizers). Competitor
@@ -830,8 +453,9 @@ mod tests {
             t.len()
         );
         for b in &t {
-            let goal = (b.goal.unwrap())();
-            assert!(!goal.name.is_empty());
+            let spec = b.spec.unwrap();
+            let goal = spec.load().unwrap_or_else(|e| panic!("{}: {e}", b.name));
+            assert_eq!(goal.name, spec.goal);
         }
     }
 

@@ -1,13 +1,13 @@
-//! Loading `.sq` specification files (the textual counterpart of the
-//! programmatic goal builders in [`crate::benchmarks`] and
-//! [`crate::goals`]).
+//! Loading `.sq` specification files — the only place a Table 1 goal
+//! is defined.
 //!
 //! This module is a thin convenience layer over [`synquid_parser`]: it
 //! locates the repository's `specs/` corpus, loads individual files, and
-//! looks goals up by name across the corpus. The parity between the two
-//! paths — a `.sq` file and the programmatic builder for the same
-//! benchmark must produce structurally identical [`Goal`]s — is enforced
-//! by `tests/spec_parity.rs`.
+//! looks goals up by name. The corpus proper is `specs/*.sq` (the goals
+//! the engine tests, `report batch` and the benchmark measure);
+//! `specs/table1/` holds the remaining transcribed Table 1 goals, which
+//! [`crate::benchmarks::table1`] names by file. Every goal in both
+//! directories is pinned by the golden hashes of `tests/golden_goals.rs`.
 
 use std::path::{Path, PathBuf};
 use synquid_core::Goal;
@@ -23,11 +23,9 @@ pub fn corpus_dir() -> Option<PathBuf> {
         .find(|candidate| candidate.is_dir())
 }
 
-/// Lists the `.sq` files of the corpus in filename order.
-pub fn corpus_files() -> Vec<PathBuf> {
-    let Some(dir) = corpus_dir() else {
-        return Vec::new();
-    };
+/// Lists the `.sq` files of a directory (not its subdirectories) in
+/// filename order.
+pub fn spec_files(dir: &Path) -> Vec<PathBuf> {
     let mut files: Vec<PathBuf> = std::fs::read_dir(dir)
         .into_iter()
         .flatten()
@@ -39,11 +37,27 @@ pub fn corpus_files() -> Vec<PathBuf> {
     files
 }
 
+/// Lists the `.sq` files of the corpus (`specs/*.sq`) in filename order.
+pub fn corpus_files() -> Vec<PathBuf> {
+    corpus_dir().map(|dir| spec_files(&dir)).unwrap_or_default()
+}
+
 /// Loads one corpus file by stem (`"replicate"` loads
 /// `specs/replicate.sq`).
 pub fn load_corpus_file(stem: &str) -> Result<SpecOutput, Box<dyn std::error::Error>> {
     let dir = corpus_dir().ok_or("specs/ corpus directory not found")?;
     load_file(dir.join(format!("{stem}.sq")))
+}
+
+/// Loads the goal `name` from a file given relative to `specs/`
+/// (`"take.sq"`, `"table1/map.sq"`).
+pub fn load_goal(file: &str, name: &str) -> Result<Goal, Box<dyn std::error::Error>> {
+    let dir = corpus_dir().ok_or("specs/ corpus directory not found")?;
+    load_file(dir.join(file))?
+        .goals
+        .into_iter()
+        .find(|g| g.name == name)
+        .ok_or_else(|| format!("specs/{file} declares no goal `{name}`").into())
 }
 
 /// Searches the whole corpus for a goal with the given name.

@@ -415,13 +415,11 @@ impl Smt {
     /// (`smt_query` events — the raw material solver-benchmark fixtures
     /// are transcribed from).
     fn check_query(&mut self, antecedent: Term, consequent: Term) -> SmtResult {
-        let profile_base = synquid_telemetry::profiling_enabled().then(synquid_telemetry::snapshot);
+        let profile = synquid_telemetry::window();
         let capture = events::events_enabled().then(Instant::now);
         let result = self.check_query_inner(&antecedent, &consequent);
-        if let Some(base) = profile_base {
-            self.stats
-                .phases
-                .merge(&synquid_telemetry::snapshot().delta_since(&base));
+        if let Some(profile) = profile {
+            self.stats.phases.merge(&profile.close());
         }
         if let Some(started) = capture {
             let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;

@@ -20,15 +20,17 @@
 //!   deferred behind a closure.
 //!
 //! The profiler's thread-locality is deliberate: one synthesis run stays
-//! on one worker thread, so a run's profile is the delta of
-//! [`snapshot`] around it, with no locks on the hot path and no
-//! cross-worker bleed. What is *stable* across runs for a fixed goal and
+//! on one worker thread, so a run's profile is a [`window`] opened around
+//! it, with no locks on the hot path and no cross-worker bleed. Windows
+//! nest (a solver query inside a run); each reports the maxima of its own
+//! spans only. What is *stable* across runs for a fixed goal and
 //! configuration is the per-phase span **counts** (the search is
 //! deterministic); totals and maxima are wall-clock measurements and vary.
 
 pub mod events;
 
 use std::cell::RefCell;
+use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU8, Ordering};
 use std::time::Instant;
 
@@ -188,22 +190,18 @@ impl PhaseProfile {
         }
     }
 
-    /// The measurements accumulated since `base` was snapshot from the
-    /// same thread. Totals and counts subtract exactly; the maximum is
-    /// best-effort (a window's max is unknowable from two cumulative
-    /// snapshots, so it is reported only when the window recorded spans).
-    pub fn delta_since(&self, base: &PhaseProfile) -> PhaseProfile {
+    /// The totals and counts accumulated since `base` was snapshot from
+    /// the same thread. Maxima are left zero: two cumulative snapshots
+    /// cannot tell which spans closed in between, so a window's maxima
+    /// come from the window stack (see [`window`]).
+    fn delta_since(&self, base: &PhaseProfile) -> PhaseProfile {
         let mut out = PhaseProfile::default();
         for i in 0..PHASE_COUNT {
             let (now, then) = (&self.stats[i], &base.stats[i]);
             out.stats[i] = PhaseStat {
                 total_nanos: now.total_nanos.saturating_sub(then.total_nanos),
                 count: now.count.saturating_sub(then.count),
-                max_nanos: if now.count > then.count {
-                    now.max_nanos
-                } else {
-                    0
-                },
+                max_nanos: 0,
             };
         }
         out
@@ -365,6 +363,10 @@ struct ThreadProfiler {
     /// Nanoseconds consumed by already-closed *child* spans of each open
     /// span, innermost last — what self-time attribution subtracts.
     child_nanos: Vec<u64>,
+    /// Per-phase maxima of the open windows, innermost last. A closing
+    /// span raises only the innermost window; a closing window folds its
+    /// maxima into the window around it.
+    window_max: Vec<[u64; PHASE_COUNT]>,
     agg: PhaseProfile,
 }
 
@@ -380,7 +382,11 @@ impl PhaseProfile {
 
 thread_local! {
     static PROFILER: RefCell<ThreadProfiler> = const {
-        RefCell::new(ThreadProfiler { child_nanos: Vec::new(), agg: PhaseProfile::EMPTY })
+        RefCell::new(ThreadProfiler {
+            child_nanos: Vec::new(),
+            window_max: Vec::new(),
+            agg: PhaseProfile::EMPTY,
+        })
     };
 }
 
@@ -413,23 +419,83 @@ impl Drop for Span {
         };
         let elapsed = start.elapsed().as_nanos() as u64;
         PROFILER.with(|p| {
-            let mut p = p.borrow_mut();
+            let p = &mut *p.borrow_mut();
             let child = p.child_nanos.pop().unwrap_or(0);
             if let Some(parent) = p.child_nanos.last_mut() {
                 *parent += elapsed;
             }
-            let stat = &mut p.agg.stats[self.phase as usize];
+            let phase = self.phase as usize;
+            let stat = &mut p.agg.stats[phase];
             stat.total_nanos += elapsed.saturating_sub(child);
             stat.count += 1;
             stat.max_nanos = stat.max_nanos.max(elapsed);
+            if let Some(window) = p.window_max.last_mut() {
+                window[phase] = window[phase].max(elapsed);
+            }
         });
     }
 }
 
-/// A copy of this thread's cumulative profile. Window a region with two
-/// snapshots and [`PhaseProfile::delta_since`].
+/// A copy of this thread's cumulative profile.
 pub fn snapshot() -> PhaseProfile {
     PROFILER.with(|p| p.borrow().agg)
+}
+
+/// An open profiling window on this thread (see [`window`]).
+#[must_use = "a window measures until it is closed"]
+pub struct Window {
+    base: PhaseProfile,
+    /// Not `Send`: the window stack it pops on close is thread-local.
+    _thread: PhantomData<*const ()>,
+}
+
+/// Opens a profiling window on this thread, or returns `None` when
+/// profiling is off. [`Window::close`] returns what the spans closed
+/// while the window was open recorded: totals, counts, and maxima of
+/// that window alone. Windows nest and must close in LIFO order; a
+/// window dropped without `close` is discarded.
+pub fn window() -> Option<Window> {
+    if !profiling_enabled() {
+        return None;
+    }
+    PROFILER.with(|p| {
+        let mut p = p.borrow_mut();
+        p.window_max.push([0; PHASE_COUNT]);
+        Some(Window {
+            base: p.agg,
+            _thread: PhantomData,
+        })
+    })
+}
+
+impl Window {
+    /// Closes the window and returns its profile.
+    pub fn close(self) -> PhaseProfile {
+        let (now, maxima) = PROFILER.with(|p| {
+            let p = p.borrow();
+            let maxima = p.window_max.last().copied().unwrap_or([0; PHASE_COUNT]);
+            (p.agg, maxima)
+        });
+        let mut out = now.delta_since(&self.base);
+        for (stat, max) in out.stats.iter_mut().zip(maxima) {
+            stat.max_nanos = max;
+        }
+        out
+    }
+}
+
+impl Drop for Window {
+    fn drop(&mut self) {
+        PROFILER.with(|p| {
+            let mut p = p.borrow_mut();
+            let closed = p.window_max.pop().unwrap_or([0; PHASE_COUNT]);
+            if let Some(outer) = p.window_max.last_mut() {
+                for (into, max) in outer.iter_mut().zip(closed) {
+                    *into = (*into).max(max);
+                }
+            }
+        });
+    }
 }
 
 /// Zeroes this thread's cumulative profile. Only meaningful while no span
@@ -438,6 +504,7 @@ pub fn reset_thread_profile() {
     PROFILER.with(|p| {
         let mut p = p.borrow_mut();
         debug_assert!(p.child_nanos.is_empty(), "reset with open spans");
+        debug_assert!(p.window_max.is_empty(), "reset with open windows");
         p.agg = PhaseProfile::default();
     });
 }
@@ -529,6 +596,45 @@ mod tests {
             let untouched = delta.get(Phase::Lia);
             assert_eq!(untouched.count, 0);
             assert_eq!(untouched.max_nanos, 0, "no-span window reports no max");
+        });
+    }
+
+    #[test]
+    fn consecutive_windows_report_their_own_maxima() {
+        with_profiling(|| {
+            let sleep = |ms| std::thread::sleep(std::time::Duration::from_millis(ms));
+            let first = window().expect("profiling is on");
+            {
+                let _s = span(Phase::Generation);
+                sleep(20);
+            }
+            let first = first.close();
+            let second = window().expect("profiling is on");
+            let nested = window().expect("profiling is on");
+            {
+                let _s = span(Phase::Generation);
+                sleep(2);
+            }
+            let nested = nested.close();
+            {
+                let _s = span(Phase::Sat);
+                sleep(2);
+            }
+            let second = second.close();
+            let (slow, fast) = (first.get(Phase::Generation), second.get(Phase::Generation));
+            assert_eq!((slow.count, fast.count), (1, 1));
+            assert!(slow.max_nanos >= 20_000_000);
+            assert_eq!(
+                fast.max_nanos, fast.total_nanos,
+                "the second window's max must cover only its own span, not the first window's {}",
+                slow.max_nanos
+            );
+            // A nested window's spans count toward the window around it.
+            assert_eq!(nested.get(Phase::Generation), fast);
+            assert_eq!(second.get(Phase::Sat).count, 1);
+            assert_eq!(nested.get(Phase::Sat).count, 0);
+            // The cumulative profile still holds the thread-wide maximum.
+            assert_eq!(snapshot().get(Phase::Generation).max_nanos, slow.max_nanos);
         });
     }
 

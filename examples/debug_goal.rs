@@ -15,7 +15,10 @@ fn main() {
         .into_iter()
         .find(|b| b.name == name)
         .unwrap_or_else(|| panic!("unknown benchmark {name}"));
-    let goal = (bench.goal.expect("benchmark not transcribed"))();
+    let spec = bench.spec.expect("benchmark not transcribed");
+    let goal = spec
+        .load()
+        .unwrap_or_else(|e| panic!("specs/{}: {e}", spec.file));
     eprintln!("goal: {} :: {}", goal.name, goal.schema.ty);
     let bounds = bench.bounds;
     let config = Variant::Default.config(Duration::from_secs(timeout), bounds);

@@ -2,12 +2,11 @@
 //! polymorphic refinement type
 //! `n: Nat → x: α → {List α | len ν = n}`.
 //!
-//! This example drives the *programmatic* benchmark suite. For new
-//! specifications prefer the textual path — write a `.sq` file and run it
+//! This example looks the goal up in the Table 1 suite, which names the
+//! `.sq` spec defining it (`specs/replicate.sq`). The same file runs
 //! through the `synquid` CLI (`cargo run --release --bin synquid --
-//! specs/list.sq`), or see `examples/from_spec.rs` for parsing a spec
-//! string inline; the two paths produce identical goals (see
-//! `crates/lang/tests/spec_parity.rs`).
+//! specs/replicate.sq`); see `examples/from_spec.rs` for parsing a spec
+//! string inline.
 //!
 //! Run with: `cargo run --release --example quickstart`
 
@@ -20,7 +19,11 @@ fn main() {
         .into_iter()
         .find(|b| b.name == "replicate")
         .expect("replicate is part of the Table 1 suite");
-    let goal = (replicate.goal.expect("replicate is transcribed"))();
+    let goal = replicate
+        .spec
+        .expect("replicate is transcribed")
+        .load()
+        .expect("specs/replicate.sq loads");
 
     println!("Goal: replicate :: {}", goal.schema);
     println!("Synthesizing (this exercises liquid abduction and termination-aware recursion)...");

@@ -663,9 +663,9 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     }
-    // Parse/desugar run on this thread; snapshot so the batch summary can
+    // Parse/desugar run on this thread; window it so the batch summary can
     // attribute frontend time alongside the workers' synthesis phases.
-    let profile_base = telemetry::profiling_enabled().then(telemetry::snapshot);
+    let frontend = telemetry::window();
 
     // Load every spec file up front; any malformed file aborts the batch
     // before synthesis starts.
@@ -808,9 +808,7 @@ fn main() -> ExitCode {
         );
         // Aggregate phase split: the main thread's parse/desugar time
         // plus every goal's synthesis-side profile.
-        let mut aggregate = profile_base
-            .map(|base| telemetry::snapshot().delta_since(&base))
-            .unwrap_or_default();
+        let mut aggregate = frontend.map(telemetry::Window::close).unwrap_or_default();
         for outcome in &report.outcomes {
             if let Some(stats) = &outcome.result.stats {
                 aggregate.merge(&stats.phases);

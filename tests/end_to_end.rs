@@ -59,9 +59,12 @@ fn grouped_goal(group: &str, name: &str) -> (Goal, (usize, usize)) {
         .into_iter()
         .find(|b| b.group == group && b.name == name)
         .unwrap_or_else(|| panic!("unknown benchmark {group}/{name}"));
-    let goal = (bench
-        .goal
-        .unwrap_or_else(|| panic!("{name} is not transcribed")))();
+    let spec = bench
+        .spec
+        .unwrap_or_else(|| panic!("{name} is not transcribed"));
+    let goal = spec
+        .load()
+        .unwrap_or_else(|e| panic!("specs/{}: {e}", spec.file));
     (goal, bench.bounds)
 }
 
@@ -252,7 +255,7 @@ fn spec_errors_surface_as_located_diagnostics_through_the_facade() {
 fn report_structures_cover_the_full_paper_tables() {
     let rows = table1();
     assert_eq!(rows.len(), 64);
-    let transcribed = rows.iter().filter(|b| b.goal.is_some()).count();
+    let transcribed = rows.iter().filter(|b| b.spec.is_some()).count();
     assert!(
         transcribed >= 30,
         "expected at least 30 transcribed Table 1 rows, got {transcribed}"
@@ -265,8 +268,10 @@ fn report_structures_cover_the_full_paper_tables() {
 #[test]
 fn every_transcribed_goal_builds_a_well_formed_schema() {
     for bench in table1() {
-        let Some(build) = bench.goal else { continue };
-        let goal = build();
+        let Some(spec) = bench.spec else { continue };
+        let goal = spec
+            .load()
+            .unwrap_or_else(|e| panic!("specs/{}: {e}", spec.file));
         assert!(
             goal.schema.ty.is_function(),
             "{} should be a function goal",
