@@ -1,16 +1,21 @@
-//! Parity between the textual and the programmatic specification paths:
-//! every single-goal `.sq` file in the `specs/` corpus must desugar to a
-//! [`Goal`] that is *structurally identical* to the one built by the
-//! corresponding programmatic builder in `synquid_lang::benchmarks` /
-//! `synquid_lang::goals` — same schema (compared with `PartialEq`) and
-//! same environment (compared through the `Debug` rendering, since
-//! `Environment` intentionally does not implement `PartialEq`).
+//! Parity between the two paths to a transcribed Table 1 goal: the row of
+//! `synquid_lang::benchmarks::table1` (which `report table1`/`table2`
+//! follow) and the `.sq` file the goal is written in (which the CLI,
+//! `report batch`, `synquid fuzz` and the benchmark load). Each row must
+//! name the file recorded below, and the goal it loads must be
+//! *structurally identical* to the one read from that file directly —
+//! same schema (compared with `PartialEq`) and same environment (compared
+//! through the `Debug` rendering, since `Environment` intentionally does
+//! not implement `PartialEq`). The rows replaced the Rust builders these
+//! goals were once checked against; `tests/golden_goals.rs` pins every
+//! goal to the hash its builder produced.
 
 use synquid_core::Goal;
-use synquid_lang::benchmarks::table1;
+use synquid_lang::benchmarks::{table1, transcribed};
 use synquid_lang::spec::load_corpus_file;
 
-/// (spec file stem, Table 1 group, Table 1 benchmark name).
+/// (spec file stem under `specs/`, Table 1 group, Table 1 benchmark name).
+#[rustfmt::skip]
 const PARITY: &[(&str, &str, &str)] = &[
     ("replicate", "List", "replicate"),
     ("is_empty", "List", "is empty"),
@@ -29,16 +34,35 @@ const PARITY: &[(&str, &str, &str)] = &[
     ("heap_singleton", "Binary Heap", "1-element constructor"),
     ("bst_member", "BST", "is member"),
     ("bst_insert", "BST", "insert"),
+    ("table1/map", "List", "map"),
+    ("table1/elem_or_default", "List", "i-th element"),
+    ("table1/unique_insert", "Unique list", "insert"),
+    ("table1/unique_delete", "Unique list", "delete"),
+    ("table1/remove_duplicates", "Unique list", "remove duplicates"),
+    ("table1/strict_insert", "Strictly sorted list", "insert"),
+    ("table1/strict_delete", "Strictly sorted list", "delete"),
+    ("table1/insertion_sort", "Sorting", "insertion sort"),
+    ("table1/sorted_head", "Sorting", "extract minimum"),
+    ("table1/merge", "Sorting", "merge"),
+    ("table1/tree_preorder", "Tree", "preorder"),
+    ("table1/heap_member", "Binary Heap", "is member"),
+    ("table1/heap_insert", "Binary Heap", "insert"),
+    ("table1/heap_two", "Binary Heap", "2-element constructor"),
+    ("table1/make_address_book", "User", "make address book"),
+    ("table1/merge_address_books", "User", "merge address books"),
 ];
 
-fn programmatic_goal(group: &str, name: &str) -> Goal {
+fn table1_goal(stem: &str, group: &str, name: &str) -> Goal {
     let bench = table1()
         .into_iter()
         .find(|b| b.group == group && b.name == name)
         .unwrap_or_else(|| panic!("unknown Table 1 row {group}/{name}"));
-    (bench
-        .goal
-        .unwrap_or_else(|| panic!("{group}/{name} is not transcribed")))()
+    let spec = bench
+        .spec
+        .unwrap_or_else(|| panic!("{group}/{name} is not transcribed"));
+    assert_eq!(spec.file, format!("{stem}.sq"), "{group}/{name}: spec file");
+    spec.load()
+        .unwrap_or_else(|e| panic!("{group}/{name} failed to load:\n{e}"))
 }
 
 fn assert_goal_parity(stem: &str, parsed: &Goal, built: &Goal) {
@@ -57,23 +81,21 @@ fn assert_goal_parity(stem: &str, parsed: &Goal, built: &Goal) {
             .zip(built_env.lines())
             .enumerate()
             .find(|(_, (a, b))| a != b);
-        panic!(
-            "{stem}: environment differs from the programmatic builder\nfirst differing line: {:?}",
-            diff
-        );
+        panic!("{stem}: environment differs from the Table 1 row's goal\nfirst differing line: {diff:?}");
     }
 }
 
 #[test]
 fn corpus_goals_match_their_programmatic_builders() {
-    assert!(
-        PARITY.len() >= 5,
-        "the parity table must cover at least five Table 1 goals"
+    assert_eq!(
+        PARITY.len(),
+        transcribed().len(),
+        "every transcribed Table 1 row needs a parity entry"
     );
     for (stem, group, name) in PARITY {
         let out = load_corpus_file(stem)
             .unwrap_or_else(|e| panic!("specs/{stem}.sq failed to load:\n{e}"));
-        let built = programmatic_goal(group, name);
+        let built = table1_goal(stem, group, name);
         let parsed = out
             .goals
             .iter()
