@@ -140,7 +140,7 @@ fn main() {
                     eprintln!(
                         "wrote {out}: {solved}/{} goals solved, cache hit rate {:.1}%",
                         report.outcomes.len(),
-                        100.0 * report.cache.hit_rate()
+                        100.0 * report.session.validity.hit_rate()
                     );
                     // The residency gates: every warm replay must
                     // reproduce the cold outcomes exactly, and its
@@ -151,12 +151,14 @@ fn main() {
                         let cold_rate = report.session.validity.hit_rate();
                         let warm_rate = warm.session.validity.hit_rate();
                         eprintln!(
-                            "warm run {}: wall {:.1}s vs cold {:.1}s, validity hit rate {:.1}% vs cold {:.1}%",
+                            "warm run {}: wall {:.1}s vs cold {:.1}s, validity hit rate {:.1}% vs cold {:.1}%, MUS hit rate {:.1}% vs cold {:.1}%",
                             i + 1,
                             warm.wall_secs,
                             report.wall_secs,
                             100.0 * warm_rate,
-                            100.0 * cold_rate
+                            100.0 * cold_rate,
+                            100.0 * warm.session.mus.hit_rate(),
+                            100.0 * report.session.mus.hit_rate()
                         );
                         if let Err(e) = warm_outcomes_match(report, warm) {
                             eprintln!("warm run {} changed outcomes: {e}", i + 1);

@@ -371,7 +371,7 @@ pub fn batch_report_json_runs(runs: &[BatchReport], timeout: Duration) -> String
     out.push_str(&format!("  \"jobs\": {},\n", report.jobs));
     out.push_str(&format!("  \"timeout_secs\": {},\n", timeout.as_secs()));
     out.push_str(&format!("  \"wall_secs\": {:.3},\n", report.wall_secs));
-    let c = &report.cache;
+    let c = &report.session.validity;
     out.push_str(&format!(
         "  \"validity_cache\": {{\"hits\": {}, \"misses\": {}, \"negative_hits\": {}, \"entries\": {}, \"interned_nodes\": {}, \"hit_rate\": {:.4}}},\n",
         c.hits, c.misses, c.negative_hits, c.entries, c.interned_nodes, c.hit_rate()

@@ -10,8 +10,8 @@
 //! Constructing a context is cheap; cloning one shares the underlying
 //! cache and token.
 
-use crate::memo::EnumerationCache;
-use synquid_solver::{LemmaSeed, SharedLemmaStore, SharedValidityCache, Smt};
+use crate::memo::{EnumerationCache, ENUMERATION_MAX_ENTRIES};
+use synquid_solver::{LemmaSeed, MusMemo, SharedLemmaStore, SharedValidityCache, Smt};
 
 /// The cancellation token now lives in `synquid-solver` so the DPLL(T)
 /// loop itself can poll it (see `synquid_solver::cancel`); it is
@@ -21,7 +21,7 @@ pub use synquid_solver::CancellationToken;
 
 /// Shared state for a family of synthesis runs: the validity cache all
 /// their SMT instances feed, and the cancellation token they observe.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SolverContext {
     /// The cross-run validity cache; `None` runs every backend cold
     /// (the pre-engine behaviour).
@@ -41,6 +41,23 @@ pub struct SolverContext {
     /// Resident store where freshly learned conflicts are published for
     /// future runs of the owning session.
     pub lemma_sink: Option<SharedLemmaStore>,
+    /// The MUS-enumeration memo every solver of the context shares
+    /// (`None` ⇒ each solver keeps a private one). Only decided
+    /// enumerations are stored, so sharing changes timing, never results.
+    pub mus_memo: Option<MusMemo>,
+}
+
+impl Default for SolverContext {
+    fn default() -> SolverContext {
+        SolverContext {
+            cache: None,
+            cancel: CancellationToken::new(),
+            enum_cache: EnumerationCache::with_max_entries(ENUMERATION_MAX_ENTRIES),
+            lemma_seed: None,
+            lemma_sink: None,
+            mus_memo: None,
+        }
+    }
 }
 
 impl SolverContext {
@@ -54,10 +71,7 @@ impl SolverContext {
     pub fn with_cache(cache: SharedValidityCache) -> SolverContext {
         SolverContext {
             cache: Some(cache),
-            cancel: CancellationToken::new(),
-            enum_cache: EnumerationCache::new(),
-            lemma_seed: None,
-            lemma_sink: None,
+            ..SolverContext::default()
         }
     }
 
@@ -70,12 +84,13 @@ impl SolverContext {
             enum_cache: self.enum_cache.clone(),
             lemma_seed: self.lemma_seed.clone(),
             lemma_sink: self.lemma_sink.clone(),
+            mus_memo: self.mus_memo.clone(),
         }
     }
 
     /// Builds an SMT backend wired to the shared cache (if any) and, for
-    /// session-resident contexts, the frozen lemma seed and flush-back
-    /// store.
+    /// session-resident contexts, the frozen lemma seed, the flush-back
+    /// store and the shared MUS memo.
     pub fn make_smt(&self) -> Smt {
         let mut smt = match &self.cache {
             Some(cache) => Smt::with_cache(cache.clone()),
@@ -83,6 +98,9 @@ impl SolverContext {
         };
         if let (Some(seed), Some(sink)) = (&self.lemma_seed, &self.lemma_sink) {
             smt.attach_lemma_session(seed.clone(), sink.clone());
+        }
+        if let Some(memo) = &self.mus_memo {
+            smt.attach_mus_memo(memo.clone());
         }
         smt
     }
@@ -106,5 +124,40 @@ mod tests {
         let ctx = SolverContext::with_cache(SharedValidityCache::new());
         assert!(ctx.make_smt().shared_cache().is_some());
         assert!(SolverContext::new().make_smt().shared_cache().is_none());
+    }
+
+    #[test]
+    fn synthesizers_of_one_context_share_its_mus_memo() {
+        use crate::{SynthesisConfig, Synthesizer};
+        use std::collections::BTreeSet;
+        use synquid_logic::{Sort, Term};
+        use synquid_solver::{enumerate_mus_smt, MusConfig};
+
+        let memo = MusMemo::new();
+        let ctx = SolverContext {
+            mus_memo: Some(memo.clone()),
+            ..SolverContext::new()
+        };
+        // `with_context` enables incrementality after `make_smt`; that
+        // must keep the attached memo, not swap in a private one.
+        let mut first = Synthesizer::with_context(SynthesisConfig::default(), &ctx);
+        let mut second = Synthesizer::with_context(SynthesisConfig::default(), &ctx);
+        let x = Term::var("x", Sort::Int);
+        let background = x.clone().le(Term::int(0));
+        let soft = [x.ge(Term::int(1))];
+        let enumerate = |synth: &mut Synthesizer| {
+            enumerate_mus_smt(
+                &mut synth.smt,
+                &background,
+                &soft,
+                &BTreeSet::new(),
+                MusConfig::default(),
+            )
+        };
+        let computed = enumerate(&mut first);
+        assert_eq!(computed, vec![BTreeSet::from([0])]);
+        assert_eq!(enumerate(&mut second), computed);
+        let stats = memo.stats();
+        assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
     }
 }

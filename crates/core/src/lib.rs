@@ -26,6 +26,6 @@ pub use ast::{Case, Program};
 pub use check::TypeChecker;
 pub use context::{CancellationToken, SolverContext};
 pub use eval::{EvalError, Evaluator, Value};
-pub use memo::{EnumerationCache, EnumerationCacheStats, GenerationEntry};
+pub use memo::{EnumerationCache, GenerationEntry, ENUMERATION_MAX_ENTRIES};
 pub use options::SynthesisConfig;
 pub use synthesis::{Goal, SynthesisError, SynthesisStats, Synthesized, Synthesizer};

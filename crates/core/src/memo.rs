@@ -22,10 +22,9 @@
 //! changes *when* a candidate set is computed, never *what* it contains.
 
 use crate::ast::Program;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use synquid_logic::Term;
+use synquid_solver::EpochMemo;
 use synquid_types::{BaseType, RType};
 
 /// One memoized enumeration result: a well-shaped candidate program
@@ -59,46 +58,6 @@ pub struct ShapedCandidate {
     pub pending: Vec<(usize, RType)>,
 }
 
-/// Counters of one [`EnumerationCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EnumerationCacheStats {
-    /// Lookups answered from the cache.
-    pub hits: usize,
-    /// Lookups that had to run generation.
-    pub misses: usize,
-    /// Entries currently stored.
-    pub entries: usize,
-    /// Entries dropped by epoch GC or overflow sweeps (monotone).
-    pub evicted: usize,
-    /// GC epochs advanced since the cache was created.
-    pub epoch: usize,
-}
-
-impl EnumerationCacheStats {
-    /// Hit rate in `[0, 1]`; `0` when no lookups were made.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-
-    /// Counters accumulated since an earlier snapshot of the same cache
-    /// (see `ValidityCacheStats::since` in the solver crate). Gauges
-    /// (`entries`, `epoch`) keep their end-of-run values.
-    pub fn since(&self, earlier: &EnumerationCacheStats) -> EnumerationCacheStats {
-        EnumerationCacheStats {
-            hits: self.hits - earlier.hits,
-            misses: self.misses - earlier.misses,
-            entries: self.entries,
-            evicted: self.evicted - earlier.evicted,
-            epoch: self.epoch,
-        }
-    }
-}
-
 /// One stored generation result: the candidate set together with whether
 /// it *grew* relative to the set one application-depth level below.
 ///
@@ -117,141 +76,20 @@ pub struct GenerationEntry {
     pub grew: bool,
 }
 
-/// One stored set stamped with the epoch that last used it (resident
-/// sessions GC entries cold for two full epochs; see
-/// [`EnumerationCache::advance_epoch`]).
-#[derive(Debug)]
-struct Stored {
-    entry: GenerationEntry,
-    epoch: u32,
-}
-
-#[derive(Debug, Default)]
-struct EnumInner {
-    map: HashMap<(String, String, usize), Stored>,
-    epoch: u32,
-    evicted: usize,
-    /// Epoch of the last overflow sweep (see
-    /// [`EnumerationCache::insert`]).
-    swept_epoch: Option<u32>,
-}
-
 /// A concurrent memo table for goal-blind E-term generation, keyed by
 /// `(environment fingerprint, shape key, depth)`. Cloning shares the
-/// underlying table (like the solver's validity cache).
-#[derive(Debug, Clone)]
-pub struct EnumerationCache {
-    inner: Arc<Mutex<EnumInner>>,
-    hits: Arc<AtomicUsize>,
-    misses: Arc<AtomicUsize>,
-    max_entries: usize,
-}
+/// underlying table (like the solver's validity cache). Sets must only
+/// be inserted when generation ran to completion (a deadline abort
+/// mid-generation must not publish a truncated set).
+pub type EnumerationCache = EpochMemo<(String, String, usize), GenerationEntry>;
 
-impl Default for EnumerationCache {
-    fn default() -> EnumerationCache {
-        EnumerationCache::with_max_entries(Self::MAX_ENTRIES)
-    }
-}
-
-impl EnumerationCache {
-    /// Creates an empty cache with the default size bound.
-    pub fn new() -> EnumerationCache {
-        EnumerationCache::default()
-    }
-
-    /// Creates an empty cache bounded to `max_entries` stored sets (at
-    /// least 1).
-    pub fn with_max_entries(max_entries: usize) -> EnumerationCache {
-        EnumerationCache {
-            inner: Arc::default(),
-            hits: Arc::default(),
-            misses: Arc::default(),
-            max_entries: max_entries.max(1),
-        }
-    }
-
-    /// Looks up a candidate set. A hit stamps the entry with the current
-    /// epoch, keeping it alive across epoch GCs.
-    pub fn lookup(&self, key: &(String, String, usize)) -> Option<GenerationEntry> {
-        let found = {
-            let mut inner = self.inner.lock().expect("enumeration cache poisoned");
-            let epoch = inner.epoch;
-            inner.map.get_mut(key).map(|stored| {
-                stored.epoch = epoch;
-                stored.entry.clone()
-            })
-        };
-        match &found {
-            Some(_) => self.hits.fetch_add(1, Ordering::Relaxed),
-            None => self.misses.fetch_add(1, Ordering::Relaxed),
-        };
-        found
-    }
-
-    /// Default bound on stored candidate sets. Environment fingerprints
-    /// are multi-KB strings and every match arm / else-branch mints new
-    /// keys, so without a bound a long batch accumulates memory without
-    /// limit (the validity cache bounds itself the same way). Refusing
-    /// further inserts keeps determinism — a skipped insert only means
-    /// the set is regenerated (to the identical value) on the next
-    /// request.
-    pub const MAX_ENTRIES: usize = 4096;
-
-    /// Stores a complete candidate set. Sets must only be inserted when
-    /// generation ran to completion (a deadline abort mid-generation must
-    /// not publish a truncated set). At the size bound, one sweep per
-    /// epoch evicts entries not touched this epoch; if the table is
-    /// still full the insert is dropped.
-    pub fn insert(&self, key: (String, String, usize), value: GenerationEntry) {
-        let mut inner = self.inner.lock().expect("enumeration cache poisoned");
-        let epoch = inner.epoch;
-        if inner.map.len() >= self.max_entries && !inner.map.contains_key(&key) {
-            if inner.swept_epoch == Some(epoch) {
-                return;
-            }
-            inner.swept_epoch = Some(epoch);
-            let before = inner.map.len();
-            inner.map.retain(|_, stored| stored.epoch >= epoch);
-            inner.evicted += before - inner.map.len();
-            if inner.map.len() >= self.max_entries {
-                return;
-            }
-        }
-        inner.map.insert(
-            key,
-            Stored {
-                entry: value,
-                epoch,
-            },
-        );
-    }
-
-    /// Closes one GC epoch: entries not touched for two full epochs are
-    /// dropped. Called by resident sessions at batch-run boundaries;
-    /// eviction is sound because entries are deterministic functions of
-    /// their keys.
-    pub fn advance_epoch(&self) {
-        let mut inner = self.inner.lock().expect("enumeration cache poisoned");
-        let epoch = inner.epoch;
-        let before = inner.map.len();
-        inner.map.retain(|_, stored| stored.epoch + 1 >= epoch);
-        inner.evicted += before - inner.map.len();
-        inner.swept_epoch = None;
-        inner.epoch = epoch + 1;
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> EnumerationCacheStats {
-        let inner = self.inner.lock().expect("enumeration cache poisoned");
-        EnumerationCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: inner.map.len(),
-            evicted: inner.evicted,
-            epoch: inner.epoch as usize,
-        }
-    }
-}
+/// Default bound on stored candidate sets. Environment fingerprints are
+/// multi-KB strings and every match arm / else-branch mints new keys, so
+/// without a bound a long batch accumulates memory without limit (the
+/// validity cache bounds itself the same way). Refusing further inserts
+/// keeps determinism — a skipped insert only means the set is
+/// regenerated (to the identical value) on the next request.
+pub const ENUMERATION_MAX_ENTRIES: usize = 4096;
 
 /// The canonical shape key of a type: its base-type structure with all
 /// refinements erased and free unification type variables normalized by
@@ -340,7 +178,7 @@ mod tests {
 
     #[test]
     fn cache_counts_hits_and_misses() {
-        let cache = EnumerationCache::new();
+        let cache = EnumerationCache::with_max_entries(ENUMERATION_MAX_ENTRIES);
         let key = ("env".to_string(), "Int".to_string(), 1);
         assert!(cache.lookup(&key).is_none());
         cache.insert(
@@ -368,7 +206,7 @@ mod tests {
 
     #[test]
     fn epoch_gc_drops_two_cold_entries() {
-        let cache = EnumerationCache::new();
+        let cache = EnumerationCache::with_max_entries(ENUMERATION_MAX_ENTRIES);
         let hot = ("env".to_string(), "Int".to_string(), 0);
         let cold = ("env".to_string(), "Bool".to_string(), 0);
         cache.insert(hot.clone(), entry());

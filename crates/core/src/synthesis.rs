@@ -1071,14 +1071,14 @@ impl Synthesizer {
                         let label = format!("{head}:arg{i}");
                         // Replay the argument's own side condition, then
                         // check it against the declared argument type.
-                        if s.require(&cenv, &cand.condition, &mut self.smt, &label)
-                            .is_err()
-                        {
-                            continue;
-                        }
-                        if s.subtype(&cenv, &ty, &expected, &mut self.smt, &label)
-                            .is_err()
-                        {
+                        let accepted = {
+                            let _span = synquid_telemetry::span(Phase::Subtyping);
+                            s.require(&cenv, &cand.condition, &mut self.smt, &label)
+                                .is_ok()
+                                && s.subtype(&cenv, &ty, &expected, &mut self.smt, &label)
+                                    .is_ok()
+                        };
+                        if !accepted {
                             continue;
                         }
                         taken += 1;

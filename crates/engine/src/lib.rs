@@ -19,13 +19,13 @@
 //! * **resident sessions** ([`session`]) — all cross-goal state (the
 //!   [`SharedValidityCache`](synquid_solver::SharedValidityCache) with
 //!   its hash-consed `(antecedent, consequent)` keys, the enumeration
-//!   memo, and the theory-lemma pool) is owned by a long-lived
-//!   [`SynthesisSession`], namespaced by component-library fingerprint
-//!   and epoch-GC'd per batch; every worker's SMT backend borrows from
-//!   its goal's namespace, so solver verdicts are reused across rungs,
-//!   goals, threads, and — for a resident session — whole batch runs;
-//!   hit/miss/negative counters surface in [`BatchReport::cache`],
-//!   [`BatchReport::session`], and per-goal
+//!   memo, the theory-lemma pool, and the MUS-enumeration memo) is owned
+//!   by a long-lived [`SynthesisSession`], namespaced by
+//!   component-library fingerprint and epoch-GC'd per batch; every
+//!   worker's SMT backend borrows from its goal's namespace, so solver
+//!   verdicts are reused across rungs, goals, threads, and — for a
+//!   resident session — whole batch runs; hit/miss/negative counters
+//!   surface in [`BatchReport::session`] and per-goal
 //!   [`SynthesisStats`](synquid_core::SynthesisStats).
 //!
 //! ## Example

@@ -32,7 +32,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use synquid_core::{Goal, SolverContext, SynthesisConfig};
 use synquid_lang::runner::{run_goal_in_context, RunResult};
-use synquid_solver::{LemmaSeed, ValidityCacheStats};
+use synquid_solver::LemmaSeed;
 use synquid_telemetry::{events, events::Event};
 
 /// Configuration of a batch run.
@@ -116,12 +116,11 @@ pub struct GoalOutcome {
 pub struct BatchReport {
     /// Per-goal outcomes, in job-submission order.
     pub outcomes: Vec<GoalOutcome>,
-    /// Validity-cache counters this run contributed (summed over the
-    /// namespaces it touched). Against a warm session, `hits` includes
-    /// cross-run hits on entries proven by earlier batches.
-    pub cache: ValidityCacheStats,
     /// All session-layer counters this run contributed (validity,
-    /// enumeration, lemmas), measured before the end-of-batch GC epoch.
+    /// enumeration, lemmas, MUS enumerations), summed over the
+    /// namespaces it touched and measured before the end-of-batch GC
+    /// epoch. Against a warm session, hits include cross-run hits on
+    /// entries computed by earlier batches.
     pub session: SessionStats,
     /// Wall-clock duration of the batch.
     pub wall_secs: f64,
@@ -283,7 +282,6 @@ impl Engine {
         session.advance_epoch();
         BatchReport {
             outcomes,
-            cache: run_stats.validity,
             session: run_stats,
             wall_secs: start.elapsed().as_secs_f64(),
             jobs: workers,
@@ -389,6 +387,7 @@ impl Engine {
                 enum_cache: caches.enumeration.clone(),
                 lemma_seed: Some(seed.clone()),
                 lemma_sink: Some(caches.lemmas.clone()),
+                mus_memo: Some(caches.mus.clone()),
             };
             events::emit(|| {
                 Event::new("rung_start")
@@ -560,7 +559,7 @@ mod tests {
             .map(|i| GoalJob::new("batch", identity_goal(&format!("id{i}"))))
             .collect();
         let report = engine(2).run(batch);
-        let cache = report.cache;
+        let cache = report.session.validity;
         assert!(cache.misses > 0, "fresh queries must be recorded");
         assert!(
             cache.hits > 0,

@@ -16,10 +16,10 @@
 //! qualifier sets) — and a mismatched fingerprint gets a fresh cache
 //! namespace. Namespacing is a pollution/fairness boundary, not a
 //! soundness one: validity keys are whole formulas, enumeration keys
-//! embed the full environment fingerprint, and lemmas are facts about
-//! portable atom keys, so even a fingerprint collision could not make a
-//! cached verdict wrong — it would only let two libraries share a
-//! namespace's budget.
+//! embed the full environment fingerprint, MUS keys are whole
+//! strengthening problems, and lemmas are facts about portable atom
+//! keys, so even a fingerprint collision could not make a cached verdict
+//! wrong — it would only let two libraries share a namespace's budget.
 //!
 //! # Epochs and eviction
 //!
@@ -29,16 +29,17 @@
 //! this epoch survive, entries cold for two full epochs are evicted,
 //! and every cache also enforces a size bound with an once-per-epoch
 //! cold sweep on overflow (see [`SessionLimits`]). Eviction is always
-//! sound — validity verdicts and enumeration sets are pure functions of
-//! their keys, and each lemma is implied by the encoding of any query
-//! containing its atoms — so dropping state can only cost time, never
-//! correctness.
+//! sound — validity verdicts, enumeration sets and decided MUS
+//! enumerations are pure functions of their keys, and each lemma is
+//! implied by the encoding of any query containing its atoms — so
+//! dropping state can only cost time, never correctness.
 //!
 //! # Snapshots
 //!
 //! [`SynthesisSession::serialize`] persists the durable layers
-//! (validity verdicts and lemmas; enumeration sets are cheap to rebuild
-//! and reference in-memory programs) in a versioned text format, and
+//! (validity verdicts and lemmas; enumeration sets reference in-memory
+//! programs, and MUS enumerations refill within a warm-started process's
+//! first batch) in a versioned text format, and
 //! [`SynthesisSession::warm_start`] loads one best-effort: a stale
 //! version, truncated file, or corrupt line falls back to a cold start
 //! without error — a fleet node must boot either way.
@@ -46,10 +47,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use synquid_core::{EnumerationCache, EnumerationCacheStats};
+use synquid_core::{EnumerationCache, ENUMERATION_MAX_ENTRIES};
 use synquid_logic::snapshot::{decode_term, encode_term};
 use synquid_solver::{
-    LemmaStoreStats, SharedLemmaStore, SharedValidityCache, SmtResult, ValidityCacheStats,
+    LemmaStoreStats, MemoStats, MusMemo, SharedLemmaStore, SharedValidityCache, SmtResult,
+    ValidityCacheStats,
 };
 use synquid_telemetry::{events, events::Event};
 use synquid_types::Environment;
@@ -63,14 +65,17 @@ pub struct SessionLimits {
     pub enumeration_entries: usize,
     /// Resident theory lemmas per namespace.
     pub lemmas: usize,
+    /// Stored MUS enumerations per namespace.
+    pub mus_entries: usize,
 }
 
 impl Default for SessionLimits {
     fn default() -> SessionLimits {
         SessionLimits {
             validity_entries: SharedValidityCache::DEFAULT_MAX_ENTRIES,
-            enumeration_entries: EnumerationCache::MAX_ENTRIES,
+            enumeration_entries: ENUMERATION_MAX_ENTRIES,
             lemmas: SharedLemmaStore::DEFAULT_MAX_LEMMAS,
+            mus_entries: MusMemo::DEFAULT_MAX_ENTRIES,
         }
     }
 }
@@ -136,6 +141,8 @@ pub struct SessionCaches {
     pub enumeration: EnumerationCache,
     /// Cross-run theory-lemma pool (frozen into a seed per batch run).
     pub lemmas: SharedLemmaStore,
+    /// Cross-run memo of decided MUS enumerations.
+    pub mus: MusMemo,
 }
 
 impl SessionCaches {
@@ -144,6 +151,7 @@ impl SessionCaches {
             validity: SharedValidityCache::with_max_entries(limits.validity_entries),
             enumeration: EnumerationCache::with_max_entries(limits.enumeration_entries),
             lemmas: SharedLemmaStore::with_max_lemmas(limits.lemmas),
+            mus: MusMemo::with_max_entries(limits.mus_entries),
         }
     }
 }
@@ -176,9 +184,11 @@ pub struct SessionStats {
     /// Validity-cache counters, summed across namespaces.
     pub validity: ValidityCacheStats,
     /// Enumeration-cache counters, summed across namespaces.
-    pub enumeration: EnumerationCacheStats,
+    pub enumeration: MemoStats,
     /// Lemma-store counters, summed across namespaces.
     pub lemmas: LemmaStoreStats,
+    /// MUS-memo counters, summed across namespaces.
+    pub mus: MemoStats,
     /// Distinct library namespaces resident.
     pub namespaces: usize,
     /// GC epochs closed (== batch runs completed).
@@ -200,6 +210,7 @@ impl SessionStats {
                 evicted: self.lemmas.evicted - earlier.lemmas.evicted,
                 epoch: self.lemmas.epoch,
             },
+            mus: self.mus.since(&earlier.mus),
             namespaces: self.namespaces,
             epochs: self.epochs,
         }
@@ -312,6 +323,7 @@ impl SynthesisSession {
             caches.validity.advance_epoch();
             caches.enumeration.advance_epoch();
             caches.lemmas.advance_epoch();
+            caches.mus.advance_epoch();
         }
         state.epochs += 1;
         let stats = Self::sum_stats(&state);
@@ -353,17 +365,13 @@ impl SynthesisSession {
             out.validity.terms_interned += v.terms_interned;
             out.validity.terms_evicted += v.terms_evicted;
             out.validity.epoch = out.validity.epoch.max(v.epoch);
-            let e = caches.enumeration.stats();
-            out.enumeration.hits += e.hits;
-            out.enumeration.misses += e.misses;
-            out.enumeration.entries += e.entries;
-            out.enumeration.evicted += e.evicted;
-            out.enumeration.epoch = out.enumeration.epoch.max(e.epoch);
+            out.enumeration.merge(&caches.enumeration.stats());
             let l = caches.lemmas.stats();
             out.lemmas.resident += l.resident;
             out.lemmas.absorbed += l.absorbed;
             out.lemmas.evicted += l.evicted;
             out.lemmas.epoch = out.lemmas.epoch.max(l.epoch);
+            out.mus.merge(&caches.mus.stats());
         }
         out
     }
@@ -372,7 +380,9 @@ impl SynthesisSession {
     /// lemmas, per namespace) into the versioned snapshot text format.
     /// Enumeration sets are deliberately not persisted: they reference
     /// in-memory programs and types, and rebuilding them is cheap next
-    /// to re-proving validity queries.
+    /// to re-proving validity queries. Neither are MUS enumerations: a
+    /// new line kind would make v1 readers load the snapshot cold, and
+    /// the memo refills within the first batch after a warm start.
     pub fn serialize(&self) -> String {
         let state = self.inner.lock().expect("session poisoned");
         let mut out = String::new();
@@ -654,5 +664,6 @@ mod tests {
         assert_eq!(stats.validity.epoch, 3);
         assert_eq!(stats.enumeration.epoch, 3);
         assert_eq!(stats.lemmas.epoch, 3);
+        assert_eq!(stats.mus.epoch, 3);
     }
 }

@@ -213,7 +213,14 @@ fn incremental_and_from_scratch_solving_agree() {
         );
         assert_eq!(i.winning_rung, f.winning_rung, "{}", i.result.name);
     }
-    // The from-scratch ablation must report no cross-query reuse.
+    // The from-scratch ablation must report no cross-query reuse, and
+    // must neither read nor write the session's MUS memo.
+    assert!(incremental.session.mus.misses > 0);
+    assert_eq!(
+        from_scratch.session.mus.hits + from_scratch.session.mus.misses,
+        0
+    );
+    assert_eq!(from_scratch.session.mus.entries, 0);
     for o in &from_scratch.outcomes {
         if let Some(stats) = o.result.stats {
             assert_eq!(

@@ -95,6 +95,15 @@ fn warm_replay_is_byte_identical_to_cold_and_reuses_verdicts() {
         warm.session.enumeration.hits > 0,
         "warm run must reuse enumeration sets"
     );
+    // Every enumeration the warm run asks for was decided by the cold
+    // run, so the MUS layer answers all of them.
+    assert!(
+        cold.session.mus.misses > 0,
+        "the fast subset must exercise MUSFIX: {:?}",
+        cold.session
+    );
+    assert!(warm.session.mus.hits > 0, "{:?}", warm.session);
+    assert_eq!(warm.session.mus.misses, 0, "{:?}", warm.session);
     assert_eq!(session.stats().epochs, 2, "one GC epoch per batch");
 }
 
@@ -140,12 +149,14 @@ fn different_libraries_get_isolated_namespaces() {
 #[test]
 fn tiny_cache_bounds_still_synthesize_correctly() {
     // Starve every layer: a 4-entry validity cache, 2-entry enumeration
-    // memo, 2-lemma store. Constant eviction must cost time only — the
-    // outcomes have to match an unbounded session's exactly.
+    // memo, 2-lemma store, 2-entry MUS memo. Constant eviction must cost
+    // time only — the outcomes have to match an unbounded session's
+    // exactly.
     let tiny = SynthesisSession::with_limits(SessionLimits {
         validity_entries: 4,
         enumeration_entries: 2,
         lemmas: 2,
+        mus_entries: 2,
     });
     let roomy = SynthesisSession::new();
     let starved = engine().run_batch(fast_corpus(), &tiny);
@@ -157,6 +168,11 @@ fn tiny_cache_bounds_still_synthesize_correctly() {
     assert!(
         starved.session.validity.entries <= 4 * starved.session.namespaces,
         "validity cache exceeded its per-namespace bound: {:?}",
+        starved.session
+    );
+    assert!(
+        starved.session.mus.entries <= 2 * starved.session.namespaces,
+        "MUS memo exceeded its per-namespace bound: {:?}",
         starved.session
     );
     // And a second starved run still reproduces the same results.

@@ -1,0 +1,182 @@
+//! A bounded, epoch-collected memo table shared between threads.
+//!
+//! Resident sessions keep memo tables alive across batch runs, so each
+//! must bound itself. [`EpochMemo`] is that policy for tables whose
+//! values are pure functions of their keys (the E-term enumeration memo
+//! of `synquid-core`, the MUS memo of [`crate::mus`]):
+//!
+//! - every lookup hit or insert stamps its entry with the current epoch;
+//! - [`EpochMemo::advance_epoch`] (called at batch boundaries) drops
+//!   entries cold for two full epochs;
+//! - an insert into a full table first sweeps out entries not touched
+//!   this epoch, at most once per epoch so a full warm table cannot
+//!   thrash, then refuses.
+//!
+//! Dropping or refusing an entry is always sound: the value is
+//! recomputed, to the same result, if it is asked for again.
+
+use std::collections::HashMap;
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, MutexGuard};
+
+/// Counters exposed by [`EpochMemo::stats`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct MemoStats {
+    /// Lookups answered from the memo.
+    pub hits: usize,
+    /// Lookups that found nothing (the caller then computes the value).
+    pub misses: usize,
+    /// Entries currently stored.
+    pub entries: usize,
+    /// Entries dropped by epoch GC or overflow sweeps (monotone).
+    pub evicted: usize,
+    /// GC epochs advanced since the memo was created.
+    pub epoch: usize,
+}
+
+impl MemoStats {
+    /// Hit rate in `[0, 1]`; `0` when no lookups were made.
+    pub fn hit_rate(&self) -> f64 {
+        let total = self.hits + self.misses;
+        if total == 0 {
+            0.0
+        } else {
+            self.hits as f64 / total as f64
+        }
+    }
+
+    /// The counters accumulated since an earlier snapshot of the same
+    /// memo — one run's traffic against a resident table. Gauges
+    /// (`entries`, `epoch`) keep their end-of-run values.
+    pub fn since(&self, earlier: &MemoStats) -> MemoStats {
+        MemoStats {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+            entries: self.entries,
+            evicted: self.evicted - earlier.evicted,
+            epoch: self.epoch,
+        }
+    }
+
+    /// Folds another memo's counters into these, as when summing a
+    /// layer over session namespaces: counts and entries add up, the
+    /// epoch is the later of the two.
+    pub fn merge(&mut self, other: &MemoStats) {
+        self.hits += other.hits;
+        self.misses += other.misses;
+        self.entries += other.entries;
+        self.evicted += other.evicted;
+        self.epoch = self.epoch.max(other.epoch);
+    }
+}
+
+#[derive(Debug)]
+struct Table<K, V> {
+    /// Key → (value, epoch that last stored or hit it).
+    map: HashMap<K, (V, u32)>,
+    max_entries: usize,
+    epoch: u32,
+    /// Epoch of the last overflow sweep.
+    swept_epoch: Option<u32>,
+    hits: usize,
+    misses: usize,
+    evicted: usize,
+}
+
+/// A cloneable handle to one bounded memo table; clones share it.
+#[derive(Debug)]
+pub struct EpochMemo<K, V> {
+    table: Arc<Mutex<Table<K, V>>>,
+}
+
+impl<K, V> Clone for EpochMemo<K, V> {
+    fn clone(&self) -> EpochMemo<K, V> {
+        EpochMemo {
+            table: Arc::clone(&self.table),
+        }
+    }
+}
+
+impl<K: Eq + Hash, V: Clone> EpochMemo<K, V> {
+    /// Creates an empty memo bounded to `max_entries` stored values (at
+    /// least 1).
+    pub fn with_max_entries(max_entries: usize) -> EpochMemo<K, V> {
+        EpochMemo {
+            table: Arc::new(Mutex::new(Table {
+                map: HashMap::new(),
+                max_entries: max_entries.max(1),
+                epoch: 0,
+                swept_epoch: None,
+                hits: 0,
+                misses: 0,
+                evicted: 0,
+            })),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Table<K, V>> {
+        self.table.lock().expect("memo table poisoned")
+    }
+
+    /// Looks up a value; a hit stamps its entry with the current epoch,
+    /// keeping it alive across epoch GCs.
+    pub fn lookup(&self, key: &K) -> Option<V> {
+        let mut table = self.lock();
+        let epoch = table.epoch;
+        let found = table.map.get_mut(key).map(|(value, stamp)| {
+            *stamp = epoch;
+            value.clone()
+        });
+        match found {
+            Some(_) => table.hits += 1,
+            None => table.misses += 1,
+        }
+        found
+    }
+
+    /// Stores a value. Callers must store only complete results — a
+    /// value cut short by a deadline is not a function of its key. At
+    /// the size bound, one sweep per epoch evicts entries not touched
+    /// this epoch; if the table is still full the insert is dropped.
+    pub fn insert(&self, key: K, value: V) {
+        let mut table = self.lock();
+        let epoch = table.epoch;
+        if table.map.len() >= table.max_entries && !table.map.contains_key(&key) {
+            if table.swept_epoch == Some(epoch) {
+                return;
+            }
+            table.swept_epoch = Some(epoch);
+            let before = table.map.len();
+            table.map.retain(|_, (_, stamp)| *stamp >= epoch);
+            table.evicted += before - table.map.len();
+            if table.map.len() >= table.max_entries {
+                return;
+            }
+        }
+        table.map.insert(key, (value, epoch));
+    }
+
+    /// Closes one GC epoch: entries neither stored nor hit for two full
+    /// epochs are dropped.
+    pub fn advance_epoch(&self) {
+        let mut table = self.lock();
+        let epoch = table.epoch;
+        let before = table.map.len();
+        table.map.retain(|_, (_, stamp)| *stamp + 1 >= epoch);
+        table.evicted += before - table.map.len();
+        table.swept_epoch = None;
+        table.epoch = epoch + 1;
+    }
+
+    /// Current counters.
+    pub fn stats(&self) -> MemoStats {
+        let table = self.lock();
+        MemoStats {
+            hits: table.hits,
+            misses: table.misses,
+            entries: table.map.len(),
+            evicted: table.evicted,
+            epoch: table.epoch as usize,
+        }
+    }
+}

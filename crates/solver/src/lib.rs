@@ -15,10 +15,13 @@
 //! * a CDCL SAT solver for the propositional structure ([`sat`]),
 //! * a lazy DPLL(T) driver exposing `Sat`/`Valid` queries ([`smt`]),
 //! * MARCO-style enumeration of minimal unsatisfiable subsets ([`mus`]),
-//!   which powers the MUSFIX fixpoint strengthening of the paper,
+//!   which powers the MUSFIX fixpoint strengthening of the paper, with
+//!   decided enumerations memoized in a shareable [`MusMemo`],
 //! * a shared, thread-safe validity cache over interned terms ([`cache`]),
 //!   which lets the parallel engine reuse solver verdicts across goals,
-//!   portfolio siblings, and iterative-deepening rungs.
+//!   portfolio siblings, and iterative-deepening rungs,
+//! * the bounded, epoch-collected memo table resident sessions build
+//!   their memo layers from ([`epoch_memo`]).
 //!
 //! ## Example
 //!
@@ -35,6 +38,7 @@
 pub mod cache;
 pub mod cancel;
 pub mod encode;
+pub mod epoch_memo;
 pub mod lemmas;
 pub mod lia;
 pub mod mus;
@@ -44,8 +48,9 @@ pub mod smt;
 
 pub use cache::{NormalizedQuery, SharedValidityCache, ValidityCacheStats};
 pub use cancel::CancellationToken;
+pub use epoch_memo::{EpochMemo, MemoStats};
 pub use lemmas::{Lemma, LemmaSeed, LemmaStoreStats, SharedLemmaStore};
-pub use mus::{enumerate_mus, enumerate_mus_smt, MusConfig};
+pub use mus::{enumerate_mus, enumerate_mus_smt, MusConfig, MusKey, MusMemo};
 pub use rational::Rational;
 pub use sat::{Lit, SatResult, SatSolver};
 pub use smt::{Smt, SmtResult, SmtStats};

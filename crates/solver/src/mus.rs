@@ -12,8 +12,14 @@
 //! selector variables steers exploration; unsatisfiable seeds are shrunk
 //! to MUSes (blocking all supersets), satisfiable seeds are grown to MSSes
 //! (blocking all subsets).
+//!
+//! Decided enumerations are memoized in a [`MusMemo`]: a standalone
+//! [`Smt`] owns one, and a resident session hands every solver of a
+//! library namespace the same one, so an enumeration outlives the rung,
+//! batch and warm replay that computed it.
 
 use crate::encode::{Encoder, Skeleton};
+use crate::epoch_memo::EpochMemo;
 use crate::sat::{Lit, SatResult, SatSolver};
 use crate::smt::{Smt, SmtResult};
 use std::collections::BTreeSet;
@@ -34,6 +40,40 @@ impl Default for MusConfig {
             max_muses: 4,
             max_checks: 400,
         }
+    }
+}
+
+/// Key of one memoized enumeration: the whole strengthening problem plus
+/// the enumeration budgets, so differently-configured calls never alias.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct MusKey {
+    background: Term,
+    soft: Vec<Term>,
+    required: Vec<usize>,
+    max_muses: usize,
+    max_checks: usize,
+}
+
+/// A cloneable handle to a memo of *decided* MUS enumerations: every
+/// subset check of a stored enumeration answered `Sat` or `Unsat`, so
+/// the stored MUSes are a pure function of the key, whatever lemma state
+/// or budget the computing solver had. That is what lets one memo serve
+/// many solvers (see [`EpochMemo`] for the bound and the epoch GC).
+pub type MusMemo = EpochMemo<MusKey, Vec<BTreeSet<usize>>>;
+
+impl MusMemo {
+    /// Default bound on stored enumerations.
+    pub const DEFAULT_MAX_ENTRIES: usize = 50_000;
+
+    /// Creates an empty memo with the default bound.
+    pub fn new() -> MusMemo {
+        MusMemo::default()
+    }
+}
+
+impl Default for MusMemo {
+    fn default() -> MusMemo {
+        MusMemo::with_max_entries(Self::DEFAULT_MAX_ENTRIES)
     }
 }
 
@@ -152,12 +192,15 @@ pub fn enumerate_mus(
 /// and warm simplex tableau across all subsets — instead of re-encoding
 /// and re-solving every subset from scratch.
 ///
-/// Enumerations are memoized in the solver's incremental state: the
-/// liquid-abduction loop poses the *same* strengthening problem for every
-/// candidate that shares a VC skeleton, and the result is a pure function
-/// of `(background, soft, required, budgets)`. An enumeration whose
-/// oracle was interrupted by the solver's deadline is never memoized —
-/// its result reflects the budget, not the problem.
+/// Enumerations are memoized in the solver's [`MusMemo`] (none when
+/// incrementality is off): the liquid-abduction loop poses the *same*
+/// strengthening problem for every candidate that shares a VC skeleton,
+/// and, across rungs and batches, for every rerun of the same search. An
+/// enumeration is stored only if every subset check was decided. A check
+/// cut by the deadline reflects the budget, and a budget `Unknown` (the
+/// DPLL(T)-iteration or LIA-branch limit) depends on the solver's lemma
+/// state; either would make the stored MUSes depend on the solver that
+/// computed them.
 pub fn enumerate_mus_smt(
     smt: &mut Smt,
     background: &Term,
@@ -165,18 +208,32 @@ pub fn enumerate_mus_smt(
     required: &BTreeSet<usize>,
     config: MusConfig,
 ) -> Vec<BTreeSet<usize>> {
-    let key = crate::smt::MusMemoKey {
-        background: background.clone(),
-        soft: soft.to_vec(),
-        required: required.iter().copied().collect(),
-        max_muses: config.max_muses,
-        max_checks: config.max_checks,
-    };
-    if let Some(cached) = smt.mus_memo_lookup(&key) {
+    let memo = smt.mus_memo().cloned().map(|memo| {
+        let key = MusKey {
+            background: background.clone(),
+            soft: soft.to_vec(),
+            required: required.iter().copied().collect(),
+            max_muses: config.max_muses,
+            max_checks: config.max_checks,
+        };
+        (memo, key)
+    });
+    if let Some((memo, key)) = &memo {
+        let cached = {
+            let _span = synquid_telemetry::span(synquid_telemetry::Phase::CacheLookup);
+            memo.lookup(key)
+        };
+        let kind = if cached.is_some() {
+            "cache_hit"
+        } else {
+            "cache_miss"
+        };
         synquid_telemetry::events::emit(|| {
-            synquid_telemetry::events::Event::new("cache_hit").str("layer", "mus-memo")
+            synquid_telemetry::events::Event::new(kind).str("layer", "mus-memo")
         });
-        return cached;
+        if let Some(cached) = cached {
+            return cached;
+        }
     }
     // Attributed to the same phase as the solver's unsat-core shrinking:
     // both are "minimize the reason for UNSAT" work. Oracle sub-queries
@@ -200,15 +257,17 @@ pub fn enumerate_mus_smt(
         .map(|s| session.add_selectable(s))
         .collect();
     smt.note_mus_shared_encoding();
-    let mut interrupted = false;
+    // A deadline cut answers `Unknown` too, so "every check decided"
+    // also rules out interrupted enumerations.
+    let mut decided = true;
     let muses = enumerate_mus(soft.len(), required, config, |subset| {
         let assumptions: Vec<_> = subset.iter().map(|i| selectors[*i]).collect();
         let verdict = smt.solve_session(&mut session, &problem, &assumptions);
-        interrupted |= smt.last_query_interrupted();
-        matches!(verdict, SmtResult::Unsat)
+        decided &= verdict != SmtResult::Unknown;
+        verdict == SmtResult::Unsat
     });
-    if !interrupted {
-        smt.mus_memo_insert(key, muses.clone());
+    if let (Some((memo, key)), true) = (memo, decided) {
+        memo.insert(key, muses.clone());
     }
     muses
 }
@@ -257,13 +316,10 @@ mod tests {
         assert_eq!(muses, vec![set(&[1])]);
     }
 
-    #[test]
-    fn smt_backed_enumeration_finds_branch_condition() {
-        // Background: len ν = 0 ∧ ¬(len ν = n) ∧ 0 ≤ n   (the replicate
-        // Nil-branch VC with the conclusion negated).
-        // Soft candidates: {n ≤ 0, n ≠ 0, 0 ≤ n}.
-        // The only MUS containing the (already unsat-making) candidate
-        // n ≤ 0 is {n ≤ 0} itself: adding it makes the background unsat.
+    /// The replicate Nil-branch strengthening problem. Background:
+    /// `len ν = 0 ∧ ¬(len ν = n) ∧ 0 ≤ n` (the VC with the conclusion
+    /// negated); soft candidates: `{n ≤ 0, n ≠ 0, 0 ≤ n}`.
+    fn replicate_nil_problem() -> (Term, Vec<Term>) {
         let list = Sort::data("List", vec![Sort::var("a")]);
         let len_v = Term::app("len", vec![Term::value_var(list)], Sort::Int);
         let n = Term::var("n", Sort::Int);
@@ -275,8 +331,94 @@ mod tests {
         let soft = vec![
             n.clone().le(Term::int(0)),
             n.clone().neq(Term::int(0)),
-            Term::int(0).le(n.clone()),
+            Term::int(0).le(n),
         ];
+        (background, soft)
+    }
+
+    fn enumerate(smt: &mut Smt, (background, soft): &(Term, Vec<Term>)) -> Vec<BTreeSet<usize>> {
+        enumerate_mus_smt(
+            smt,
+            background,
+            soft,
+            &BTreeSet::new(),
+            MusConfig::default(),
+        )
+    }
+
+    /// (hits, misses, entries) of the solver's memo.
+    fn memo_counts(smt: &Smt) -> (usize, usize, usize) {
+        let stats = smt.mus_memo().expect("incremental by default").stats();
+        (stats.hits, stats.misses, stats.entries)
+    }
+
+    #[test]
+    fn enumerations_cut_by_the_deadline_are_not_stored() {
+        let problem = replicate_nil_problem();
+        let mut smt = Smt::new();
+        smt.set_deadline(Some(
+            std::time::Instant::now() - std::time::Duration::from_millis(1),
+        ));
+        assert!(enumerate(&mut smt, &problem).is_empty());
+        assert_eq!(
+            memo_counts(&smt),
+            (0, 1, 0),
+            "a cut enumeration is not stored"
+        );
+        smt.set_deadline(None);
+        let full = enumerate(&mut smt, &problem);
+        assert!(full.contains(&set(&[0])), "rerun computes the full answer");
+        assert_eq!(memo_counts(&smt), (0, 2, 1));
+        assert_eq!(enumerate(&mut smt, &problem), full);
+        assert_eq!(memo_counts(&smt), (1, 2, 1));
+    }
+
+    #[test]
+    fn enumerations_with_budget_unknowns_are_not_stored() {
+        let problem = replicate_nil_problem();
+        let mut smt = Smt::new();
+        // No DPLL(T) iteration allowed: every subset check is a budget
+        // `Unknown`, which the enumerator reads as "satisfiable".
+        smt.max_iterations = 0;
+        assert!(enumerate(&mut smt, &problem).is_empty());
+        assert!(enumerate(&mut smt, &problem).is_empty());
+        assert_eq!(memo_counts(&smt), (0, 2, 0));
+    }
+
+    #[test]
+    fn decided_enumerations_do_not_depend_on_learned_lemmas() {
+        // Background `x + y ≤ 2`; softs `{x ≥ 1, y ≥ 2, x ≥ 3, y ≤ 5}`.
+        let x = Term::var("x", Sort::Int);
+        let y = Term::var("y", Sort::Int);
+        let background = x.clone().plus(y.clone()).le(Term::int(2));
+        let soft = vec![
+            x.clone().ge(Term::int(1)),
+            y.clone().ge(Term::int(2)),
+            x.clone().ge(Term::int(3)),
+            y.clone().le(Term::int(5)),
+        ];
+        // An earlier query over the problem's atoms teaches the solver a
+        // theory conflict that the enumeration then replays.
+        let mut seasoned = Smt::new();
+        let earlier = background.clone().and(soft[0].clone()).and(soft[1].clone());
+        assert_eq!(seasoned.check_sat(&earlier), SmtResult::Unsat);
+        assert!(seasoned.stats().conflicts_learned > 0);
+        let reused = seasoned.stats().conflicts_reused;
+        let problem = (background, soft);
+        let fresh = enumerate(&mut Smt::new(), &problem);
+        assert_eq!(fresh, vec![set(&[1, 2]), set(&[0, 1])]);
+        assert_eq!(enumerate(&mut seasoned, &problem), fresh);
+        assert!(
+            seasoned.stats().conflicts_reused > reused,
+            "lemmas were replayed"
+        );
+    }
+
+    #[test]
+    fn smt_backed_enumeration_finds_branch_condition() {
+        // The only MUS containing the (already unsat-making) candidate
+        // n ≤ 0 is {n ≤ 0} itself: adding it makes the background unsat.
+        let (background, soft) = replicate_nil_problem();
         let mut smt = Smt::new();
         let muses = enumerate_mus_smt(
             &mut smt,

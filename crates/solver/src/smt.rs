@@ -18,6 +18,7 @@ use crate::cache::SharedValidityCache;
 use crate::cancel::CancellationToken;
 use crate::encode::{Encoded, Encoder, Skeleton, TheoryAtom};
 use crate::lia::{IncrementalLia, LiaResult, LiaSolver};
+use crate::mus::MusMemo;
 use crate::rational::Rational;
 use crate::sat::{Lit, SatResult, SatSolver};
 use std::collections::{HashMap, HashSet};
@@ -75,10 +76,6 @@ pub struct SmtStats {
     /// assumption extractor before reaching this solver (recorded here so
     /// the counter rides the existing stats plumbing).
     pub assumptions_dropped: usize,
-    /// Whole MUS enumerations answered from the incremental memo — each
-    /// hit spares the complete MARCO loop (dozens of subset
-    /// satisfiability checks) the abduction loop would otherwise repeat.
-    pub mus_memo_hits: usize,
     /// Theory checks served by an already-warm simplex tableau (every
     /// check of a DPLL(T) query after the first, when the incremental
     /// LIA path is on): these reuse the tableau's rows and basis instead
@@ -163,21 +160,11 @@ pub struct Smt {
     /// the liquid-abduction loop re-derives the *same* strengthening
     /// problem for every candidate program that shares a VC skeleton, so
     /// the full MARCO enumeration — dozens of subset oracle calls plus
-    /// their bookkeeping — repeats verbatim. The enumeration result is a
-    /// pure function of `(background, soft, required, budgets)`, so it is
-    /// persisted alongside the theory lemmas (and disabled with them).
-    mus_memo: Option<HashMap<MusMemoKey, Vec<std::collections::BTreeSet<usize>>>>,
-}
-
-/// Key of one memoized MUS enumeration. The enumeration budgets are part
-/// of the key so differently-configured calls can never alias.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub(crate) struct MusMemoKey {
-    pub(crate) background: Term,
-    pub(crate) soft: Vec<Term>,
-    pub(crate) required: Vec<usize>,
-    pub(crate) max_muses: usize,
-    pub(crate) max_checks: usize,
+    /// their bookkeeping — repeats verbatim. A private memo by default;
+    /// a session-resident solver shares its namespace's memo
+    /// ([`attach_mus_memo`](Smt::attach_mus_memo)). Disabled together
+    /// with the theory lemmas.
+    mus_memo: Option<MusMemo>,
 }
 
 /// Learned theory conflicts, keyed portably (see
@@ -239,7 +226,7 @@ impl Smt {
             lemma_seed: None,
             lemma_sink: None,
             incremental_lia: true,
-            mus_memo: Some(HashMap::new()),
+            mus_memo: Some(MusMemo::new()),
         }
     }
 
@@ -258,32 +245,18 @@ impl Smt {
         self.lemma_sink = Some(sink);
     }
 
-    /// Looks up a memoized MUS enumeration.
-    pub(crate) fn mus_memo_lookup(
-        &mut self,
-        key: &MusMemoKey,
-    ) -> Option<Vec<std::collections::BTreeSet<usize>>> {
-        let found = self.mus_memo.as_ref().and_then(|m| m.get(key).cloned());
-        if found.is_some() {
-            self.stats.mus_memo_hits += 1;
-        }
-        found
+    /// Replaces the private MUS memo with a shared one (a session
+    /// namespace's), so enumerations outlive this solver. Cleared like
+    /// the lemma session when [`set_incremental`](Smt::set_incremental)
+    /// later disables incrementality.
+    pub fn attach_mus_memo(&mut self, memo: MusMemo) {
+        self.mus_memo = Some(memo);
     }
 
-    /// Memoizes a completed MUS enumeration. Callers must not memoize
-    /// enumerations whose oracle was interrupted by the deadline — those
-    /// results reflect the budget, not the problem.
-    pub(crate) fn mus_memo_insert(
-        &mut self,
-        key: MusMemoKey,
-        muses: Vec<std::collections::BTreeSet<usize>>,
-    ) {
-        const MAX_ENTRIES: usize = 50_000;
-        if let Some(memo) = &mut self.mus_memo {
-            if memo.len() < MAX_ENTRIES || memo.contains_key(&key) {
-                memo.insert(key, muses);
-            }
-        }
+    /// The MUS memo this solver reads and writes; `None` when
+    /// incrementality is disabled.
+    pub fn mus_memo(&self) -> Option<&MusMemo> {
+        self.mus_memo.as_ref()
     }
 
     /// Sets (or clears) the wall-clock deadline polled inside the solving
@@ -299,13 +272,18 @@ impl Smt {
         self.cancel = cancel;
     }
 
-    /// Enables or disables the incremental DPLL(T) state (cross-query
-    /// theory-conflict persistence). Enabled by default; disabling resets
-    /// the store, giving the from-scratch behaviour.
+    /// Enables or disables the incremental DPLL(T) state: cross-query
+    /// theory-conflict persistence, the attached lemma session and the
+    /// MUS memo. Enabled by default. Enabling keeps whatever is already
+    /// attached; disabling drops all of it, giving the from-scratch
+    /// behaviour.
     pub fn set_incremental(&mut self, incremental: bool) {
-        self.lemmas = incremental.then(LemmaStore::default);
-        self.mus_memo = incremental.then(HashMap::new);
-        if !incremental {
+        if incremental {
+            self.lemmas.get_or_insert_with(LemmaStore::default);
+            self.mus_memo.get_or_insert_with(MusMemo::new);
+        } else {
+            self.lemmas = None;
+            self.mus_memo = None;
             self.lemma_seed = None;
             self.lemma_sink = None;
         }
@@ -331,12 +309,6 @@ impl Smt {
             Some(d) => Instant::now() > d,
             None => false,
         }
-    }
-
-    /// True when the last query aborted on deadline/cancellation rather
-    /// than deciding the formula.
-    pub fn last_query_interrupted(&self) -> bool {
-        self.interrupted
     }
 
     /// Creates a solver attached to a shared validity cache.

@@ -780,7 +780,7 @@ fn main() -> ExitCode {
         }
     }
     if opts.stats {
-        let cache = &report.cache;
+        let cache = &report.session.validity;
         println!(
             "\nbatch: {} goal(s), {} worker(s), {:.2}s wall clock",
             report.outcomes.len(),
@@ -798,11 +798,14 @@ fn main() -> ExitCode {
         );
         let s = &report.session;
         println!(
-            "session: {} namespace(s), enumeration {} hits / {} misses ({:.1}% hit rate), {} lemma(s) resident ({} absorbed this run)",
+            "session: {} namespace(s), enumeration {} hits / {} misses ({:.1}% hit rate), MUS {} hits / {} misses ({:.1}% hit rate), {} lemma(s) resident ({} absorbed this run)",
             s.namespaces,
             s.enumeration.hits,
             s.enumeration.misses,
             100.0 * s.enumeration.hit_rate(),
+            s.mus.hits,
+            s.mus.misses,
+            100.0 * s.mus.hit_rate(),
             s.lemmas.resident,
             s.lemmas.absorbed,
         );
@@ -825,7 +828,7 @@ fn main() -> ExitCode {
     for (i, warm) in warm_reports.iter().enumerate() {
         let ws = &warm.session;
         println!(
-            "warm run {}: {:.2}s wall (cold {:.2}s), validity {:.1}% hit rate (cold {:.1}%), enumeration {:.1}% (cold {:.1}%)",
+            "warm run {}: {:.2}s wall (cold {:.2}s), validity {:.1}% hit rate (cold {:.1}%), enumeration {:.1}% (cold {:.1}%), MUS {:.1}% (cold {:.1}%)",
             i + 1,
             warm.wall_secs,
             report.wall_secs,
@@ -833,6 +836,8 @@ fn main() -> ExitCode {
             100.0 * report.session.validity.hit_rate(),
             100.0 * ws.enumeration.hit_rate(),
             100.0 * report.session.enumeration.hit_rate(),
+            100.0 * ws.mus.hit_rate(),
+            100.0 * report.session.mus.hit_rate(),
         );
         let mismatch = report.outcomes.len() != warm.outcomes.len()
             || report.outcomes.iter().zip(&warm.outcomes).any(|(c, w)| {
