@@ -22,8 +22,10 @@
 //! movements when both artifacts carry phase data) and **exits nonzero
 //! if a previously solved goal regressed to a timeout, a still-solved
 //! goal got more than 1.5× slower, or a still-solved goal's LIA phase
-//! regressed past the same thresholds**; `--readme` prints the markdown
-//! corpus table embedded in the README's "Reproduction status" section.
+//! regressed past the same thresholds**, and before the run when the
+//! previous artifact does not parse or has no goals; `--readme` prints
+//! the markdown corpus table embedded in the README's "Reproduction
+//! status" section.
 //! `--warm-runs N` replays the whole corpus N more times against the
 //! same resident session (schema v3 `resident` block: per-run session
 //! counters plus cold-vs-warm wall times) and **exits nonzero if any
@@ -33,9 +35,10 @@
 //! `trace` is offline forensics over a `--trace-out` JSONL artifact
 //! (e.g. the batch job's): per-goal budget attribution by rung × phase,
 //! the slowest SMT queries, the candidate-rejection taxonomy, and cache
-//! hit rates; a malformed stream (unknown event kind, missing envelope
-//! field) exits nonzero, which is what CI keys on. `--perfetto` also
-//! writes Chrome trace-event JSON loadable in `chrome://tracing`.
+//! hit rates; a malformed stream (a line that is not valid JSON, an
+//! unknown event kind, a missing envelope field) exits nonzero, which is
+//! what CI keys on. `--perfetto` also writes Chrome trace-event JSON
+//! loadable in `chrome://tracing`.
 //!
 //! `solver-bench` times the captured DPLL(T)/LIA/MUS workloads of
 //! `synquid_bench::fixtures` against fresh solver instances and writes
@@ -44,14 +47,15 @@
 //!
 //! `fuzz` re-parses a `synquid fuzz --out` summary artifact and renders
 //! the per-goal oracle table; it exits nonzero when the artifact records
-//! any postcondition violation or differential divergence, so CI can
-//! gate on the uploaded artifact independently of the run that wrote it.
+//! any postcondition violation or differential divergence, or does not
+//! parse, so CI can gate on the uploaded artifact independently of the
+//! run that wrote it.
 
 use std::time::Duration;
 use synquid_bench::{
     batch_report_json_runs, compare_batch, corpus_markdown_table, format_fig7, format_fuzz_summary,
     format_table1, format_table2, parse_batch_json, parse_fuzz_json, run_corpus_warm, run_fig7,
-    run_table1, run_table2, warm_outcomes_match,
+    run_table1, run_table2,
 };
 
 fn parse_flag(args: &[String], name: &str) -> Option<u64> {
@@ -61,13 +65,20 @@ fn parse_flag(args: &[String], name: &str) -> Option<u64> {
         .and_then(|v| v.parse().ok())
 }
 
-/// Unwraps a report, or prints why it could not run (a spec that failed
-/// to load) and exits 1.
-fn or_exit<T>(report: Result<T, Box<dyn std::error::Error>>) -> T {
-    report.unwrap_or_else(|e| {
+/// Unwraps a result, or prints why it failed (a spec that did not load,
+/// an unreadable artifact) and exits 1.
+fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>) -> T {
+    result.unwrap_or_else(|e| {
         eprintln!("{e}");
         std::process::exit(1)
     })
+}
+
+/// Reads and parses an artifact, or exits 1: a gate run against an
+/// unreadable artifact would pass vacuously.
+fn load<T, E: std::fmt::Display>(path: &str, parse: impl FnOnce(&str) -> Result<T, E>) -> T {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"));
+    or_exit(text.and_then(|text| parse(&text).map_err(|e| format!("{path}: {e}"))))
 }
 
 fn main() {
@@ -105,7 +116,7 @@ fn main() {
                 .iter()
                 .position(|a| a == "--compare")
                 .and_then(|i| args.get(i + 1))
-                .cloned();
+                .map(|path| (path, load(path, parse_batch_json)));
             let readme = args.iter().any(|a| a == "--readme");
             let warm_runs = parse_flag(&args, "--warm-runs").unwrap_or(0) as usize;
             // Phase splits ride the artifact (schema v2): profile every
@@ -160,7 +171,7 @@ fn main() {
                             100.0 * warm.session.mus.hit_rate(),
                             100.0 * report.session.mus.hit_rate()
                         );
-                        if let Err(e) = warm_outcomes_match(report, warm) {
+                        if let Err(e) = report.outcomes_match(warm) {
                             eprintln!("warm run {} changed outcomes: {e}", i + 1);
                             std::process::exit(1);
                         }
@@ -177,41 +188,32 @@ fn main() {
                     if readme {
                         println!("{}", corpus_markdown_table(report, timeout));
                     }
-                    if let Some(old_path) = compare {
-                        match std::fs::read_to_string(&old_path) {
-                            Ok(text) => {
-                                let deltas = compare_batch(&parse_batch_json(&text), report);
-                                println!(
-                                    "== Deltas against {old_path} (schema v{}) ==\n{}",
-                                    synquid_bench::batch_schema_version(&text),
-                                    deltas.text
-                                );
-                                if deltas.regressed > 0 {
-                                    eprintln!(
-                                        "{} goal(s) solved in {old_path} regressed to unsolved",
-                                        deltas.regressed
-                                    );
-                                    std::process::exit(1);
-                                }
-                                if deltas.time_regressed > 0 {
-                                    eprintln!(
-                                        "{} still-solved goal(s) got more than 1.5x slower than {old_path}",
-                                        deltas.time_regressed
-                                    );
-                                    std::process::exit(1);
-                                }
-                                if deltas.lia_time_regressed > 0 {
-                                    eprintln!(
-                                        "{} still-solved goal(s) regressed in LIA-phase time against {old_path}",
-                                        deltas.lia_time_regressed
-                                    );
-                                    std::process::exit(1);
-                                }
-                            }
-                            Err(e) => {
-                                eprintln!("cannot read {old_path}: {e}");
-                                std::process::exit(1);
-                            }
+                    if let Some((old_path, baseline)) = compare {
+                        let deltas = compare_batch(&baseline.goals, report);
+                        println!(
+                            "== Deltas against {old_path} (schema v{}) ==\n{}",
+                            baseline.schema_version, deltas.text
+                        );
+                        if deltas.regressed > 0 {
+                            eprintln!(
+                                "{} goal(s) solved in {old_path} regressed to unsolved",
+                                deltas.regressed
+                            );
+                            std::process::exit(1);
+                        }
+                        if deltas.time_regressed > 0 {
+                            eprintln!(
+                                "{} still-solved goal(s) got more than 1.5x slower than {old_path}",
+                                deltas.time_regressed
+                            );
+                            std::process::exit(1);
+                        }
+                        if deltas.lia_time_regressed > 0 {
+                            eprintln!(
+                                "{} still-solved goal(s) regressed in LIA-phase time against {old_path}",
+                                deltas.lia_time_regressed
+                            );
+                            std::process::exit(1);
                         }
                     }
                 }
@@ -232,20 +234,7 @@ fn main() {
                 .position(|a| a == "--perfetto")
                 .and_then(|i| args.get(i + 1))
                 .cloned();
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let trace = match synquid_trace::parse_trace(&text) {
-                Ok(trace) => trace,
-                Err(e) => {
-                    eprintln!("{path}: malformed trace: {e}");
-                    std::process::exit(1);
-                }
-            };
+            let trace = load(path, synquid_trace::parse_trace);
             let report = synquid_trace::analyze(&trace);
             print!("{}", report.render(top_k));
             if let Some(out) = perfetto {
@@ -282,18 +271,7 @@ fn main() {
                 eprintln!("usage: report fuzz <SUMMARY.json>");
                 std::process::exit(2);
             };
-            let text = match std::fs::read_to_string(path) {
-                Ok(text) => text,
-                Err(e) => {
-                    eprintln!("cannot read {path}: {e}");
-                    std::process::exit(1);
-                }
-            };
-            let summary = parse_fuzz_json(&text);
-            if summary.goals.is_empty() {
-                eprintln!("{path}: no per-goal entries — not a fuzz summary?");
-                std::process::exit(1);
-            }
+            let summary = load(path, parse_fuzz_json);
             print!("{}", format_fuzz_summary(&summary));
             if summary.total_violations > 0 || summary.total_divergences > 0 {
                 eprintln!(

@@ -15,17 +15,19 @@
 //! `benches/` time a representative subset for regression tracking. The
 //! binary's `batch` subcommand additionally runs the whole `specs/`
 //! corpus through the parallel engine and emits a machine-readable
-//! timing report ([`batch_report_json`], uploaded by CI as
+//! timing report ([`batch_report_json_runs`], uploaded by CI as
 //! `BENCH_pr10.json`), the markdown corpus table embedded in the README
 //! ([`corpus_markdown_table`]), and per-goal deltas against a previous
 //! artifact ([`compare_batch`] — CI fails when a previously solved goal
 //! regressed to a timeout).
 
 use std::time::Duration;
-use synquid_engine::{BatchReport, Engine, EngineConfig, GoalJob, SynthesisSession};
+use synquid_engine::{BatchReport, Engine, EngineConfig, GoalJob, GoalOutcome, SynthesisSession};
 use synquid_lang::benchmarks::{sygus, table1, table2, Benchmark};
 pub use synquid_lang::runner::goal_label;
 use synquid_lang::runner::{run_goal, RunResult, Variant};
+use synquid_lang::SynthesisStats;
+use synquid_telemetry::json::{self, Json};
 use synquid_telemetry::PhaseProfile;
 
 pub mod fixtures;
@@ -252,24 +254,6 @@ pub fn corpus_jobs() -> Result<Vec<GoalJob>, Box<dyn std::error::Error>> {
     Ok(batch)
 }
 
-/// Runs every goal of the `specs/` corpus through the parallel engine,
-/// against the given (possibly already warm) session.
-///
-/// Returns the deterministic [`BatchReport`] (outcomes in corpus order)
-/// or an error when the corpus is missing or a spec file fails to load.
-pub fn run_corpus_batch(
-    jobs: usize,
-    timeout: Duration,
-    session: &SynthesisSession,
-) -> Result<BatchReport, Box<dyn std::error::Error>> {
-    let engine = Engine::new(EngineConfig {
-        jobs,
-        timeout,
-        ..EngineConfig::default()
-    });
-    Ok(engine.run_batch(corpus_jobs()?, session))
-}
-
 /// Runs the corpus `1 + warm_runs` times against one resident session:
 /// element 0 is the cold run, the rest replay with warm caches. Each
 /// report's `session` counters are that run's own traffic, so warm
@@ -293,194 +277,142 @@ pub fn run_corpus_warm(
     Ok(reports)
 }
 
-/// Checks that a warm replay reproduced the cold run's outcomes exactly:
-/// same goals, same solved verdicts, same programs. A difference is the
-/// residency-soundness alarm CI keys on (a cached verdict or replayed
-/// lemma changed a result, which the session design promises never
-/// happens).
-pub fn warm_outcomes_match(cold: &BatchReport, warm: &BatchReport) -> Result<(), String> {
-    if cold.outcomes.len() != warm.outcomes.len() {
-        return Err(format!(
-            "goal count changed: {} cold vs {} warm",
-            cold.outcomes.len(),
-            warm.outcomes.len()
-        ));
-    }
-    for (c, w) in cold.outcomes.iter().zip(&warm.outcomes) {
-        let label = synquid_lang::runner::goal_label(&c.result.name, &c.source);
-        if c.result.name != w.result.name || c.source != w.source {
-            return Err(format!(
-                "goal order changed at {label}: warm has {}",
-                synquid_lang::runner::goal_label(&w.result.name, &w.source)
-            ));
-        }
-        if c.result.solved != w.result.solved {
-            return Err(format!(
-                "{label}: solved flipped {} -> {} under a warm session",
-                c.result.solved, w.result.solved
-            ));
-        }
-        if c.result.program != w.result.program {
-            return Err(format!(
-                "{label}: synthesized program changed under a warm session"
-            ));
-        }
-    }
-    Ok(())
-}
-
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders a [`BatchReport`] as the machine-readable `BENCH_pr10.json`
-/// artifact: per-goal timings, budget-ledger accounting (rungs run /
-/// cancelled / skipped / out of budget, budget consumed), the
-/// enumeration counters (terms enumerated, pruned early, memo hits),
-/// the incremental-solver counters (conflicts learned / replayed,
-/// assumptions dropped, warm tableau starts, bounds propagated, shared
-/// MUS encodings, pivots saved), plus the shared validity-cache
-/// counters. (Hand-rolled JSON: the workspace resolves offline, so no
-/// serde.)
-pub fn batch_report_json(report: &BatchReport, timeout: Duration) -> String {
-    batch_report_json_runs(std::slice::from_ref(report), timeout)
-}
-
-/// [`batch_report_json`] over a cold run plus its warm replays (as
-/// produced by [`run_corpus_warm`]; `runs[0]` is the cold run and
-/// supplies the per-goal body). Schema v3 adds the `resident` block:
-/// one entry per run with that run's session-layer counters (validity /
-/// enumeration / lemma traffic, namespaces), cold-vs-warm wall times,
-/// and whether every warm replay reproduced the cold outcomes.
+/// Renders a cold [`BatchReport`] plus its warm replays (as produced by
+/// [`run_corpus_warm`]; `runs[0]` is the cold run and supplies the
+/// per-goal body) as the machine-readable `BENCH_pr10.json` artifact:
+/// per-goal timings, budget-ledger accounting (rungs run / cancelled /
+/// skipped / out of budget, budget consumed), the enumeration counters
+/// (terms enumerated, pruned early, memo hits), the incremental-solver
+/// counters (conflicts learned / replayed, assumptions dropped, warm
+/// tableau starts, bounds propagated, shared MUS encodings, pivots
+/// saved), the shared validity-cache counters, and (schema v3) the
+/// `resident` block: one entry per run with that run's session-layer
+/// counters (validity / enumeration / lemma traffic, namespaces),
+/// cold-vs-warm wall times, and whether every warm replay reproduced the
+/// cold outcomes.
 pub fn batch_report_json_runs(runs: &[BatchReport], timeout: Duration) -> String {
     let report = &runs[0];
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"report\": \"BENCH_pr10\",\n");
-    out.push_str(&format!("  \"schema_version\": {BENCH_SCHEMA_VERSION},\n"));
-    out.push_str(&format!("  \"jobs\": {},\n", report.jobs));
-    out.push_str(&format!("  \"timeout_secs\": {},\n", timeout.as_secs()));
-    out.push_str(&format!("  \"wall_secs\": {:.3},\n", report.wall_secs));
+    let warm = &runs[1..];
     let c = &report.session.validity;
-    out.push_str(&format!(
-        "  \"validity_cache\": {{\"hits\": {}, \"misses\": {}, \"negative_hits\": {}, \"entries\": {}, \"interned_nodes\": {}, \"hit_rate\": {:.4}}},\n",
-        c.hits, c.misses, c.negative_hits, c.entries, c.interned_nodes, c.hit_rate()
-    ));
-    out.push_str("  \"resident\": {\n");
-    out.push_str(&format!("    \"warm_runs\": {},\n", runs.len() - 1));
-    let outcomes_match = runs[1..]
-        .iter()
-        .all(|warm| warm_outcomes_match(report, warm).is_ok());
-    out.push_str(&format!("    \"outcomes_match\": {outcomes_match},\n"));
-    out.push_str(&format!(
-        "    \"cold_wall_secs\": {:.3},\n",
-        report.wall_secs
-    ));
-    let warm_min = runs[1..]
-        .iter()
-        .map(|r| r.wall_secs)
-        .fold(f64::INFINITY, f64::min);
-    out.push_str(&format!(
-        "    \"warm_min_wall_secs\": {},\n",
-        if runs.len() > 1 {
-            format!("{warm_min:.3}")
-        } else {
-            "null".to_string()
-        }
-    ));
-    out.push_str("    \"runs\": [\n");
-    for (i, run) in runs.iter().enumerate() {
-        let s = &run.session;
-        let solved = run.outcomes.iter().filter(|o| o.result.solved).count();
-        out.push_str(&format!(
-            "      {{\"warm\": {}, \"wall_secs\": {:.3}, \"solved\": {solved}, \"validity_hits\": {}, \"validity_misses\": {}, \"validity_hit_rate\": {:.4}, \"validity_entries\": {}, \"validity_evicted\": {}, \"terms_interned\": {}, \"terms_evicted\": {}, \"enum_hits\": {}, \"enum_misses\": {}, \"enum_hit_rate\": {:.4}, \"enum_evicted\": {}, \"lemmas_absorbed\": {}, \"lemmas_resident\": {}, \"namespaces\": {}}}{}\n",
-            i > 0,
-            run.wall_secs,
-            s.validity.hits,
-            s.validity.misses,
-            s.validity.hit_rate(),
-            s.validity.entries,
-            s.validity.entries_evicted,
-            s.validity.terms_interned,
-            s.validity.terms_evicted,
-            s.enumeration.hits,
-            s.enumeration.misses,
-            s.enumeration.hit_rate(),
-            s.enumeration.evicted,
-            s.lemmas.absorbed,
-            s.lemmas.resident,
-            s.namespaces,
-            if i + 1 == runs.len() { "" } else { "," },
-        ));
+    Json::obj([
+        ("report", "BENCH_pr10".into()),
+        ("schema_version", BENCH_SCHEMA_VERSION.into()),
+        ("jobs", report.jobs.into()),
+        ("timeout_secs", timeout.as_secs().into()),
+        ("wall_secs", Json::fixed(report.wall_secs, 3)),
+        (
+            "validity_cache",
+            Json::obj([
+                ("hits", c.hits.into()),
+                ("misses", c.misses.into()),
+                ("negative_hits", c.negative_hits.into()),
+                ("entries", c.entries.into()),
+                ("interned_nodes", c.interned_nodes.into()),
+                ("hit_rate", Json::fixed(c.hit_rate(), 4)),
+            ]),
+        ),
+        (
+            "resident",
+            Json::obj([
+                ("warm_runs", warm.len().into()),
+                (
+                    "outcomes_match",
+                    warm.iter().all(|w| report.outcomes_match(w).is_ok()).into(),
+                ),
+                ("cold_wall_secs", Json::fixed(report.wall_secs, 3)),
+                (
+                    "warm_min_wall_secs",
+                    warm.iter()
+                        .map(|r| r.wall_secs)
+                        .reduce(f64::min)
+                        .map(|secs| Json::fixed(secs, 3))
+                        .into(),
+                ),
+                (
+                    "runs",
+                    Json::Arr(
+                        runs.iter()
+                            .enumerate()
+                            .map(|(i, run)| run_json(i > 0, run))
+                            .collect(),
+                    ),
+                ),
+            ]),
+        ),
+        (
+            "goals",
+            Json::Arr(report.outcomes.iter().map(goal_json).collect()),
+        ),
+    ])
+    .to_lines()
+}
+
+/// One run's entry of the `resident` block: its session-layer counters.
+fn run_json(warm: bool, run: &BatchReport) -> Json {
+    let s = &run.session;
+    let solved = run.outcomes.iter().filter(|o| o.result.solved).count();
+    Json::obj([
+        ("warm", warm.into()),
+        ("wall_secs", Json::fixed(run.wall_secs, 3)),
+        ("solved", solved.into()),
+        ("validity_hits", s.validity.hits.into()),
+        ("validity_misses", s.validity.misses.into()),
+        ("validity_hit_rate", Json::fixed(s.validity.hit_rate(), 4)),
+        ("validity_entries", s.validity.entries.into()),
+        ("validity_evicted", s.validity.entries_evicted.into()),
+        ("terms_interned", s.validity.terms_interned.into()),
+        ("terms_evicted", s.validity.terms_evicted.into()),
+        ("enum_hits", s.enumeration.hits.into()),
+        ("enum_misses", s.enumeration.misses.into()),
+        ("enum_hit_rate", Json::fixed(s.enumeration.hit_rate(), 4)),
+        ("enum_evicted", s.enumeration.evicted.into()),
+        ("lemmas_absorbed", s.lemmas.absorbed.into()),
+        ("lemmas_resident", s.lemmas.resident.into()),
+        ("namespaces", s.namespaces.into()),
+    ])
+}
+
+/// One goal's entry of the `goals` array.
+fn goal_json(o: &GoalOutcome) -> Json {
+    let r = &o.result;
+    let stat = |counter: fn(&SynthesisStats) -> usize| Json::from(r.stats.as_ref().map(counter));
+    let mut members = vec![
+        ("file", o.source.as_str().into()),
+        ("name", r.name.as_str().into()),
+        ("solved", r.solved.into()),
+        ("timed_out", r.timed_out.into()),
+        ("time_secs", Json::fixed(r.time_secs, 3)),
+        ("consumed_secs", Json::fixed(o.consumed_secs, 3)),
+        ("code_size", r.code_size.into()),
+        (
+            "winning_rung",
+            o.winning_rung
+                .map(|(app, matches)| Json::Arr(vec![app.into(), matches.into()]))
+                .into(),
+        ),
+        ("rungs_run", o.rungs_run.into()),
+        ("rungs_cancelled", o.rungs_cancelled.into()),
+        ("rungs_skipped", o.rungs_skipped.into()),
+        ("rungs_out_of_budget", o.rungs_out_of_budget.into()),
+        ("terms_enumerated", stat(|s| s.terms_enumerated)),
+        ("eterms_checked", stat(|s| s.eterms_checked)),
+        ("pruned_early", stat(|s| s.pruned_early)),
+        ("memo_hits", stat(|s| s.memo_hits)),
+        ("memo_misses", stat(|s| s.memo_misses)),
+        ("smt_conflicts_learned", stat(|s| s.smt_conflicts_learned)),
+        ("smt_conflicts_reused", stat(|s| s.smt_conflicts_reused)),
+        ("assumptions_dropped", stat(|s| s.assumptions_dropped)),
+        ("tableau_warm_starts", stat(|s| s.tableau_warm_starts)),
+        ("bounds_propagated", stat(|s| s.bounds_propagated)),
+        ("mus_shared_encodings", stat(|s| s.mus_shared_encodings)),
+        ("lia_pivots_saved", stat(|s| s.lia_pivots_saved)),
+    ];
+    // An empty profile is omitted: absence means "no phase data", as in
+    // v1 artifacts.
+    if let Some(stats) = r.stats.as_ref().filter(|s| !s.phases.is_empty()) {
+        members.push(("phases", Json::from(&stats.phases)));
     }
-    out.push_str("    ]\n");
-    out.push_str("  },\n");
-    out.push_str("  \"goals\": [\n");
-    for (i, o) in report.outcomes.iter().enumerate() {
-        let r = &o.result;
-        let rung = match o.winning_rung {
-            Some((a, m)) => format!("[{a}, {m}]"),
-            None => "null".to_string(),
-        };
-        let code_size = r
-            .code_size
-            .map(|s| s.to_string())
-            .unwrap_or_else(|| "null".to_string());
-        let stat = |f: fn(&synquid_lang::SynthesisStats) -> usize| match &r.stats {
-            Some(s) => f(s).to_string(),
-            None => "null".to_string(),
-        };
-        // `phases` stays last on the line so the flat field extractors
-        // above it never cut inside the nested object; an empty profile
-        // is omitted entirely (the schema makes absence mean "no phase
-        // data", matching v1 artifacts).
-        let phases = match &r.stats {
-            Some(s) if !s.phases.is_empty() => {
-                format!(", \"phases\": {}", s.phases.to_json())
-            }
-            _ => String::new(),
-        };
-        out.push_str(&format!(
-            "    {{\"file\": \"{}\", \"name\": \"{}\", \"solved\": {}, \"timed_out\": {}, \"time_secs\": {:.3}, \"consumed_secs\": {:.3}, \"code_size\": {}, \"winning_rung\": {}, \"rungs_run\": {}, \"rungs_cancelled\": {}, \"rungs_skipped\": {}, \"rungs_out_of_budget\": {}, \"terms_enumerated\": {}, \"eterms_checked\": {}, \"pruned_early\": {}, \"memo_hits\": {}, \"memo_misses\": {}, \"smt_conflicts_learned\": {}, \"smt_conflicts_reused\": {}, \"assumptions_dropped\": {}, \"tableau_warm_starts\": {}, \"bounds_propagated\": {}, \"mus_shared_encodings\": {}, \"lia_pivots_saved\": {}{phases}}}{}\n",
-            json_escape(&o.source),
-            json_escape(&r.name),
-            r.solved,
-            r.timed_out,
-            r.time_secs,
-            o.consumed_secs,
-            code_size,
-            rung,
-            o.rungs_run,
-            o.rungs_cancelled,
-            o.rungs_skipped,
-            o.rungs_out_of_budget,
-            stat(|s| s.terms_enumerated),
-            stat(|s| s.eterms_checked),
-            stat(|s| s.pruned_early),
-            stat(|s| s.memo_hits),
-            stat(|s| s.memo_misses),
-            stat(|s| s.smt_conflicts_learned),
-            stat(|s| s.smt_conflicts_reused),
-            stat(|s| s.assumptions_dropped),
-            stat(|s| s.tableau_warm_starts),
-            stat(|s| s.bounds_propagated),
-            stat(|s| s.mus_shared_encodings),
-            stat(|s| s.lia_pivots_saved),
-            if i + 1 == report.outcomes.len() { "" } else { "," },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+    Json::obj(members)
 }
 
 // ---------------------------------------------------------------------
@@ -570,76 +502,78 @@ pub struct ParsedGoal {
     pub phases: Option<PhaseProfile>,
 }
 
-fn json_str_field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\": \"");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find('"')?;
-    Some(rest[..end].to_string())
+/// A batch artifact parsed back: its schema stamp and per-goal entries.
+#[derive(Debug, Clone, PartialEq)]
+pub struct BatchArtifact {
+    /// The `schema_version` stamp; artifacts from before the stamp
+    /// existed (PR 2–5) are version 1.
+    pub schema_version: u64,
+    /// The `goals` entries, in artifact order.
+    pub goals: Vec<ParsedGoal>,
 }
 
-fn json_raw_field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\": ");
-    let start = line.find(&tag)? + tag.len();
-    let rest = &line[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(rest[..end].trim().to_string())
+/// The member `key` of `entry` read by `read`, or `None` when it is
+/// absent; an error when it is present but of another type.
+fn optional<'a, T>(
+    entry: &'a Json,
+    key: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<Option<T>, String> {
+    entry
+        .get(key)
+        .map(|value| read(value).ok_or_else(|| format!("mistyped \"{key}\"")))
+        .transpose()
 }
 
-/// Extracts a brace-balanced `"key": {…}` object from a line (the flat
-/// extractor above would cut at the first `,` inside the object).
-fn json_object_field(line: &str, key: &str) -> Option<String> {
-    let tag = format!("\"{key}\": {{");
-    let start = line.find(&tag)? + tag.len() - 1;
-    let rest = &line[start..];
-    let mut depth = 0usize;
-    for (i, c) in rest.char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(rest[..=i].to_string());
-                }
-            }
-            _ => {}
-        }
+/// Like [`optional`], but an absent member is an error too.
+fn required<'a, T>(
+    entry: &'a Json,
+    key: &str,
+    read: impl FnOnce(&'a Json) -> Option<T>,
+) -> Result<T, String> {
+    optional(entry, key, read)?.ok_or_else(|| format!("missing \"{key}\""))
+}
+
+/// The elements of the non-empty `key` array of `doc`, each converted by
+/// `entry`; an error names the element that failed.
+fn entries<T>(
+    doc: &Json,
+    key: &str,
+    entry: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    let Some(Json::Arr(items)) = doc.get(key) else {
+        return Err(format!("missing or mistyped \"{key}\""));
+    };
+    if items.is_empty() {
+        return Err(format!("empty \"{key}\""));
     }
-    None
-}
-
-/// Reads the `schema_version` stamp of a batch artifact. Artifacts from
-/// before the stamp existed (PR 2–5) report version 1.
-pub fn batch_schema_version(text: &str) -> u64 {
-    text.lines()
-        .find_map(|line| json_raw_field(line, "schema_version"))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or(1)
-}
-
-/// Parses the per-goal entries back out of a `BENCH_pr2.json` /
-/// `BENCH_pr3.json` artifact. The reports are emitted one goal per line
-/// by [`batch_report_json`], so a line-oriented scan is exact for our own
-/// artifacts (no general JSON parser needed — the workspace is
-/// dependency-free by design).
-pub fn parse_batch_json(text: &str) -> Vec<ParsedGoal> {
-    text.lines()
-        .filter_map(|line| {
-            let file = json_str_field(line, "file")?;
-            let name = json_str_field(line, "name")?;
-            let solved = json_raw_field(line, "solved")? == "true";
-            let time_secs = json_raw_field(line, "time_secs")?.parse().ok()?;
-            let phases =
-                json_object_field(line, "phases").and_then(|obj| PhaseProfile::parse_json(&obj));
-            Some(ParsedGoal {
-                file,
-                name,
-                solved,
-                time_secs,
-                phases,
-            })
-        })
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, e)| entry(e).map_err(|err| format!("{key}[{i}]: {err}")))
         .collect()
+}
+
+/// Parses a `BENCH_pr*.json` batch artifact, whatever its layout. Errors
+/// when the text is not JSON, the `goals` array is missing or empty, or
+/// a goal lacks its `file`, `name`, `solved` or `time_secs`, so a gate
+/// never compares against nothing.
+pub fn parse_batch_json(text: &str) -> Result<BatchArtifact, String> {
+    let doc = json::parse(text)?;
+    let schema_version = optional(&doc, "schema_version", Json::as_u64)?.unwrap_or(1);
+    let goals = entries(&doc, "goals", |goal| {
+        Ok(ParsedGoal {
+            file: required(goal, "file", Json::as_str)?.to_string(),
+            name: required(goal, "name", Json::as_str)?.to_string(),
+            solved: required(goal, "solved", Json::as_bool)?,
+            time_secs: required(goal, "time_secs", Json::as_f64)?,
+            phases: optional(goal, "phases", PhaseProfile::from_json)?,
+        })
+    })?;
+    Ok(BatchArtifact {
+        schema_version,
+        goals,
+    })
 }
 
 /// One per-goal entry parsed back out of a `synquid fuzz --out` summary
@@ -669,7 +603,7 @@ pub struct ParsedFuzzGoal {
 }
 
 /// A parsed `synquid fuzz` summary: the header counters plus every
-/// per-goal line.
+/// per-goal entry.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FuzzSummary {
     /// The seed the run was keyed on (same seed ⇒ byte-identical artifact).
@@ -684,46 +618,42 @@ pub struct FuzzSummary {
     pub goals: Vec<ParsedFuzzGoal>,
 }
 
-/// Parses a `synquid fuzz --out` artifact. Like [`parse_batch_json`],
-/// this is a line-oriented scan over our own one-goal-per-line emitter,
-/// not a general JSON parser.
-pub fn parse_fuzz_json(text: &str) -> FuzzSummary {
-    let header = |key: &str| {
-        text.lines()
-            .find_map(|line| json_raw_field(line, key))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    };
-    let count = |line: &str, key: &str| {
-        json_raw_field(line, key)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(0)
-    };
-    let goals = text
-        .lines()
-        .filter_map(|line| {
-            let goal = json_str_field(line, "goal")?;
-            let source = json_str_field(line, "source")?;
-            Some(ParsedFuzzGoal {
-                goal,
-                source,
-                skipped: json_str_field(line, "skipped"),
-                pass: count(line, "pass"),
-                violation: count(line, "violation"),
-                crash: count(line, "crash"),
-                gave_up: count(line, "gave_up"),
-                undecidable: count(line, "undecidable"),
-                rejected: count(line, "rejected"),
-            })
+/// Parses a `synquid fuzz --out` artifact, whatever its layout. Errors
+/// when the text is not JSON, lacks a header counter, has no goals, or
+/// a goal lacks its name, source or (unless it was skipped) one of its
+/// verdict counts.
+pub fn parse_fuzz_json(text: &str) -> Result<FuzzSummary, String> {
+    let doc = json::parse(text)?;
+    let goals = entries(&doc, "goals", |goal| {
+        let skipped = optional(goal, "skipped", Json::as_str)?.map(str::to_string);
+        // A skipped goal ran no cases, so it carries no counts.
+        let fuzzed = skipped.is_none();
+        let count = |key| {
+            if fuzzed {
+                required(goal, key, Json::as_u64)
+            } else {
+                Ok(0)
+            }
+        };
+        Ok(ParsedFuzzGoal {
+            goal: required(goal, "goal", Json::as_str)?.to_string(),
+            source: required(goal, "source", Json::as_str)?.to_string(),
+            skipped,
+            pass: count("pass")?,
+            violation: count("violation")?,
+            crash: count("crash")?,
+            gave_up: count("gave_up")?,
+            undecidable: count("undecidable")?,
+            rejected: count("rejected")?,
         })
-        .collect();
-    FuzzSummary {
-        seed: header("seed"),
-        cases: header("cases"),
-        total_violations: header("total_violations"),
-        total_divergences: header("total_divergences"),
+    })?;
+    Ok(FuzzSummary {
+        seed: required(&doc, "seed", Json::as_u64)?,
+        cases: required(&doc, "cases", Json::as_u64)?,
+        total_violations: required(&doc, "total_violations", Json::as_u64)?,
+        total_divergences: required(&doc, "total_divergences", Json::as_u64)?,
         goals,
-    }
+    })
 }
 
 /// Renders a parsed fuzz artifact as the per-goal table `report fuzz`
@@ -926,14 +856,14 @@ mod tests {
         // time out instantly, but every corpus goal must appear in the
         // JSON with its portfolio accounting.
         let timeout = Duration::from_millis(1);
-        let session = SynthesisSession::new();
-        let report = run_corpus_batch(2, timeout, &session).expect("the specs/ corpus loads");
+        let runs = run_corpus_warm(2, timeout, 0).expect("the specs/ corpus loads");
+        let report = &runs[0];
         assert!(
             report.outcomes.len() >= 16,
             "expected at least 16 corpus goals, got {}",
             report.outcomes.len()
         );
-        let json = batch_report_json(&report, timeout);
+        let json = batch_report_json_runs(&runs, timeout);
         assert!(json.contains("\"report\": \"BENCH_pr10\""));
         assert!(json.contains("\"resident\": {"));
         assert!(json.contains("\"warm_runs\": 0"));
@@ -956,7 +886,8 @@ mod tests {
         // A 1 ms budget cannot be meaningfully exceeded in reporting:
         // every goal's reported time is its ledger consumption, and a
         // goal that fails must be out of budget, never a fake timeout.
-        for goal in parse_batch_json(&json) {
+        let parsed = parse_batch_json(&json).expect("the artifact parses").goals;
+        for goal in &parsed {
             assert!(!goal.solved, "nothing solves in 1 ms: {goal:?}");
         }
         assert_eq!(
@@ -965,13 +896,12 @@ mod tests {
             "one goals[] entry per outcome"
         );
         // The artifact round-trips through the comparison parser.
-        let parsed = parse_batch_json(&json);
         assert_eq!(parsed.len(), report.outcomes.len());
         assert!(parsed.iter().any(|g| g.name == "replicate"));
-        let table = corpus_markdown_table(&report, timeout);
+        let table = corpus_markdown_table(report, timeout);
         assert!(table.contains("| Goal | Status |"));
         assert!(table.contains("replicate @ "));
-        let deltas = compare_batch(&parsed, &report);
+        let deltas = compare_batch(&parsed, report);
         assert!(deltas.text.contains("0 goal(s) newly solved"));
         assert_eq!(deltas.newly_solved, 0);
         assert_eq!(deltas.regressed, 0, "self-comparison cannot regress");
@@ -985,7 +915,7 @@ mod tests {
         let timeout = Duration::from_millis(1);
         let runs = run_corpus_warm(2, timeout, 1).expect("the specs/ corpus loads");
         assert_eq!(runs.len(), 2);
-        warm_outcomes_match(&runs[0], &runs[1]).expect("1 ms runs agree");
+        runs[0].outcomes_match(&runs[1]).expect("1 ms runs agree");
         let json = batch_report_json_runs(&runs, timeout);
         assert!(json.contains("\"warm_runs\": 1"));
         assert!(json.contains("\"warm\": false"));
@@ -994,32 +924,35 @@ mod tests {
         assert!(!json.contains("\"warm_min_wall_secs\": null"));
         // The per-goal body is the cold run's; the parser still sees
         // exactly one entry per goal.
-        assert_eq!(parse_batch_json(&json).len(), runs[0].outcomes.len());
+        assert_eq!(
+            parse_batch_json(&json).unwrap().goals.len(),
+            runs[0].outcomes.len()
+        );
     }
 
     #[test]
     fn phases_survive_the_goal_line_round_trip() {
-        // A goal line as batch_report_json emits it (phases last, so the
-        // flat field extractors never cut inside the nested object).
-        let profile = PhaseProfile::parse_json(
+        let phases = json::parse(
             "{\"sat\": {\"secs\": 1.25, \"count\": 46, \"max_secs\": 0.5}, \
              \"lia\": {\"secs\": 0.75, \"count\": 43, \"max_secs\": 0.25}}",
         )
-        .expect("hand-written phases JSON parses");
-        let line = format!(
-            "    {{\"file\": \"specs/take.sq\", \"name\": \"take\", \"solved\": true, \
-             \"time_secs\": 2.5, \"phases\": {}}},",
-            profile.to_json()
+        .unwrap();
+        let profile = PhaseProfile::from_json(&phases).expect("hand-written phases JSON parses");
+        let artifact = format!(
+            "{{\"goals\": [{{\"file\": \"specs/take.sq\", \"name\": \"take\", \"solved\": true, \
+             \"time_secs\": 2.5, \"phases\": {}}}]}}",
+            Json::from(&profile).to_compact()
         );
-        let goals = parse_batch_json(&line);
+        let goals = parse_batch_json(&artifact).unwrap().goals;
         assert_eq!(goals.len(), 1);
         let back = goals[0].phases.as_ref().expect("phases round-trip");
         assert_eq!(back.counts(), profile.counts());
         assert!((goals[0].time_secs - 2.5).abs() < 1e-9, "flat field intact");
         // v1 artifacts (no stamp, no phases) parse with phases absent.
-        let v1 = "{\"file\": \"a.sq\", \"name\": \"g\", \"solved\": false, \"time_secs\": 0.0}";
-        assert_eq!(batch_schema_version(v1), 1);
-        assert!(parse_batch_json(v1)[0].phases.is_none());
+        let v1 = "{\"goals\": [{\"file\": \"a.sq\", \"name\": \"g\", \"solved\": false, \"time_secs\": 0.0}]}";
+        let v1 = parse_batch_json(v1).unwrap();
+        assert_eq!(v1.schema_version, 1);
+        assert!(v1.goals[0].phases.is_none());
     }
 
     #[test]
@@ -1034,7 +967,7 @@ mod tests {
     }
 
     #[test]
-    fn fuzz_summary_round_trips_through_the_line_scanner() {
+    fn fuzz_summary_round_trips_through_the_parser() {
         // The exact shape `synquid_oracle::summary_json` emits: header
         // counters on their own lines, one goal per line, optional
         // skipped / violations / differential fields.
@@ -1051,7 +984,7 @@ mod tests {
             "  ]\n",
             "}\n",
         );
-        let summary = parse_fuzz_json(artifact);
+        let summary = parse_fuzz_json(artifact).expect("a valid summary");
         assert_eq!(summary.seed, 42);
         assert_eq!(summary.cases, 25);
         assert_eq!(summary.total_violations, 1);
@@ -1070,12 +1003,249 @@ mod tests {
         let table = format_fuzz_summary(&summary);
         assert!(table.contains("skipped"));
         assert!(table.contains("1 violation(s)"));
+        // Any valid layout reads the same; a missing count or a cut-off
+        // document is an error, never a clean summary.
+        let minified: String = artifact.lines().map(str::trim).collect();
+        assert_eq!(parse_fuzz_json(&minified), Ok(summary));
+        let no_pass = artifact.replace("\"pass\": 25, ", "");
+        assert!(parse_fuzz_json(&no_pass).unwrap_err().contains("\"pass\""));
+        assert!(parse_fuzz_json(&artifact[..artifact.len() / 2]).is_err());
+        assert!(parse_fuzz_json("{\"goals\": []}").is_err(), "no header");
+        let empty = artifact.replace(
+            &artifact[artifact.find('[').unwrap()..=artifact.rfind(']').unwrap()],
+            "[]",
+        );
+        assert!(parse_fuzz_json(&empty).unwrap_err().contains("empty"));
     }
 
     #[test]
     fn json_escaping_handles_quotes_and_newlines() {
-        assert_eq!(json_escape("plain"), "plain");
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        let mut runs = fixed_runs();
+        runs[0].outcomes[0].result.name = "a\"b\\c\nd".into();
+        let json = batch_report_json_runs(&runs, Duration::from_secs(30));
+        assert!(json.contains("\"name\": \"a\\\"b\\\\c\\nd\""));
+        let goals = parse_batch_json(&json).unwrap().goals;
+        assert_eq!(goals[0].name, "a\"b\\c\nd");
+    }
+
+    fn outcome(
+        name: &str,
+        source: &str,
+        solved: bool,
+        stats: Option<SynthesisStats>,
+    ) -> GoalOutcome {
+        GoalOutcome {
+            source: source.into(),
+            result: RunResult {
+                name: name.into(),
+                solved,
+                timed_out: !solved,
+                time_secs: if solved { 2.5 } else { 30.125 },
+                program: solved.then(|| "\\xs . xs".to_string()),
+                ast: None,
+                code_size: solved.then_some(17),
+                stats,
+            },
+            winning_rung: solved.then_some((2, 1)),
+            rungs_run: 3,
+            rungs_cancelled: 2,
+            rungs_skipped: 1,
+            rungs_out_of_budget: 0,
+            consumed_secs: 3.0625,
+        }
+    }
+
+    /// A cold run and one warm replay with fixed counters: a solved goal
+    /// with phases, an unsolved one with counters, one without stats.
+    fn fixed_runs() -> Vec<BatchReport> {
+        let stats = SynthesisStats {
+            terms_enumerated: 413,
+            eterms_checked: 252,
+            pruned_early: 209,
+            memo_hits: 178,
+            memo_misses: 26,
+            smt_conflicts_learned: 5,
+            smt_conflicts_reused: 4,
+            assumptions_dropped: 3,
+            tableau_warm_starts: 9,
+            bounds_propagated: 11,
+            mus_shared_encodings: 2,
+            lia_pivots_saved: 31,
+            ..SynthesisStats::default()
+        };
+        let phases = json::parse(
+            "{\"sat\":{\"secs\":1.234567,\"count\":46,\"max_secs\":0.500000},\
+             \"lia\":{\"secs\":0.750000,\"count\":43,\"max_secs\":0.250000},\
+             \"cache-lookup\":{\"secs\":0.000012,\"count\":7,\"max_secs\":0.000004}}",
+        )
+        .unwrap();
+        let with_phases = SynthesisStats {
+            phases: PhaseProfile::from_json(&phases).unwrap(),
+            ..stats
+        };
+        let mut session = synquid_engine::SessionStats::default();
+        session.validity.hits = 23565;
+        session.validity.misses = 21623;
+        session.validity.negative_hits = 3137;
+        session.validity.entries = 19333;
+        session.validity.interned_nodes = 118046;
+        session.validity.entries_evicted = 4;
+        session.validity.terms_interned = 99;
+        session.validity.terms_evicted = 1;
+        session.enumeration.hits = 10;
+        session.enumeration.misses = 30;
+        session.enumeration.evicted = 2;
+        session.lemmas.absorbed = 12;
+        session.lemmas.resident = 40;
+        session.namespaces = 12;
+        let cold = BatchReport {
+            outcomes: vec![
+                outcome("take", "specs/take.sq", true, Some(with_phases)),
+                outcome(
+                    "tree \"member\"",
+                    "specs/tree_member.sq",
+                    false,
+                    Some(stats),
+                ),
+                outcome("drop", "specs/drop.sq", false, None),
+            ],
+            session,
+            wall_secs: 184.5114,
+            jobs: 1,
+        };
+        let mut warm = cold.clone();
+        warm.wall_secs = 157.115;
+        warm.session.validity.hits = 45000;
+        warm.session.validity.misses = 12;
+        vec![cold, warm]
+    }
+
+    /// [`fixed_runs`] as the hand-rolled writer the shared codec
+    /// replaced rendered it, before it was deleted.
+    const FIXED_RUNS_BEFORE_THE_CODEC: &str = r#"{
+  "report": "BENCH_pr10",
+  "schema_version": 3,
+  "jobs": 1,
+  "timeout_secs": 30,
+  "wall_secs": 184.511,
+  "validity_cache": {"hits": 23565, "misses": 21623, "negative_hits": 3137, "entries": 19333, "interned_nodes": 118046, "hit_rate": 0.5215},
+  "resident": {
+    "warm_runs": 1,
+    "outcomes_match": true,
+    "cold_wall_secs": 184.511,
+    "warm_min_wall_secs": 157.115,
+    "runs": [
+      {"warm": false, "wall_secs": 184.511, "solved": 1, "validity_hits": 23565, "validity_misses": 21623, "validity_hit_rate": 0.5215, "validity_entries": 19333, "validity_evicted": 4, "terms_interned": 99, "terms_evicted": 1, "enum_hits": 10, "enum_misses": 30, "enum_hit_rate": 0.2500, "enum_evicted": 2, "lemmas_absorbed": 12, "lemmas_resident": 40, "namespaces": 12},
+      {"warm": true, "wall_secs": 157.115, "solved": 1, "validity_hits": 45000, "validity_misses": 12, "validity_hit_rate": 0.9997, "validity_entries": 19333, "validity_evicted": 4, "terms_interned": 99, "terms_evicted": 1, "enum_hits": 10, "enum_misses": 30, "enum_hit_rate": 0.2500, "enum_evicted": 2, "lemmas_absorbed": 12, "lemmas_resident": 40, "namespaces": 12}
+    ]
+  },
+  "goals": [
+    {"file": "specs/take.sq", "name": "take", "solved": true, "timed_out": false, "time_secs": 2.500, "consumed_secs": 3.062, "code_size": 17, "winning_rung": [2, 1], "rungs_run": 3, "rungs_cancelled": 2, "rungs_skipped": 1, "rungs_out_of_budget": 0, "terms_enumerated": 413, "eterms_checked": 252, "pruned_early": 209, "memo_hits": 178, "memo_misses": 26, "smt_conflicts_learned": 5, "smt_conflicts_reused": 4, "assumptions_dropped": 3, "tableau_warm_starts": 9, "bounds_propagated": 11, "mus_shared_encodings": 2, "lia_pivots_saved": 31, "phases": {"sat":{"secs":1.234567,"count":46,"max_secs":0.500000},"lia":{"secs":0.750000,"count":43,"max_secs":0.250000},"cache-lookup":{"secs":0.000012,"count":7,"max_secs":0.000004}}},
+    {"file": "specs/tree_member.sq", "name": "tree \"member\"", "solved": false, "timed_out": true, "time_secs": 30.125, "consumed_secs": 3.062, "code_size": null, "winning_rung": null, "rungs_run": 3, "rungs_cancelled": 2, "rungs_skipped": 1, "rungs_out_of_budget": 0, "terms_enumerated": 413, "eterms_checked": 252, "pruned_early": 209, "memo_hits": 178, "memo_misses": 26, "smt_conflicts_learned": 5, "smt_conflicts_reused": 4, "assumptions_dropped": 3, "tableau_warm_starts": 9, "bounds_propagated": 11, "mus_shared_encodings": 2, "lia_pivots_saved": 31},
+    {"file": "specs/drop.sq", "name": "drop", "solved": false, "timed_out": true, "time_secs": 30.125, "consumed_secs": 3.062, "code_size": null, "winning_rung": null, "rungs_run": 3, "rungs_cancelled": 2, "rungs_skipped": 1, "rungs_out_of_budget": 0, "terms_enumerated": null, "eterms_checked": null, "pruned_early": null, "memo_hits": null, "memo_misses": null, "smt_conflicts_learned": null, "smt_conflicts_reused": null, "assumptions_dropped": null, "tableau_warm_starts": null, "bounds_propagated": null, "mus_shared_encodings": null, "lia_pivots_saved": null}
+  ]
+}
+"#;
+
+    #[test]
+    fn bench_artifact_keeps_its_values_and_one_entry_per_line() {
+        let json = batch_report_json_runs(&fixed_runs(), Duration::from_secs(30));
+        assert_eq!(
+            json::parse(&json).unwrap(),
+            json::parse(FIXED_RUNS_BEFORE_THE_CODEC).unwrap()
+        );
+        for (prefix, expected) in [("{\"warm\": ", 2), ("{\"file\": ", 3)] {
+            let entries: Vec<&str> = json
+                .lines()
+                .map(str::trim)
+                .filter(|line| line.starts_with(prefix))
+                .collect();
+            assert_eq!(entries.len(), expected, "one {prefix} entry per line");
+            for entry in entries {
+                let entry = entry.strip_suffix(',').unwrap_or(entry);
+                assert!(json::parse(entry).is_ok(), "a whole entry: {entry}");
+            }
+        }
+    }
+
+    fn baseline(pr: &str) -> String {
+        let path = format!(
+            "{}/../../benchmarks/BENCH_{pr}.json",
+            env!("CARGO_MANIFEST_DIR")
+        );
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+    }
+
+    #[test]
+    fn checked_in_baselines_parse() {
+        // (artifact, goals, solved, goals with phases, schema version)
+        for (pr, goals, solved, phased, schema) in [
+            ("pr2", 17, 7, 0, 1),
+            ("pr3", 17, 11, 0, 1),
+            ("pr5", 17, 12, 0, 1),
+            ("pr7", 17, 12, 17, 2),
+            ("pr9", 19, 14, 19, 2),
+            ("pr10", 19, 14, 19, 3),
+        ] {
+            let text = baseline(pr);
+            let artifact = parse_batch_json(&text).unwrap();
+            let count =
+                |keep: fn(&ParsedGoal) -> bool| artifact.goals.iter().filter(|g| keep(g)).count();
+            assert_eq!(
+                (
+                    artifact.goals.len(),
+                    count(|g| g.solved),
+                    count(|g| g.phases.is_some())
+                ),
+                (goals, solved, phased),
+                "BENCH_{pr}"
+            );
+            assert_eq!(artifact.schema_version, schema, "BENCH_{pr}");
+            // These files hold one goal per line, so a plain text scan
+            // reads every goal's time as the per-line reader did.
+            let scanned: Vec<f64> = text
+                .lines()
+                .filter_map(|line| line.split("\"time_secs\": ").nth(1))
+                .map(|rest| rest.split([',', '}']).next().unwrap().parse().unwrap())
+                .collect();
+            let times: Vec<f64> = artifact.goals.iter().map(|g| g.time_secs).collect();
+            assert_eq!(times, scanned, "BENCH_{pr}");
+        }
+    }
+
+    #[test]
+    fn minified_and_reindented_baselines_parse_alike() {
+        // Plain text edits, not the codec: every line trimmed and joined
+        // with the spaces after ':' and ',' dropped; and every member of
+        // a goal moved onto a tab-indented line of its own.
+        let text = baseline("pr10");
+        let minified: String = text
+            .lines()
+            .map(|line| line.trim().replace("\": ", "\":").replace(", ", ","))
+            .collect();
+        let reindented: String = text
+            .lines()
+            .map(|line| format!("\t\t{}\n", line.trim_start().replace(", \"", ",\n\t\t\t\"")))
+            .collect();
+        assert!(!minified.contains('\n') && reindented.lines().count() > 500);
+        for copy in [&text, &minified, &reindented] {
+            let artifact = parse_batch_json(copy).unwrap();
+            let solved = artifact.goals.iter().filter(|g| g.solved).count();
+            assert_eq!(
+                (artifact.goals.len(), solved, artifact.schema_version),
+                (19, 14, 3)
+            );
+            assert_eq!(artifact, parse_batch_json(&text).unwrap());
+        }
+        // A baseline that is not JSON or has no goals array is an error,
+        // never an empty comparison.
+        assert!(parse_batch_json(&text[..text.len() - 3]).is_err());
+        assert!(parse_batch_json("{\"report\": \"BENCH_pr10\"}").is_err());
+        assert!(parse_batch_json("{\"goals\": []}").is_err(), "no goals");
+        let nameless = text.replacen("\"name\": \"append\", ", "", 1);
+        assert!(parse_batch_json(&nameless)
+            .unwrap_err()
+            .contains("\"name\""));
     }
 
     #[test]

@@ -22,6 +22,7 @@ use crate::fixtures::{self, Fixture, Workload, WorkloadKind};
 use std::collections::BTreeSet;
 use std::time::Instant;
 use synquid_solver::{enumerate_mus_smt, MusConfig, Smt};
+use synquid_telemetry::json::Json;
 use synquid_telemetry::PhaseProfile;
 
 /// Timing summary of one fixture: the incremental (warm-tableau, shared
@@ -149,43 +150,39 @@ pub fn run_all(iterations: usize) -> Vec<FixtureResult> {
         .collect()
 }
 
-/// Renders the results as the `BENCH_solver.json` artifact
-/// (schema-versioned like the batch report; hand-rolled JSON because the
-/// workspace resolves offline).
+/// Renders the results as the `BENCH_solver.json` artifact, one fixture
+/// per line (schema-versioned like the batch report).
 pub fn solver_report_json(results: &[FixtureResult]) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str("  \"report\": \"BENCH_solver\",\n");
-    out.push_str(&format!(
-        "  \"schema_version\": {},\n",
-        crate::BENCH_SCHEMA_VERSION
-    ));
-    out.push_str("  \"fixtures\": [\n");
-    for (i, r) in results.iter().enumerate() {
-        let kind = match r.kind {
-            WorkloadKind::Query => "query",
-            WorkloadKind::Mus => "mus",
-        };
-        let phases = if r.phases.is_empty() {
-            String::new()
-        } else {
-            format!(", \"phases\": {}", r.phases.to_json())
-        };
-        out.push_str(&format!(
-            "    {{\"name\": \"{}\", \"kind\": \"{kind}\", \"source\": \"{}\", \"iterations\": {}, \"min_secs\": {:.6}, \"mean_secs\": {:.6}, \"baseline_min_secs\": {:.6}, \"baseline_mean_secs\": {:.6}, \"speedup\": {:.3}{phases}}}{}\n",
-            r.name,
-            r.source,
-            r.iterations,
-            r.min_secs,
-            r.mean_secs,
-            r.baseline_min_secs,
-            r.baseline_mean_secs,
-            r.speedup(),
-            if i + 1 == results.len() { "" } else { "," },
-        ));
+    let fixture = |r: &FixtureResult| {
+        let mut members = vec![
+            ("name", r.name.into()),
+            ("kind", kind_name(r.kind).into()),
+            ("source", r.source.into()),
+            ("iterations", r.iterations.into()),
+            ("min_secs", Json::fixed(r.min_secs, 6)),
+            ("mean_secs", Json::fixed(r.mean_secs, 6)),
+            ("baseline_min_secs", Json::fixed(r.baseline_min_secs, 6)),
+            ("baseline_mean_secs", Json::fixed(r.baseline_mean_secs, 6)),
+            ("speedup", Json::fixed(r.speedup(), 3)),
+        ];
+        if !r.phases.is_empty() {
+            members.push(("phases", Json::from(&r.phases)));
+        }
+        Json::obj(members)
+    };
+    Json::obj([
+        ("report", "BENCH_solver".into()),
+        ("schema_version", crate::BENCH_SCHEMA_VERSION.into()),
+        ("fixtures", Json::Arr(results.iter().map(fixture).collect())),
+    ])
+    .to_lines()
+}
+
+fn kind_name(kind: WorkloadKind) -> &'static str {
+    match kind {
+        WorkloadKind::Query => "query",
+        WorkloadKind::Mus => "mus",
     }
-    out.push_str("  ]\n}\n");
-    out
 }
 
 /// Formats a human-readable table of the results: from-scratch baseline
@@ -197,14 +194,10 @@ pub fn format_results(results: &[FixtureResult]) -> String {
         "fixture", "kind", "iters", "old(ms)", "new(ms)", "ratio"
     ));
     for r in results {
-        let kind = match r.kind {
-            WorkloadKind::Query => "query",
-            WorkloadKind::Mus => "mus",
-        };
         out.push_str(&format!(
             "{:<24} {:<6} {:>6} {:>12.3} {:>12.3} {:>7.2}x\n",
             r.name,
-            kind,
+            kind_name(r.kind),
             r.iterations,
             r.baseline_min_secs * 1e3,
             r.min_secs * 1e3,
@@ -235,5 +228,60 @@ mod tests {
         assert!(json.contains("double_branch_mus"));
         let table = format_results(&results);
         assert!(table.contains("insert_round_trip"));
+    }
+
+    #[test]
+    fn solver_artifact_keeps_its_values_and_one_fixture_per_line() {
+        let phases = synquid_telemetry::json::parse(
+            "{\"sat\":{\"secs\":1.234567,\"count\":46,\"max_secs\":0.500000},\
+             \"lia\":{\"secs\":0.750000,\"count\":43,\"max_secs\":0.250000},\
+             \"cache-lookup\":{\"secs\":0.000012,\"count\":7,\"max_secs\":0.000004}}",
+        )
+        .unwrap();
+        let fixed = [
+            FixtureResult {
+                name: "take_guard_abduction",
+                kind: WorkloadKind::Query,
+                source: "take (guard abduction)",
+                iterations: 5,
+                min_secs: 0.0012345,
+                mean_secs: 0.0023456,
+                baseline_min_secs: 0.0034567,
+                baseline_mean_secs: 0.0045678,
+                phases: PhaseProfile::from_json(&phases).unwrap(),
+                verdicts_ok: true,
+            },
+            FixtureResult {
+                name: "double_branch_mus",
+                kind: WorkloadKind::Mus,
+                source: "double",
+                iterations: 5,
+                min_secs: 0.5,
+                mean_secs: 0.75,
+                baseline_min_secs: 1.0,
+                baseline_mean_secs: 1.25,
+                phases: PhaseProfile::default(),
+                verdicts_ok: true,
+            },
+        ];
+        // As the hand-rolled writer the shared codec replaced rendered
+        // `fixed`, before it was deleted.
+        let before = r#"{
+  "report": "BENCH_solver",
+  "schema_version": 3,
+  "fixtures": [
+    {"name": "take_guard_abduction", "kind": "query", "source": "take (guard abduction)", "iterations": 5, "min_secs": 0.001234, "mean_secs": 0.002346, "baseline_min_secs": 0.003457, "baseline_mean_secs": 0.004568, "speedup": 2.800, "phases": {"sat":{"secs":1.234567,"count":46,"max_secs":0.500000},"lia":{"secs":0.750000,"count":43,"max_secs":0.250000},"cache-lookup":{"secs":0.000012,"count":7,"max_secs":0.000004}}},
+    {"name": "double_branch_mus", "kind": "mus", "source": "double", "iterations": 5, "min_secs": 0.500000, "mean_secs": 0.750000, "baseline_min_secs": 1.000000, "baseline_mean_secs": 1.250000, "speedup": 2.000}
+  ]
+}
+"#;
+        let json = solver_report_json(&fixed);
+        let parse = |text| synquid_telemetry::json::parse(text).unwrap();
+        assert_eq!(parse(&json), parse(before));
+        let lines: Vec<&str> = json.lines().map(str::trim).collect();
+        assert_eq!(lines[3], "\"fixtures\": [");
+        assert!(lines[4].starts_with("{\"name\": \"take_guard_abduction\""));
+        assert!(lines[5].starts_with("{\"name\": \"double_branch_mus\""));
+        assert_eq!(lines[6], "]");
     }
 }

@@ -26,7 +26,7 @@ use std::time::Instant;
 use synquid_horn::{FixpointConfig, StrengthenBackend};
 use synquid_logic::{Sort, Substitution, Term};
 use synquid_solver::Smt;
-use synquid_telemetry::{events, events::Event, Phase, PhaseProfile};
+use synquid_telemetry::{events, events::Event, json::Json, Phase, PhaseProfile};
 use synquid_types::{
     is_free_type_var, weaken_for_recursion, BaseType, ConstraintSolver, Environment, RType, Schema,
 };
@@ -437,7 +437,7 @@ impl Synthesizer {
                     event = event.str("term", program.to_string());
                 }
                 if let Some(phases) = &phases {
-                    event = event.str("phases", phases.to_json());
+                    event = event.str("phases", Json::from(phases).to_compact());
                 }
                 event
             });

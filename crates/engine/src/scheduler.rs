@@ -31,7 +31,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use synquid_core::{Goal, SolverContext, SynthesisConfig};
-use synquid_lang::runner::{run_goal_in_context, RunResult};
+use synquid_lang::runner::{goal_label, run_goal_in_context, RunResult};
 use synquid_solver::LemmaSeed;
 use synquid_telemetry::{events, events::Event};
 
@@ -132,6 +132,39 @@ impl BatchReport {
     /// True if every goal synthesized.
     pub fn all_solved(&self) -> bool {
         self.outcomes.iter().all(|o| o.result.solved)
+    }
+
+    /// Checks that `warm`, a replay of this batch against the same
+    /// resident session, reproduced its outcomes exactly: the same goals
+    /// from the same sources in the same order, the same solved
+    /// verdicts, the same programs. A difference is the
+    /// residency-soundness alarm (a cached verdict or replayed lemma
+    /// changed a result, which the session design promises never
+    /// happens).
+    pub fn outcomes_match(&self, warm: &BatchReport) -> Result<(), String> {
+        if self.outcomes.len() != warm.outcomes.len() {
+            return Err(format!(
+                "goal count changed: {} cold vs {} warm",
+                self.outcomes.len(),
+                warm.outcomes.len()
+            ));
+        }
+        for (c, w) in self.outcomes.iter().zip(&warm.outcomes) {
+            let label = goal_label(&c.result.name, &c.source);
+            if (&c.result.name, &c.source) != (&w.result.name, &w.source) {
+                let warm_label = goal_label(&w.result.name, &w.source);
+                return Err(format!(
+                    "goal order changed at {label}: warm has {warm_label}"
+                ));
+            }
+            if (c.result.solved, &c.result.program) != (w.result.solved, &w.result.program) {
+                return Err(format!(
+                    "{label}: outcome changed under a warm session (solved {} -> {})",
+                    c.result.solved, w.result.solved
+                ));
+            }
+        }
+        Ok(())
     }
 }
 

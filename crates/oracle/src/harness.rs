@@ -23,6 +23,7 @@ use crate::shrink;
 use std::time::Duration;
 use synquid_core::{Evaluator, Goal, Program, SynthesisConfig};
 use synquid_engine::{Engine, EngineConfig, GoalJob, SynthesisSession};
+use synquid_telemetry::json::Json;
 use synquid_types::RType;
 
 /// Harness configuration.
@@ -459,86 +460,73 @@ pub fn fuzz_goal_in(
     }
 }
 
-/// Renders the reports as a deterministic JSON summary. Wall-clock times
-/// are deliberately excluded: the same seed must produce byte-identical
-/// output across runs and machines.
+/// Renders the reports as a deterministic JSON summary, one goal per
+/// line. Wall-clock times are deliberately excluded: the same seed must
+/// produce byte-identical output across runs and machines.
 pub fn summary_json(seed: u64, cases: usize, reports: &[GoalFuzzReport]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
-    }
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"seed\": {seed},\n  \"cases\": {cases},\n"));
     let violations: usize = reports.iter().map(|r| r.violations.len()).sum();
-    let divergences: usize = reports
+    let divergences = reports
         .iter()
         .flat_map(|r| &r.differential)
         .filter(|d| !d.verdicts_match)
         .count();
-    out.push_str(&format!(
-        "  \"total_violations\": {violations},\n  \"total_divergences\": {divergences},\n"
-    ));
-    out.push_str("  \"goals\": [\n");
-    for (i, r) in reports.iter().enumerate() {
-        out.push_str("    {");
-        out.push_str(&format!("\"goal\": \"{}\"", esc(&r.goal)));
-        out.push_str(&format!(", \"source\": \"{}\"", esc(&r.source)));
-        match &r.skipped {
-            Some(reason) => out.push_str(&format!(", \"skipped\": \"{}\"", esc(reason))),
-            None => {
-                out.push_str(&format!(
-                    ", \"pass\": {}, \"violation\": {}, \"crash\": {}, \"gave_up\": {}, \"undecidable\": {}, \"rejected\": {}",
-                    r.count(&CaseVerdict::Pass),
-                    r.count(&CaseVerdict::Violation),
-                    r.count(&CaseVerdict::Crash),
-                    r.count(&CaseVerdict::GaveUp),
-                    r.count(&CaseVerdict::Undecidable),
-                    r.rejected,
-                ));
-                if !r.violations.is_empty() {
-                    let witnesses: Vec<String> = r
-                        .violations
-                        .iter()
-                        .map(|v| {
-                            let shrunk: Vec<String> =
-                                v.shrunk.iter().map(|c| esc(&c.to_string())).collect();
-                            format!(
-                                "{{\"case\": {}, \"kind\": \"{}\", \"shrunk\": [{}]}}",
-                                v.case,
-                                v.verdict.tag(),
-                                shrunk
-                                    .iter()
-                                    .map(|s| format!("\"{s}\""))
-                                    .collect::<Vec<_>>()
-                                    .join(", ")
-                            )
-                        })
-                        .collect();
-                    out.push_str(&format!(", \"violations\": [{}]", witnesses.join(", ")));
-                }
-                if !r.differential.is_empty() {
-                    let diffs: Vec<String> = r
-                        .differential
-                        .iter()
-                        .map(|d| {
-                            format!(
-                                "{{\"ablation\": \"{}\", \"solved\": {}, \"verdicts_match\": {}, \"outputs_differ\": {}}}",
-                                esc(&d.ablation), d.solved, d.verdicts_match, d.outputs_differ
-                            )
-                        })
-                        .collect();
-                    out.push_str(&format!(", \"differential\": [{}]", diffs.join(", ")));
-                }
-            }
-        }
-        out.push('}');
-        if i + 1 < reports.len() {
-            out.push(',');
-        }
-        out.push('\n');
+    Json::obj([
+        ("seed", seed.into()),
+        ("cases", cases.into()),
+        ("total_violations", violations.into()),
+        ("total_divergences", divergences.into()),
+        (
+            "goals",
+            Json::Arr(reports.iter().map(goal_summary).collect()),
+        ),
+    ])
+    .to_lines()
+}
+
+/// One goal's entry of [`summary_json`]: the verdict counts, plus the
+/// shrunk witnesses and differential comparisons when there are any.
+fn goal_summary(r: &GoalFuzzReport) -> Json {
+    let mut members = vec![
+        ("goal", r.goal.as_str().into()),
+        ("source", r.source.as_str().into()),
+    ];
+    if let Some(reason) = &r.skipped {
+        members.push(("skipped", reason.as_str().into()));
+        return Json::obj(members);
     }
-    out.push_str("  ]\n}\n");
-    out
+    members.extend([
+        ("pass", r.count(&CaseVerdict::Pass).into()),
+        ("violation", r.count(&CaseVerdict::Violation).into()),
+        ("crash", r.count(&CaseVerdict::Crash).into()),
+        ("gave_up", r.count(&CaseVerdict::GaveUp).into()),
+        ("undecidable", r.count(&CaseVerdict::Undecidable).into()),
+        ("rejected", r.rejected.into()),
+    ]);
+    if !r.violations.is_empty() {
+        let witnesses = r.violations.iter().map(|v| {
+            Json::obj([
+                ("case", v.case.into()),
+                ("kind", v.verdict.tag().into()),
+                (
+                    "shrunk",
+                    Json::Arr(v.shrunk.iter().map(|c| c.to_string().into()).collect()),
+                ),
+            ])
+        });
+        members.push(("violations", Json::Arr(witnesses.collect())));
+    }
+    if !r.differential.is_empty() {
+        let diffs = r.differential.iter().map(|d| {
+            Json::obj([
+                ("ablation", d.ablation.as_str().into()),
+                ("solved", d.solved.into()),
+                ("verdicts_match", d.verdicts_match.into()),
+                ("outputs_differ", d.outputs_differ.into()),
+            ])
+        });
+        members.push(("differential", Json::Arr(diffs.collect())));
+    }
+    Json::obj(members)
 }
 
 #[cfg(test)]
@@ -651,5 +639,104 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.contains("\"seed\": 42"));
         assert!(!a.contains("secs"), "no wall-clock in the summary");
+    }
+
+    #[test]
+    fn summary_json_is_byte_identical_to_the_hand_rolled_writer() {
+        let skipped = GoalFuzzReport {
+            goal: "append".into(),
+            source: "specs/append.sq".into(),
+            skipped: Some("synthesis failed or \"timed\" out \\ here".into()),
+            program: None,
+            verdicts: vec![],
+            violations: vec![],
+            rejected: 0,
+            differential: vec![],
+        };
+        let nil = || CVal::Ctor("Nil".into(), vec![]);
+        let violated = GoalFuzzReport {
+            goal: "drop".into(),
+            source: "specs/drop.sq".into(),
+            skipped: None,
+            program: Some("\\xs . xs".into()),
+            verdicts: vec![
+                CaseVerdict::Pass,
+                CaseVerdict::Violation,
+                CaseVerdict::GaveUp,
+                CaseVerdict::Pass,
+            ],
+            violations: vec![Violation {
+                case: 1,
+                verdict: CaseVerdict::Violation,
+                inputs: vec![],
+                shrunk: vec![
+                    CVal::Int(-3),
+                    nil(),
+                    CVal::Ctor("Cons".into(), vec![CVal::Bool(true), nil()]),
+                ],
+                detail: "x".into(),
+            }],
+            rejected: 147,
+            differential: vec![
+                DifferentialReport {
+                    ablation: "without_memoization".into(),
+                    solved: true,
+                    verdicts_match: false,
+                    outputs_differ: 2,
+                },
+                DifferentialReport {
+                    ablation: "no \"shaping\"".into(),
+                    solved: false,
+                    verdicts_match: true,
+                    outputs_differ: 0,
+                },
+            ],
+        };
+        let clean = GoalFuzzReport {
+            goal: "ν-length".into(),
+            source: "specs/length.sq".into(),
+            skipped: None,
+            program: Some("len".into()),
+            verdicts: vec![
+                CaseVerdict::Pass,
+                CaseVerdict::Crash,
+                CaseVerdict::Undecidable,
+            ],
+            violations: vec![],
+            rejected: 3,
+            differential: vec![],
+        };
+        // Rendered by the writer the shared codec replaced, before it
+        // was deleted.
+        assert_eq!(
+            summary_json(42, 25, &[skipped, violated, clean.clone()]),
+            concat!(
+                "{\n",
+                "  \"seed\": 42,\n",
+                "  \"cases\": 25,\n",
+                "  \"total_violations\": 1,\n",
+                "  \"total_divergences\": 1,\n",
+                "  \"goals\": [\n",
+                "    {\"goal\": \"append\", \"source\": \"specs/append.sq\", \"skipped\": \"synthesis failed or \\\"timed\\\" out \\\\ here\"},\n",
+                "    {\"goal\": \"drop\", \"source\": \"specs/drop.sq\", \"pass\": 2, \"violation\": 1, \"crash\": 0, \"gave_up\": 1, \"undecidable\": 0, \"rejected\": 147, ",
+                "\"violations\": [{\"case\": 1, \"kind\": \"violation\", \"shrunk\": [\"-3\", \"Nil\", \"(Cons true Nil)\"]}], ",
+                "\"differential\": [{\"ablation\": \"without_memoization\", \"solved\": true, \"verdicts_match\": false, \"outputs_differ\": 2}, ",
+                "{\"ablation\": \"no \\\"shaping\\\"\", \"solved\": false, \"verdicts_match\": true, \"outputs_differ\": 0}]},\n",
+                "    {\"goal\": \"ν-length\", \"source\": \"specs/length.sq\", \"pass\": 1, \"violation\": 0, \"crash\": 1, \"gave_up\": 0, \"undecidable\": 1, \"rejected\": 3}\n",
+                "  ]\n",
+                "}\n",
+            )
+        );
+        assert_eq!(
+            summary_json(1, 2, &[]),
+            "{\n  \"seed\": 1,\n  \"cases\": 2,\n  \"total_violations\": 0,\n  \"total_divergences\": 0,\n  \"goals\": [\n  ]\n}\n"
+        );
+        // The one difference: a control character is escaped, where the
+        // old writer left it raw and wrote invalid JSON.
+        let tabbed = GoalFuzzReport {
+            goal: "a\tb\nc".into(),
+            ..clean
+        };
+        assert!(summary_json(0, 1, &[tabbed]).contains("{\"goal\": \"a\\tb\\nc\", "));
     }
 }

@@ -18,10 +18,13 @@
 //! scheduling artifacts; the typed payload fields are the stable part of
 //! the schema (see `docs/ARCHITECTURE.md`).
 
+use std::fmt::Write as _;
 use std::io::Write;
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
+
+use crate::json::{self, Json};
 
 /// Version of the trace-event schema. Stamped into the `trace_meta`
 /// event that opens every JSON sink; a stream *without* a `trace_meta`
@@ -174,48 +177,12 @@ pub fn flush_trace() {
     }
 }
 
-/// One field value. Numbers keep their type so JSON stays unquoted.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    Str(String),
-    Int(i64),
-    UInt(u64),
-    F64(f64),
-    Bool(bool),
-}
-
-impl Value {
-    fn render_json(&self, out: &mut String) {
-        match self {
-            Value::Str(s) => {
-                out.push('"');
-                escape_json_into(s, out);
-                out.push('"');
-            }
-            Value::Int(i) => out.push_str(&i.to_string()),
-            Value::UInt(u) => out.push_str(&u.to_string()),
-            Value::F64(f) => out.push_str(&format!("{f:.3}")),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        }
-    }
-
-    fn render_human(&self, out: &mut String) {
-        match self {
-            Value::Str(s) => out.push_str(s),
-            Value::Int(i) => out.push_str(&i.to_string()),
-            Value::UInt(u) => out.push_str(&u.to_string()),
-            Value::F64(f) => out.push_str(&format!("{f:.3}")),
-            Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        }
-    }
-}
-
 /// A typed trace event: a kind plus ordered fields. Construct with the
 /// builder methods and hand to [`emit`].
 #[derive(Debug, Clone)]
 pub struct Event {
     kind: &'static str,
-    fields: Vec<(&'static str, Value)>,
+    fields: Vec<(&'static str, Json)>,
 }
 
 impl Event {
@@ -227,58 +194,52 @@ impl Event {
         }
     }
 
-    /// The event kind.
-    pub fn kind(&self) -> &'static str {
-        self.kind
-    }
-
     /// Adds a string field.
     pub fn str(mut self, key: &'static str, value: impl Into<String>) -> Event {
-        self.fields.push((key, Value::Str(value.into())));
+        self.fields.push((key, Json::Str(value.into())));
         self
     }
 
     /// Adds an integer field.
     pub fn int(mut self, key: &'static str, value: i64) -> Event {
-        self.fields.push((key, Value::Int(value)));
+        self.fields.push((key, value.into()));
         self
     }
 
     /// Adds an unsigned field.
     pub fn uint(mut self, key: &'static str, value: u64) -> Event {
-        self.fields.push((key, Value::UInt(value)));
+        self.fields.push((key, value.into()));
         self
     }
 
-    /// Adds a float field (rendered with 3 decimals).
+    /// Adds a float field (rendered with 3 decimals; `null` when it is
+    /// not finite).
     pub fn f64(mut self, key: &'static str, value: f64) -> Event {
-        self.fields.push((key, Value::F64(value)));
+        self.fields.push((key, Json::fixed(value, 3)));
         self
     }
 
     /// Adds a boolean field.
     pub fn bool(mut self, key: &'static str, value: bool) -> Event {
-        self.fields.push((key, Value::Bool(value)));
+        self.fields.push((key, value.into()));
         self
     }
 
-    /// Renders the event as one JSON line (without envelope metadata —
-    /// [`emit`] adds `seq`/`t_ms`/`tid`).
-    pub fn render_json(&self, seq: u64, t_ms: f64, tid: usize) -> String {
-        let mut out = String::with_capacity(64);
-        out.push_str("{\"ev\":\"");
-        escape_json_into(self.kind, &mut out);
-        out.push_str(&format!(
-            "\",\"seq\":{seq},\"t_ms\":{t_ms:.3},\"tid\":{tid}"
-        ));
+    /// Appends the event to `out` as one JSON line: the envelope (`ev`,
+    /// `seq`, `t_ms`, `tid`) first, then the fields in order, then a
+    /// newline.
+    fn write_line(&self, seq: u64, t_ms: f64, tid: usize, out: &mut String) {
+        out.push_str("{\"ev\":");
+        json::write_str(out, self.kind);
+        write!(out, ",\"seq\":{seq},\"t_ms\":{t_ms:.3},\"tid\":{tid}")
+            .expect("writing to a String");
         for (key, value) in &self.fields {
-            out.push_str(",\"");
-            escape_json_into(key, &mut out);
-            out.push_str("\":");
-            value.render_json(&mut out);
+            out.push(',');
+            json::write_str(out, key);
+            out.push(':');
+            value.write_compact(out);
         }
-        out.push('}');
-        out
+        out.push_str("}\n");
     }
 
     /// Renders the event as the historical human-readable stderr line.
@@ -286,7 +247,7 @@ impl Event {
     /// `trace!` output byte-for-byte.
     pub fn render_human(&self) -> String {
         if self.kind == "message" {
-            if let [(_, Value::Str(text))] = self.fields.as_slice() {
+            if let [(_, Json::Str(text))] = self.fields.as_slice() {
                 return format!("[synquid] {text}");
             }
         }
@@ -295,7 +256,10 @@ impl Event {
             out.push(' ');
             out.push_str(key);
             out.push('=');
-            value.render_human(&mut out);
+            match value {
+                Json::Str(text) => out.push_str(text),
+                other => other.write_compact(&mut out),
+            }
         }
         out
     }
@@ -321,115 +285,31 @@ fn emit_now(event: Event, mode: u8) {
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let t_ms = epoch().elapsed().as_secs_f64() * 1e3;
     let tid = TID.with(|t| *t);
-    let mut line = event.render_json(seq, t_ms, tid);
-    line.push('\n');
+    let mut line = String::with_capacity(128);
+    event.write_line(seq, t_ms, tid, &mut line);
     let mut sink = SINK.lock().expect("trace sink poisoned");
     if let Some(out) = sink.as_mut() {
         let _ = out.write_all(line.as_bytes());
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
-fn escape_json_into(s: &str, out: &mut String) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-}
-
-/// Parses one JSON event line back into `(key, raw value)` pairs, with
-/// string values unescaped and numbers/booleans returned as their token
-/// text. Only the flat shape [`Event::render_json`] produces is
-/// supported — this is the test-side half of the schema round-trip.
-pub fn parse_line(line: &str) -> Option<Vec<(String, String)>> {
-    let body = line.trim().strip_prefix('{')?.strip_suffix('}')?;
-    let mut out = Vec::new();
-    let bytes = body.as_bytes();
-    let mut i = 0usize;
-    while i < bytes.len() {
-        // Key.
-        if bytes[i] != b'"' {
-            return None;
-        }
-        let (key, next) = parse_string(body, i)?;
-        i = next;
-        if bytes.get(i) != Some(&b':') {
-            return None;
-        }
-        i += 1;
-        // Value: string or bare token up to the next top-level comma.
-        let value = if bytes.get(i) == Some(&b'"') {
-            let (value, next) = parse_string(body, i)?;
-            i = next;
-            value
-        } else {
-            let start = i;
-            while i < bytes.len() && bytes[i] != b',' {
-                i += 1;
-            }
-            body[start..i].to_string()
-        };
-        out.push((key, value));
-        if bytes.get(i) == Some(&b',') {
-            i += 1;
-        }
-    }
-    Some(out)
-}
-
-/// Parses the JSON string literal starting at byte `at` (which must be a
-/// quote); returns the unescaped contents and the index after the
-/// closing quote.
-fn parse_string(text: &str, at: usize) -> Option<(String, usize)> {
-    let bytes = text.as_bytes();
-    debug_assert_eq!(bytes.get(at), Some(&b'"'));
-    let mut out = String::new();
-    let mut i = at + 1;
-    while i < bytes.len() {
-        match bytes[i] {
-            b'"' => return Some((out, i + 1)),
-            b'\\' => {
-                let esc = *bytes.get(i + 1)?;
-                match esc {
-                    b'"' => out.push('"'),
-                    b'\\' => out.push('\\'),
-                    b'n' => out.push('\n'),
-                    b'r' => out.push('\r'),
-                    b't' => out.push('\t'),
-                    b'u' => {
-                        let hex = text.get(i + 2..i + 6)?;
-                        let code = u32::from_str_radix(hex, 16).ok()?;
-                        out.push(char::from_u32(code)?);
-                        i += 4;
-                    }
-                    _ => return None,
-                }
-                i += 2;
-            }
-            _ => {
-                // Multi-byte UTF-8: copy the whole char.
-                let c = text[i..].chars().next()?;
-                out.push(c);
-                i += c.len_utf8();
-            }
-        }
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn line(event: &Event, seq: u64, t_ms: f64, tid: usize) -> String {
+        let mut out = String::new();
+        event.write_line(seq, t_ms, tid, &mut out);
+        out
+    }
+
+    fn text_field(line: &str, key: &str) -> String {
+        let value = json::parse(line).expect("one JSON value per line");
+        value.get(key).and_then(Json::as_str).unwrap().to_string()
+    }
+
     #[test]
-    fn json_rendering_round_trips_through_parse_line() {
+    fn json_rendering_round_trips_through_the_parser() {
         let event = Event::new("candidate_reject")
             .str("goal", "take")
             .str("reason", "subtype")
@@ -437,23 +317,39 @@ mod tests {
             .int("depth", 2)
             .bool("conditional", false)
             .f64("elapsed_ms", 1.5);
-        let line = event.render_json(7, 12.3456, 2);
-        let fields = parse_line(&line).expect("parse back");
-        let get = |k: &str| {
-            fields
-                .iter()
-                .find(|(key, _)| key == k)
-                .map(|(_, v)| v.clone())
-        };
-        assert_eq!(get("ev").as_deref(), Some("candidate_reject"));
+        let line = line(&event, 7, 12.3456, 2);
+        assert!(line.ends_with("}\n"), "one line per event");
+        let fields = json::parse(&line).expect("parse back");
+        let get = |k: &str| fields.get(k).map(Json::to_compact);
+        assert_eq!(get("ev").as_deref(), Some("\"candidate_reject\""));
         assert_eq!(get("seq").as_deref(), Some("7"));
+        assert_eq!(get("t_ms").as_deref(), Some("12.346"));
         assert_eq!(get("tid").as_deref(), Some("2"));
-        assert_eq!(get("goal").as_deref(), Some("take"));
-        assert_eq!(get("reason").as_deref(), Some("subtype"));
-        assert_eq!(get("program").as_deref(), Some("Cons x (take \"xs\" n)"));
+        assert_eq!(get("goal").as_deref(), Some("\"take\""));
+        assert_eq!(get("reason").as_deref(), Some("\"subtype\""));
+        assert_eq!(text_field(&line, "program"), "Cons x (take \"xs\" n)");
         assert_eq!(get("depth").as_deref(), Some("2"));
         assert_eq!(get("conditional").as_deref(), Some("false"));
         assert_eq!(get("elapsed_ms").as_deref(), Some("1.500"));
+    }
+
+    #[test]
+    fn event_lines_are_byte_identical_to_the_hand_rolled_renderer() {
+        // Rendered by the writer this codec replaced, before it was
+        // deleted: every value type, every escape, non-ASCII text.
+        let event = Event::new("candidate_reject")
+            .str("goal", "take")
+            .str("text", "q\"b\\s\nn\tt\rr\u{1}c ν→≤")
+            .int("depth", -2)
+            .uint("n", 3)
+            .bool("conditional", false)
+            .f64("elapsed_ms", 1.5);
+        assert_eq!(
+            line(&event, 7, 12.3456, 2),
+            "{\"ev\":\"candidate_reject\",\"seq\":7,\"t_ms\":12.346,\"tid\":2,\"goal\":\"take\",\
+             \"text\":\"q\\\"b\\\\s\\nn\\tt\\rr\\u0001c ν→≤\",\"depth\":-2,\"n\":3,\
+             \"conditional\":false,\"elapsed_ms\":1.500}\n"
+        );
     }
 
     #[test]
@@ -463,28 +359,28 @@ mod tests {
             event.render_human(),
             "[synquid] depth 2: 31 abduction candidates"
         );
-        let typed = Event::new("cache_hit").str("layer", "shared").uint("n", 3);
-        assert_eq!(typed.render_human(), "[synquid] cache_hit layer=shared n=3");
+        let typed = Event::new("cache_hit")
+            .str("layer", "shared")
+            .uint("n", 3)
+            .f64("ms", 0.25);
+        assert_eq!(
+            typed.render_human(),
+            "[synquid] cache_hit layer=shared n=3 ms=0.250"
+        );
     }
 
     #[test]
     fn escaping_handles_quotes_newlines_and_controls() {
         let event = Event::new("message").str("text", "a\"b\\c\nd\te\u{1}");
-        let line = event.render_json(0, 0.0, 0);
+        let line = line(&event, 0, 0.0, 0);
         assert!(line.contains("\\\"b\\\\c\\nd\\te\\u0001"));
-        let fields = parse_line(&line).unwrap();
-        let text = &fields.iter().find(|(k, _)| k == "text").unwrap().1;
-        assert_eq!(text, "a\"b\\c\nd\te\u{1}");
+        assert_eq!(text_field(&line, "text"), "a\"b\\c\nd\te\u{1}");
     }
 
     #[test]
     fn unicode_strings_survive() {
         let event = Event::new("message").str("text", "goal=νλ→ ≤");
-        let line = event.render_json(0, 0.0, 0);
-        let fields = parse_line(&line).unwrap();
-        assert_eq!(
-            fields.iter().find(|(k, _)| k == "text").unwrap().1,
-            "goal=νλ→ ≤"
-        );
+        let line = line(&event, 0, 0.0, 0);
+        assert_eq!(text_field(&line, "text"), "goal=νλ→ ≤");
     }
 }

@@ -1,6 +1,7 @@
 //! Phase-attributed telemetry for the synthesis pipeline.
 //!
-//! Two independent instruments share this crate:
+//! Two independent instruments and the codec their output goes through
+//! share this crate:
 //!
 //! * a hierarchical **span profiler** ([`span`]): scopes in the
 //!   synthesizer, the type checker and the SMT solver open a span for one
@@ -17,7 +18,12 @@
 //!   (`--trace-out PATH` / `SYNQUID_TRACE_OUT=PATH`) or as human-readable
 //!   lines to stderr (`SYNQUID_TRACE=1`, the historical switch). A
 //!   disabled event costs one relaxed atomic load; event construction is
-//!   deferred behind a closure.
+//!   deferred behind a closure;
+//! * the workspace's one **JSON codec** ([`json`]): a value type, a
+//!   string escaper, a compact and a one-entry-per-line writer, and a
+//!   strict RFC 8259 parser. Event lines, phase profiles, the Perfetto
+//!   export and the BENCH and fuzz artifacts are all written and read
+//!   through it.
 //!
 //! The profiler's thread-locality is deliberate: one synthesis run stays
 //! on one worker thread, so a run's profile is a [`window`] opened around
@@ -28,7 +34,9 @@
 //! deterministic); totals and maxima are wall-clock measurements and vary.
 
 pub mod events;
+pub mod json;
 
+use json::Json;
 use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU8, Ordering};
@@ -207,59 +215,22 @@ impl PhaseProfile {
         out
     }
 
-    /// Renders the profile as a JSON object keyed by phase name, omitting
-    /// phases with no spans:
-    /// `{"sat":{"secs":1.234567,"count":42,"max_secs":0.100000},…}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        let mut first = true;
-        for phase in Phase::ALL {
-            let s = self.get(phase);
-            if s.count == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str(&format!(
-                "\"{}\":{{\"secs\":{:.6},\"count\":{},\"max_secs\":{:.6}}}",
-                phase.name(),
-                s.total_secs(),
-                s.count,
-                s.max_secs()
-            ));
-        }
-        out.push('}');
-        out
-    }
-
-    /// Parses the output of [`PhaseProfile::to_json`] (tolerating
-    /// arbitrary whitespace between tokens). Unknown phase names are
-    /// skipped so newer producers stay readable. Seconds re-enter as
-    /// nanoseconds with rounding at the microsecond the emitter printed.
-    pub fn parse_json(text: &str) -> Option<PhaseProfile> {
+    /// Reads the object `Json::from(&profile)` writes. Unknown phase
+    /// names are skipped so newer producers stay readable; a phase entry
+    /// without `secs`, `count` and `max_secs` is `None`. Seconds re-enter
+    /// as nanoseconds, cut at the microsecond the writer printed.
+    pub fn from_json(value: &Json) -> Option<PhaseProfile> {
+        let Json::Obj(phases) = value else {
+            return None;
+        };
         let mut profile = PhaseProfile::default();
-        let inner = text.trim().strip_prefix('{')?.strip_suffix('}')?;
-        for entry in split_top_level(inner) {
-            let entry = entry.trim();
-            if entry.is_empty() {
-                continue;
-            }
-            let (name, body) = entry.split_once(':')?;
-            let name = name.trim().trim_matches('"');
-            let body = body.trim().strip_prefix('{')?.strip_suffix('}')?;
-            let mut stat = PhaseStat::default();
-            for field in body.split(',') {
-                let (key, value) = field.split_once(':')?;
-                let value = value.trim();
-                match key.trim().trim_matches('"') {
-                    "secs" => stat.total_nanos = (value.parse::<f64>().ok()? * 1e9) as u64,
-                    "count" => stat.count = value.parse().ok()?,
-                    "max_secs" => stat.max_nanos = (value.parse::<f64>().ok()? * 1e9) as u64,
-                    _ => return None,
-                }
-            }
+        for (name, entry) in phases {
+            let nanos = |key| Some((entry.get(key)?.as_f64()? * 1e9) as u64);
+            let stat = PhaseStat {
+                total_nanos: nanos("secs")?,
+                count: entry.get("count")?.as_u64()?,
+                max_nanos: nanos("max_secs")?,
+            };
             if let Some(phase) = Phase::from_name(name) {
                 profile.stats[phase as usize] = stat;
             }
@@ -302,24 +273,25 @@ impl PhaseProfile {
     }
 }
 
-/// Splits a brace-balanced string on top-level commas.
-fn split_top_level(text: &str) -> Vec<&str> {
-    let mut out = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (i, c) in text.char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                out.push(&text[start..i]);
-                start = i + 1;
-            }
-            _ => {}
-        }
+/// The profile as an object keyed by phase name, omitting phases with no
+/// spans: `{"sat":{"secs":1.234567,"count":42,"max_secs":0.100000},…}`.
+impl From<&PhaseProfile> for Json {
+    fn from(profile: &PhaseProfile) -> Json {
+        Json::obj(
+            Phase::ALL
+                .into_iter()
+                .map(|phase| (phase.name(), profile.get(phase)))
+                .filter(|(_, stat)| stat.count > 0)
+                .map(|(name, stat)| {
+                    let stat = Json::obj([
+                        ("secs", Json::fixed(stat.total_secs(), 6)),
+                        ("count", stat.count.into()),
+                        ("max_secs", Json::fixed(stat.max_secs(), 6)),
+                    ]);
+                    (name, stat)
+                }),
+        )
     }
-    out.push(&text[start..]);
-    out
 }
 
 // ---------------------------------------------------------------------
@@ -651,17 +623,32 @@ mod tests {
             count: 3,
             max_nanos: 5_000_000,
         };
-        let json = profile.to_json();
-        assert!(json.contains("\"sat\""));
-        assert!(json.contains("\"core-shrink\""));
-        assert!(!json.contains("\"parse\""), "empty phases are omitted");
-        let parsed = PhaseProfile::parse_json(&json).expect("parse back");
+        // Empty phases are omitted; the text is what trace lines carry.
+        let json = Json::from(&profile).to_compact();
+        assert_eq!(
+            json,
+            "{\"sat\":{\"secs\":1.234567,\"count\":42,\"max_secs\":0.100000},\
+             \"core-shrink\":{\"secs\":0.008000,\"count\":3,\"max_secs\":0.005000}}"
+        );
+        let value = json::parse(&json).expect("valid JSON");
+        let parsed = PhaseProfile::from_json(&value).expect("parse back");
         assert_eq!(parsed.get(Phase::Sat).count, 42);
         assert_eq!(parsed.get(Phase::CoreShrink).count, 3);
         // Seconds survive to microsecond precision.
         let sat = parsed.get(Phase::Sat);
         assert!((sat.total_secs() - 1.234567).abs() < 1e-5);
         assert!((sat.max_secs() - 0.1).abs() < 1e-5);
+        // Unknown phases are skipped; an entry missing a field is not a profile.
+        let newer = json::parse("{\"sat\":{\"secs\":1,\"count\":2,\"max_secs\":1},\"gpu\":{\"secs\":1,\"count\":1,\"max_secs\":1}}").unwrap();
+        assert_eq!(
+            PhaseProfile::from_json(&newer)
+                .unwrap()
+                .get(Phase::Sat)
+                .count,
+            2
+        );
+        let partial = json::parse("{\"sat\":{\"secs\":1,\"count\":2}}").unwrap();
+        assert_eq!(PhaseProfile::from_json(&partial), None);
     }
 
     #[test]

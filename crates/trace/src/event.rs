@@ -1,9 +1,11 @@
 //! Parsing JSONL trace streams back into typed events.
 //!
 //! The producer side lives in `synquid_telemetry::events`; this module is
-//! the consumer: it validates the envelope (`ev`/`seq`/`t_ms`/`tid`),
-//! checks the event kind against [`KNOWN_EVENT_KINDS`], and keeps the
-//! payload fields as raw strings for the tree builder and aggregators.
+//! the consumer: it parses each line with the strict codec of
+//! `synquid_telemetry::json`, validates the envelope
+//! (`ev`/`seq`/`t_ms`/`tid`), checks the event kind against
+//! [`KNOWN_EVENT_KINDS`], and keeps the payload fields as text for the
+//! tree builder and aggregators.
 //!
 //! Forward compatibility follows the schema rules in
 //! `docs/ARCHITECTURE.md`: unknown *fields* on a known kind are carried
@@ -11,7 +13,7 @@
 //! *kind* is an error — a consumer that silently dropped kinds would
 //! report wrong aggregates instead of failing loudly.
 
-use synquid_telemetry::events::parse_line;
+use synquid_telemetry::json::{self, Json};
 
 /// Every event kind the pipeline emits, schema version
 /// [`synquid_telemetry::events::EVENT_SCHEMA_VERSION`]. Adding a kind
@@ -65,7 +67,8 @@ pub struct TraceEvent {
     /// Small per-thread id.
     pub tid: u64,
     /// Payload fields, in emission order. String values are unescaped;
-    /// numbers and booleans keep their JSON token text.
+    /// any other value is its compact JSON text (numbers keep their
+    /// token text, a nested object is one field).
     pub fields: Vec<(String, String)>,
 }
 
@@ -92,7 +95,7 @@ impl TraceEvent {
 /// Why a trace stream failed to parse. Line numbers are 1-based.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceError {
-    /// The line is not one flat JSON object of the emitted shape.
+    /// The line is not one JSON object.
     Malformed { line: usize },
     /// A known-shape line is missing one of the envelope fields.
     MissingEnvelope { line: usize, field: &'static str },
@@ -130,37 +133,34 @@ pub struct Trace {
 /// Parses one JSONL event line. `line_no` is used for error reporting
 /// only.
 pub fn parse_event(text: &str, line_no: usize) -> Result<TraceEvent, TraceError> {
-    let pairs = parse_line(text).ok_or(TraceError::Malformed { line: line_no })?;
-    let mut kind = None;
-    let mut seq = None;
-    let mut t_ms = None;
-    let mut tid = None;
+    let Ok(Json::Obj(members)) = json::parse(text) else {
+        return Err(TraceError::Malformed { line: line_no });
+    };
+    let (mut kind, mut seq, mut t_ms, mut tid) = (None, None, None, None);
     let mut fields = Vec::new();
-    for (key, value) in pairs {
+    for (key, value) in members {
         match key.as_str() {
-            "ev" => kind = Some(value),
-            "seq" => seq = value.parse::<u64>().ok(),
-            "t_ms" => t_ms = value.parse::<f64>().ok(),
-            "tid" => tid = value.parse::<u64>().ok(),
-            _ => fields.push((key, value)),
+            "ev" => kind = value.as_str().map(str::to_string),
+            "seq" => seq = value.as_u64(),
+            "t_ms" => t_ms = value.as_f64(),
+            "tid" => tid = value.as_u64(),
+            _ => {
+                let text = match value {
+                    Json::Str(s) => s,
+                    other => other.to_compact(),
+                };
+                fields.push((key, text));
+            }
         }
     }
-    let kind = kind.ok_or(TraceError::MissingEnvelope {
+    let missing = |field| TraceError::MissingEnvelope {
         line: line_no,
-        field: "ev",
-    })?;
-    let seq = seq.ok_or(TraceError::MissingEnvelope {
-        line: line_no,
-        field: "seq",
-    })?;
-    let t_ms = t_ms.ok_or(TraceError::MissingEnvelope {
-        line: line_no,
-        field: "t_ms",
-    })?;
-    let tid = tid.ok_or(TraceError::MissingEnvelope {
-        line: line_no,
-        field: "tid",
-    })?;
+        field,
+    };
+    let kind = kind.ok_or(missing("ev"))?;
+    let seq = seq.ok_or(missing("seq"))?;
+    let t_ms = t_ms.ok_or(missing("t_ms"))?;
+    let tid = tid.ok_or(missing("tid"))?;
     if !KNOWN_EVENT_KINDS.contains(&kind.as_str()) {
         return Err(TraceError::UnknownKind {
             line: line_no,
@@ -249,6 +249,38 @@ mod tests {
         assert_eq!(
             parse_event("not json", 9),
             Err(TraceError::Malformed { line: 9 })
+        );
+    }
+
+    #[test]
+    fn lines_are_parsed_strictly() {
+        let trailing_comma = r#"{"ev":"goal_start","seq":0,"t_ms":0.000,"tid":0,"goal":"g",}"#;
+        assert_eq!(
+            parse_event(trailing_comma, 2),
+            Err(TraceError::Malformed { line: 2 })
+        );
+        let bare_word = r#"{"ev":"goal_start","seq":0,"t_ms":0.000,"tid":0,"n":12abc}"#;
+        assert_eq!(
+            parse_event(bare_word, 3),
+            Err(TraceError::Malformed { line: 3 })
+        );
+        let spaced = r#"{"ev":"goal_start", "seq":0, "t_ms": 0.000, "tid":0, "goal":"g"}"#;
+        let event = parse_event(spaced, 4).expect("whitespace between tokens is valid JSON");
+        assert_eq!((event.seq, event.get("goal")), (0, Some("g")));
+        let nested =
+            r#"{"ev":"goal_start","seq":0,"t_ms":0.000,"tid":0,"x":{"a":1,"b":2},"y":[1, "z"]}"#;
+        let event = parse_event(nested, 5).unwrap();
+        assert_eq!(
+            event.fields,
+            vec![
+                ("x".to_string(), r#"{"a":1,"b":2}"#.to_string()),
+                ("y".to_string(), r#"[1,"z"]"#.to_string()),
+            ]
+        );
+        let array = r#"[{"ev":"goal_start","seq":0,"t_ms":0.000,"tid":0}]"#;
+        assert_eq!(
+            parse_event(array, 6),
+            Err(TraceError::Malformed { line: 6 })
         );
     }
 

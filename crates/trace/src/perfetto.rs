@@ -15,6 +15,8 @@
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
 
+use synquid_telemetry::json::Json;
+
 use crate::event::{Trace, TraceEvent};
 
 /// Converts a parsed trace into Chrome trace-event JSON.
@@ -97,58 +99,54 @@ pub fn to_chrome_trace(trace: &Trace) -> String {
     }
 
     // Thread-name metadata so the UI labels the swim-lanes.
-    let mut entries: Vec<String> = tids
-        .into_iter()
-        .map(|tid| {
-            format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":1,\"tid\":{tid},\
-                 \"args\":{{\"name\":\"worker {tid}\"}}}}"
-            )
-        })
-        .collect();
-    entries.extend(out);
-    format!(
-        "{{\"displayTimeUnit\":\"ms\",\"traceEvents\":[{}]}}",
-        entries.join(",")
-    )
+    let thread_names = tids.into_iter().map(|tid| {
+        Json::obj([
+            ("name", "thread_name".into()),
+            ("ph", "M".into()),
+            ("pid", 1u64.into()),
+            ("tid", tid.into()),
+            (
+                "args",
+                Json::obj([("name", format!("worker {tid}").into())]),
+            ),
+        ])
+    });
+    Json::obj([
+        ("displayTimeUnit", "ms".into()),
+        ("traceEvents", Json::Arr(thread_names.chain(out).collect())),
+    ])
+    .to_compact()
 }
 
-/// A complete (`"ph":"X"`) duration event; timestamps in ms are scaled
-/// to the format's microseconds.
-fn complete(name: &str, cat: &str, start_ms: f64, end_ms: f64, tid: u64) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{:.0},\"dur\":{:.0},\"pid\":1,\"tid\":{tid}}}",
-        escape(name),
-        escape(cat),
-        start_ms * 1e3,
-        (end_ms - start_ms).max(0.0) * 1e3,
-    )
+/// Microseconds, the format's unit, from milliseconds.
+fn micros(ms: f64) -> Json {
+    Json::fixed(ms * 1e3, 0)
+}
+
+/// A complete (`"ph":"X"`) duration event.
+fn complete(name: &str, cat: &str, start_ms: f64, end_ms: f64, tid: u64) -> Json {
+    Json::obj([
+        ("name", name.into()),
+        ("cat", cat.into()),
+        ("ph", "X".into()),
+        ("ts", micros(start_ms)),
+        ("dur", micros((end_ms - start_ms).max(0.0))),
+        ("pid", 1u64.into()),
+        ("tid", tid.into()),
+    ])
 }
 
 /// A thread-scoped instant (`"ph":"i"`) event.
-fn instant(name: &str, cat: &str, at_ms: f64, tid: u64) -> String {
-    format!(
-        "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"i\",\"s\":\"t\",\"ts\":{:.0},\"pid\":1,\"tid\":{tid}}}",
-        escape(name),
-        escape(cat),
-        at_ms * 1e3,
-    )
-}
-
-fn escape(text: &str) -> String {
-    let mut out = String::with_capacity(text.len());
-    for c in text.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
+fn instant(name: &str, cat: &str, at_ms: f64, tid: u64) -> Json {
+    Json::obj([
+        ("name", name.into()),
+        ("cat", cat.into()),
+        ("ph", "i".into()),
+        ("s", "t".into()),
+        ("ts", micros(at_ms)),
+        ("pid", 1u64.into()),
+        ("tid", tid.into()),
+    ])
 }
 
 #[cfg(test)]
@@ -160,56 +158,71 @@ mod tests {
     fn spans_and_instants_round_trip_to_trace_event_json() {
         let mut text = String::new();
         let mut seq = 0u64;
-        let mut push = |ev: &str, t_ms: f64, rest: &str| {
+        let mut push = |ev: &str, t_ms: f64, tid: u64, rest: &str| {
             text.push_str(&format!(
-                "{{\"ev\":\"{ev}\",\"seq\":{seq},\"t_ms\":{t_ms:.3},\"tid\":0{rest}}}\n"
+                "{{\"ev\":\"{ev}\",\"seq\":{seq},\"t_ms\":{t_ms:.3},\"tid\":{tid}{rest}}}\n"
             ));
             seq += 1;
         };
         push(
             "rung_start",
             1.0,
-            ",\"rung\":0,\"goal\":\"g\",\"app_depth\":1,\"match_depth\":0,\"slice_secs\":1.0",
+            0,
+            ",\"rung\":0,\"goal\":\"g\\\"q\",\"app_depth\":1,\"match_depth\":0,\"slice_secs\":1.0",
         );
         push(
             "goal_start",
             1.2,
-            ",\"goal\":\"g\",\"app_depth\":1,\"match_depth\":0",
+            0,
+            ",\"goal\":\"g\\\"q\",\"app_depth\":1,\"match_depth\":0",
         );
         push(
             "search",
             1.3,
-            ",\"node\":1,\"parent\":0,\"ty\":\"Int\",\"branch_depth\":1,\"match_depth\":0",
+            0,
+            ",\"node\":1,\"parent\":0,\"ty\":\"{Int | _v \\\\ 2}\",\"branch_depth\":1,\"match_depth\":0",
         );
         push(
             "smt_query",
             30.0,
+            0,
             ",\"elapsed_ms\":25.500,\"result\":\"Unsat\",\"antecedent\":\"a\",\"consequent\":\"b\"",
         );
-        push("node_finish", 40.0, ",\"node\":1,\"status\":\"solved\",\"elapsed_ms\":38.700,\"memo_hits\":0,\"memo_misses\":0,\"lemmas_replayed\":0,\"term\":\"x\"");
+        push("node_finish", 40.0, 0, ",\"node\":1,\"status\":\"solved\",\"elapsed_ms\":38.700,\"memo_hits\":0,\"memo_misses\":0,\"lemmas_replayed\":0,\"term\":\"x\"");
         push(
             "goal_finish",
             40.5,
-            ",\"goal\":\"g\",\"status\":\"solved\",\"time_secs\":0.039",
+            0,
+            ",\"goal\":\"g\\\"q\",\"status\":\"solved\",\"time_secs\":0.039",
         );
         push(
             "ledger_settle",
             40.6,
-            ",\"rung\":0,\"goal\":\"g\",\"charged_secs\":0.039,\"remaining_secs\":0.961",
+            0,
+            ",\"rung\":0,\"goal\":\"g\\\"q\",\"charged_secs\":0.039,\"remaining_secs\":0.961",
         );
-        push("rung_finish", 40.7, ",\"rung\":0,\"goal\":\"g\",\"app_depth\":1,\"match_depth\":0,\"status\":\"solved\",\"time_secs\":0.039");
+        push("rung_skip", 41.0, 3, ",\"rung\":1,\"goal\":\"h\"");
+        push("rung_finish", 40.7, 0, ",\"rung\":0,\"goal\":\"g\\\"q\",\"app_depth\":1,\"match_depth\":0,\"status\":\"solved\",\"time_secs\":0.039");
 
         let json = to_chrome_trace(&parse_trace(&text).unwrap());
-        assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-        assert!(json.ends_with("]}"));
-        assert!(json.contains("\"name\":\"thread_name\""));
-        // rung span: 1.0ms → 40.7ms = ts 1000, dur 39700 (µs).
-        assert!(json.contains("\"ts\":1000,\"dur\":39700"));
-        // smt span ends at emission time: ts (30-25.5)*1000 = 4500.
-        assert!(json.contains("\"ts\":4500,\"dur\":25500"));
-        assert!(json.contains("\"ph\":\"i\""));
-        // Every entry is itself valid flat JSON (no stray commas).
-        assert!(!json.contains(",,"));
-        assert!(!json.contains("[,"));
+        // Byte for byte what the hand-rolled writer this export used
+        // before the shared codec produced: one thread-name entry per
+        // tid, the rung span 1.0ms → 40.7ms as ts 1000 / dur 39700 µs,
+        // the smt span ending at its emission time (ts (30-25.5)*1000),
+        // instants for the ledger and skip events, names escaped.
+        assert_eq!(
+            json,
+            concat!(
+                r#"{"displayTimeUnit":"ms","traceEvents":["#,
+                r#"{"name":"thread_name","ph":"M","pid":1,"tid":0,"args":{"name":"worker 0"}},"#,
+                r#"{"name":"thread_name","ph":"M","pid":1,"tid":3,"args":{"name":"worker 3"}},"#,
+                r#"{"name":"smt Unsat","cat":"smt","ph":"X","ts":4500,"dur":25500,"pid":1,"tid":0},"#,
+                r#"{"name":"node 1 {Int | _v \\ 2} solved","cat":"node","ph":"X","ts":1300,"dur":38700,"pid":1,"tid":0},"#,
+                r#"{"name":"goal g\"q solved","cat":"goal","ph":"X","ts":1200,"dur":39300,"pid":1,"tid":0},"#,
+                r#"{"name":"ledger_settle g\"q","cat":"ledger","ph":"i","s":"t","ts":40600,"pid":1,"tid":0},"#,
+                r#"{"name":"rung_skip h","cat":"ledger","ph":"i","s":"t","ts":41000,"pid":1,"tid":3},"#,
+                r#"{"name":"rung 0 g\"q (a1 m0) solved","cat":"rung","ph":"X","ts":1000,"dur":39700,"pid":1,"tid":0}]}"#,
+            )
+        );
     }
 }

@@ -12,7 +12,7 @@
 
 use std::collections::BTreeMap;
 
-use synquid_telemetry::PhaseProfile;
+use synquid_telemetry::{json, PhaseProfile};
 
 use crate::event::{Trace, TraceEvent};
 
@@ -379,7 +379,10 @@ fn apply_node_event(attempt: &mut RungAttempt, event: &TraceEvent) {
             node.memo_hits = event.get_u64("memo_hits").unwrap_or(0);
             node.memo_misses = event.get_u64("memo_misses").unwrap_or(0);
             node.lemmas_replayed = event.get_u64("lemmas_replayed").unwrap_or(0);
-            node.phases = event.get("phases").and_then(PhaseProfile::parse_json);
+            node.phases = event
+                .get("phases")
+                .and_then(|text| json::parse(text).ok())
+                .and_then(|value| PhaseProfile::from_json(&value));
         }
         "candidate_accept" | "candidate_reject" | "guard_found" | "guard_missing"
         | "match_case" => {

@@ -839,13 +839,9 @@ fn main() -> ExitCode {
             100.0 * ws.mus.hit_rate(),
             100.0 * report.session.mus.hit_rate(),
         );
-        let mismatch = report.outcomes.len() != warm.outcomes.len()
-            || report.outcomes.iter().zip(&warm.outcomes).any(|(c, w)| {
-                c.result.solved != w.result.solved || c.result.program != w.result.program
-            });
-        if mismatch {
+        if let Err(e) = report.outcomes_match(warm) {
             eprintln!(
-                "error: warm run {} changed outcomes against the cold run",
+                "error: warm run {} changed outcomes against the cold run: {e}",
                 i + 1
             );
             any_failed = true;
