@@ -11,9 +11,10 @@
 //! * **Figure 7** — synthesis time versus `n` for `max_n` and
 //!   `array_search_n`.
 //!
-//! The `report` binary prints these tables; the Criterion benches under
-//! `benches/` time a representative subset for regression tracking. The
-//! binary's `batch` subcommand additionally runs the whole `specs/`
+//! The `report` binary prints these tables, and its `solver-bench`
+//! subcommand times the captured solver workloads of [`fixtures`]
+//! ([`solver_bench`]), which synbench also runs. The binary's `batch`
+//! subcommand additionally runs the whole `specs/`
 //! corpus through the parallel engine and emits a machine-readable
 //! timing report ([`batch_report_json_runs`], uploaded by CI as
 //! `BENCH_pr10.json`), the markdown corpus table embedded in the README
@@ -137,8 +138,8 @@ pub fn run_table2(timeout: Duration) -> Result<Vec<Table2Row>, Box<dyn std::erro
     let mut rows = Vec::new();
     for row in table2() {
         let transcribed = row
-            .table1_name
-            .and_then(|name| t1.iter().find(|b| b.name == name))
+            .table1
+            .and_then(|key| t1.iter().find(|b| (b.group, b.name) == key))
             .and_then(|b| b.spec.map(|spec| (b.bounds, spec)));
         let measured = match transcribed {
             Some((bounds, spec)) => Some(run_goal(

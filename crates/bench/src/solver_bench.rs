@@ -2,26 +2,22 @@
 //! workloads against a fresh solver instance per iteration and emits the
 //! `BENCH_solver.json` artifact.
 //!
-//! Two ways to run it:
-//!
-//! * **smoke mode** (`report solver-bench --smoke`, used by CI): a few
-//!   iterations per fixture, verdicts asserted, artifact written — a
-//!   dependency-free regression canary that finishes in seconds;
-//! * **criterion mode** (`cargo bench -p synquid-bench --features
-//!   criterion` after uncommenting the dev-dependency): statistically
-//!   rigorous timing of the same fixtures, for local investigation.
+//! `report solver-bench` runs it (`--smoke`, used by CI: a few
+//! iterations per fixture, verdicts asserted, artifact written — a
+//! dependency-free regression canary that finishes in seconds), and
+//! synbench times the same fixtures as its solver-layer probe.
 //!
 //! Every iteration rebuilds the formula and a fresh [`Smt`] instance, so
 //! measurements never benefit from the validity cache or the lemma store
 //! of a previous iteration: what is timed is the full encode → DPLL(T) →
-//! core-shrink pipeline. Phase splits come from
-//! [`synquid_solver::SmtStats::phases`] when span profiling is enabled
-//! (the smoke runner enables it).
+//! core-shrink pipeline. Phase splits come from a profiling window
+//! around each timed iteration when span profiling is enabled (the
+//! `report` runner enables it).
 
 use crate::fixtures::{self, Fixture, Workload, WorkloadKind};
 use std::collections::BTreeSet;
 use std::time::Instant;
-use synquid_solver::{enumerate_mus_smt, MusConfig, Smt};
+use synquid_solver::{enumerate_mus_smt, Smt};
 use synquid_telemetry::json::Json;
 use synquid_telemetry::PhaseProfile;
 
@@ -65,21 +61,22 @@ impl FixtureResult {
     }
 }
 
-/// Times one mode of one fixture; returns per-iteration times and
-/// whether every verdict matched the captured one.
+/// Times one mode of one fixture; returns per-iteration times, whether
+/// every verdict matched the captured one, and the phase split of the
+/// timed spans (empty when span profiling is off).
 fn time_mode(
     fixture: &Fixture,
     iterations: usize,
     incremental_lia: bool,
-    phases: Option<&mut PhaseProfile>,
-) -> (Vec<f64>, bool) {
+) -> (Vec<f64>, bool, PhaseProfile) {
     let mut times = Vec::with_capacity(iterations);
     let mut verdicts_ok = true;
-    let mut mode_phases = PhaseProfile::default();
+    let mut phases = PhaseProfile::default();
     for _ in 0..iterations.max(1) {
         let workload = (fixture.build)();
         let mut smt = Smt::new();
         smt.set_incremental_lia(incremental_lia);
+        let window = synquid_telemetry::window();
         let started = Instant::now();
         let ok = match workload {
             Workload::Query {
@@ -90,32 +87,24 @@ fn time_mode(
                 unsat == fixture.expect_unsat
             }
             Workload::Mus { background, soft } => {
-                let muses = enumerate_mus_smt(
-                    &mut smt,
-                    &background,
-                    &soft,
-                    &BTreeSet::new(),
-                    MusConfig::default(),
-                );
+                let muses = enumerate_mus_smt(&mut smt, &background, &soft, &BTreeSet::new());
                 muses.is_empty() != fixture.expect_unsat
             }
         };
         times.push(started.elapsed().as_secs_f64());
-        mode_phases.merge(&smt.stats().phases);
+        if let Some(window) = window {
+            phases.merge(&window.close());
+        }
         verdicts_ok &= ok;
     }
-    if let Some(out) = phases {
-        out.merge(&mode_phases);
-    }
-    (times, verdicts_ok)
+    (times, verdicts_ok, phases)
 }
 
 /// Runs one fixture for `iterations` iterations per mode against fresh
 /// solvers: first the incremental path, then the from-scratch baseline.
 pub fn run_fixture(fixture: &Fixture, iterations: usize) -> FixtureResult {
-    let mut phases = PhaseProfile::default();
-    let (new_times, new_ok) = time_mode(fixture, iterations, true, Some(&mut phases));
-    let (old_times, old_ok) = time_mode(fixture, iterations, false, None);
+    let (new_times, new_ok, phases) = time_mode(fixture, iterations, true);
+    let (old_times, old_ok, _) = time_mode(fixture, iterations, false);
     let min = |ts: &[f64]| ts.iter().copied().fold(f64::INFINITY, f64::min);
     let mean = |ts: &[f64]| ts.iter().sum::<f64>() / ts.len() as f64;
     FixtureResult {

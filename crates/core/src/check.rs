@@ -16,7 +16,6 @@
 
 use crate::ast::{Case, Program};
 use crate::synthesis::Goal;
-use synquid_horn::FixpointConfig;
 use synquid_logic::{Sort, Substitution, Term};
 use synquid_solver::Smt;
 use synquid_telemetry::events::{self, Event};
@@ -90,7 +89,7 @@ impl TypeChecker {
         }
         let mut env = goal.env.clone();
         env.add_qualifiers_from_type(&goal.schema.ty);
-        let mut solver = ConstraintSolver::new(FixpointConfig::default());
+        let mut solver = ConstraintSolver::default();
 
         // A fixpoint at the top level introduces the recursive binding with
         // a termination-weakened type (rule FIX); the goal's own argument
@@ -123,7 +122,7 @@ impl TypeChecker {
     ) -> Result<(), TypeError> {
         self.node_counter = 0;
         self.current_node = 0;
-        let mut solver = ConstraintSolver::new(FixpointConfig::default());
+        let mut solver = ConstraintSolver::default();
         self.check(env, &mut solver, program, ty)
     }
 

@@ -131,7 +131,7 @@ mod tests {
         use crate::{SynthesisConfig, Synthesizer};
         use std::collections::BTreeSet;
         use synquid_logic::{Sort, Term};
-        use synquid_solver::{enumerate_mus_smt, MusConfig};
+        use synquid_solver::enumerate_mus_smt;
 
         let memo = MusMemo::new();
         let ctx = SolverContext {
@@ -146,13 +146,7 @@ mod tests {
         let background = x.clone().le(Term::int(0));
         let soft = [x.ge(Term::int(1))];
         let enumerate = |synth: &mut Synthesizer| {
-            enumerate_mus_smt(
-                &mut synth.smt,
-                &background,
-                &soft,
-                &BTreeSet::new(),
-                MusConfig::default(),
-            )
+            enumerate_mus_smt(&mut synth.smt, &background, &soft, &BTreeSet::new())
         };
         let computed = enumerate(&mut first);
         assert_eq!(computed, vec![BTreeSet::from([0])]);

@@ -11,11 +11,6 @@ pub struct SynthesisConfig {
     pub max_app_depth: usize,
     /// Maximum nesting depth of pattern matches.
     pub max_match_depth: usize,
-    /// Maximum nesting depth of conditionals (the paper imposes no a-priori
-    /// bound; this is a safety bound well above what any benchmark needs).
-    pub max_branch_depth: usize,
-    /// Maximum application depth when synthesizing branch guards.
-    pub guard_depth: usize,
     /// Enable round-trip type checking (early subtyping checks on partial
     /// applications). Disabling reproduces the T-nrt ablation.
     pub round_trip: bool,
@@ -52,11 +47,6 @@ pub struct SynthesisConfig {
     pub incremental_lia: bool,
     /// Wall-clock timeout for one synthesis goal.
     pub timeout: Duration,
-    /// Cap on the number of candidates returned by one E-term enumeration.
-    pub max_candidates: usize,
-    /// Cap on the number of argument candidates explored per argument
-    /// position.
-    pub max_arg_candidates: usize,
 }
 
 impl Default for SynthesisConfig {
@@ -64,8 +54,6 @@ impl Default for SynthesisConfig {
         SynthesisConfig {
             max_app_depth: 3,
             max_match_depth: 1,
-            max_branch_depth: 3,
-            guard_depth: 2,
             round_trip: true,
             consistency: true,
             use_musfix: true,
@@ -73,8 +61,6 @@ impl Default for SynthesisConfig {
             incremental_smt: true,
             incremental_lia: true,
             timeout: Duration::from_secs(120),
-            max_candidates: 64,
-            max_arg_candidates: 24,
         }
     }
 }

@@ -23,13 +23,26 @@ use crate::options::SynthesisConfig;
 use std::collections::{BTreeMap, HashSet};
 use std::sync::Arc;
 use std::time::Instant;
-use synquid_horn::{FixpointConfig, StrengthenBackend};
+use synquid_horn::StrengthenBackend;
 use synquid_logic::{Sort, Substitution, Term};
 use synquid_solver::Smt;
 use synquid_telemetry::{events, events::Event, json::Json, Phase, PhaseProfile};
 use synquid_types::{
     is_free_type_var, weaken_for_recursion, BaseType, ConstraintSolver, Environment, RType, Schema,
 };
+
+/// Maximum nesting depth of conditionals (the paper imposes no a-priori
+/// bound; this is a safety bound well above what any benchmark needs).
+const MAX_BRANCH_DEPTH: usize = 3;
+
+/// Maximum application depth when synthesizing branch guards.
+const GUARD_DEPTH: usize = 2;
+
+/// Cap on the goal-passing candidates one abduction pass returns.
+const MAX_CANDIDATES: usize = 64;
+
+/// Cap on the argument candidates explored per argument position.
+const MAX_ARG_CANDIDATES: usize = 24;
 
 /// A synthesis goal: a name, an environment of components, and the goal
 /// schema.
@@ -160,12 +173,9 @@ pub struct SynthesisStats {
     /// Per-phase wall-time attribution of the whole run (generation,
     /// memo lookups, consistency, subtyping, abduction, and the SMT
     /// phases below them), captured from the worker thread's span
-    /// profile when profiling is enabled (`--stats`, `SYNQUID_PROFILE=1`)
-    /// and empty otherwise. Phase *counts* are deterministic for a fixed
-    /// goal, configuration and cache regime; totals and maxima are wall
-    /// times. The SMT backend's own [`synquid_solver::SmtStats::phases`]
-    /// window is a subset of this one — fold in one or the other, never
-    /// both.
+    /// profile when profiling is enabled (`--stats`) and empty otherwise.
+    /// Phase *counts* are deterministic for a fixed goal, configuration
+    /// and cache regime; totals and maxima are wall times.
     pub phases: PhaseProfile,
 }
 
@@ -260,14 +270,11 @@ impl Synthesizer {
         stats
     }
 
-    fn fixpoint_config(&self) -> FixpointConfig {
-        FixpointConfig {
-            backend: if self.config.use_musfix {
-                StrengthenBackend::Musfix
-            } else {
-                StrengthenBackend::NaiveBfs
-            },
-            ..FixpointConfig::default()
+    fn backend(&self) -> StrengthenBackend {
+        if self.config.use_musfix {
+            StrengthenBackend::Musfix
+        } else {
+            StrengthenBackend::NaiveBfs
         }
     }
 
@@ -332,7 +339,7 @@ impl Synthesizer {
         let mut env = goal.env.clone();
         env.add_qualifiers_from_type(&goal.schema.ty);
 
-        let mut solver = ConstraintSolver::new(self.fixpoint_config());
+        let mut solver = ConstraintSolver::new(self.backend());
         solver.consistency_enabled = self.config.consistency;
 
         let (args, ret) = goal.schema.ty.uncurry();
@@ -349,7 +356,7 @@ impl Synthesizer {
             &env,
             &ret,
             &solver,
-            self.config.max_branch_depth,
+            MAX_BRANCH_DEPTH,
             self.config.max_match_depth,
         )?;
 
@@ -573,7 +580,7 @@ impl Synthesizer {
         for cand in shaped.iter() {
             // The candidate cap bounds *accepted* candidates (as the
             // interleaved enumerator did), never the generated universe.
-            if out.len() >= self.config.max_candidates {
+            if out.len() >= MAX_CANDIDATES {
                 break;
             }
             if !tried.insert(cand.program.clone()) {
@@ -613,7 +620,7 @@ impl Synthesizer {
             Term::value_var(Sort::Bool).iff(condition.clone()),
         );
         let shaped = self
-            .generate_for(env, &goal, self.config.guard_depth, base_solver)
+            .generate_for(env, &goal, GUARD_DEPTH, base_solver)
             .ok()?;
         for cand in shaped.iter() {
             match self.check_shaped(env, &goal, cand, base_solver) {
@@ -728,7 +735,7 @@ impl Synthesizer {
                     &cenv,
                     &concrete,
                     &s,
-                    self.config.max_branch_depth,
+                    MAX_BRANCH_DEPTH,
                     self.config.max_match_depth,
                 ) {
                     Ok(p) => args[*idx] = p,
@@ -769,12 +776,11 @@ impl Synthesizer {
     /// under a different configuration.
     fn env_key(&self, env: &Environment) -> String {
         format!(
-            "{};cfg rt:{} cc:{} mus:{} args:{}",
+            "{};cfg rt:{} cc:{} mus:{}",
             env.fingerprint(),
             self.config.round_trip,
             self.config.consistency,
             self.config.use_musfix,
-            self.config.max_arg_candidates,
         )
     }
 
@@ -841,7 +847,7 @@ impl Synthesizer {
         // Symmetry / cost ordering: size first, then program text, so
         // candidate order is deterministic whatever produced the set.
         // Generated sets are *complete* for their bounds (the
-        // `max_candidates` cap applies to goal-passing candidates in the
+        // `MAX_CANDIDATES` cap applies to goal-passing candidates in the
         // per-goal pass, not to the goal-blind universe — truncating here
         // would silently drop programs some goal needs).
         out.sort_by_cached_key(|c| (c.size, c.program.to_string()));
@@ -938,7 +944,7 @@ impl Synthesizer {
         // solver instantiates polymorphic schemas; leaf candidates do not
         // interact, so sharing its fresh-variable counter is fine (and
         // deterministic).
-        let mut gs = ConstraintSolver::new(self.fixpoint_config());
+        let mut gs = ConstraintSolver::new(self.backend());
         let names: Vec<String> = env.var_names().to_vec();
         for name in &names {
             let Some(schema) = env.lookup(name).cloned() else {
@@ -989,7 +995,7 @@ impl Synthesizer {
             let Some(schema) = env.lookup(head).cloned() else {
                 continue;
             };
-            let mut gs = ConstraintSolver::new(self.fixpoint_config());
+            let mut gs = ConstraintSolver::new(self.backend());
             gs.consistency_enabled = self.config.consistency;
             let fty = gs.instantiate_schema(&schema);
             if !fty.is_function() {
@@ -1047,7 +1053,7 @@ impl Synthesizer {
                     let arg_cands = self.generate(env, env_key, &resolved.shape(), depth - 1)?;
                     let mut taken = 0usize;
                     for (ordinal, cand) in arg_cands.iter().enumerate() {
-                        if taken >= self.config.max_arg_candidates {
+                        if taken >= MAX_ARG_CANDIDATES {
                             break;
                         }
                         // A candidate with unfilled higher-order holes
@@ -1128,7 +1134,7 @@ impl Synthesizer {
                 }
                 partials = next;
                 // Deterministic safety bound against pathological argument
-                // fan-out (the per-position `max_arg_candidates` cap keeps
+                // fan-out (the per-position `MAX_ARG_CANDIDATES` cap keeps
                 // this far out of reach for real component libraries).
                 partials.truncate(2048);
                 if partials.is_empty() {

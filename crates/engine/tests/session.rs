@@ -163,11 +163,21 @@ fn tiny_cache_bounds_still_synthesize_correctly() {
     let reference = engine().run_batch(fast_corpus(), &roomy);
     assert!(starved.all_solved(), "eviction must never lose solutions");
     assert_eq!(outcomes(&starved), outcomes(&reference));
-    // The bound is actually enforced: the stats sum over namespaces, so
-    // the cap is 4 entries per library namespace the batch touched.
+    // Every bound is actually enforced: the stats sum over namespaces, so
+    // each cap applies per library namespace the batch touched.
     assert!(
         starved.session.validity.entries <= 4 * starved.session.namespaces,
         "validity cache exceeded its per-namespace bound: {:?}",
+        starved.session
+    );
+    assert!(
+        starved.session.enumeration.entries <= 2 * starved.session.namespaces,
+        "enumeration memo exceeded its per-namespace bound: {:?}",
+        starved.session
+    );
+    assert!(
+        starved.session.lemmas.resident <= 2 * starved.session.namespaces,
+        "lemma store exceeded its per-namespace bound: {:?}",
         starved.session
     );
     assert!(

@@ -13,7 +13,7 @@
 use crate::unknowns::{Assignment, UnknownRegistry};
 use std::collections::{BTreeMap, BTreeSet};
 use synquid_logic::{QSpace, Substitution, Term, UnknownId};
-use synquid_solver::{enumerate_mus_smt, MusConfig, Smt, SmtResult};
+use synquid_solver::{enumerate_mus_smt, Smt, SmtResult};
 
 /// A Horn constraint `lhs ⇒ rhs`; both sides may mention predicate
 /// unknowns (conjunctively).
@@ -50,36 +50,18 @@ pub enum StrengthenBackend {
     NaiveBfs,
 }
 
-/// Configuration of the fixpoint solver.
-#[derive(Debug, Clone)]
-pub struct FixpointConfig {
-    /// Strengthening backend.
-    pub backend: StrengthenBackend,
-    /// Maximum number of alternative assignments kept alive.
-    pub max_candidates: usize,
-    /// Budgets for MUS enumeration.
-    pub mus: MusConfig,
-    /// Maximum subset size explored by the naive backend.
-    pub bfs_max_size: usize,
-    /// Maximum number of subsets examined by the naive backend per
-    /// strengthening step.
-    pub bfs_max_subsets: usize,
-    /// Safety cap on fixpoint iterations per repair.
-    pub max_iterations: usize,
-}
+/// Maximum number of alternative assignments kept alive.
+const MAX_CANDIDATES: usize = 4;
 
-impl Default for FixpointConfig {
-    fn default() -> Self {
-        FixpointConfig {
-            backend: StrengthenBackend::Musfix,
-            max_candidates: 4,
-            mus: MusConfig::default(),
-            bfs_max_size: 3,
-            bfs_max_subsets: 20_000,
-            max_iterations: 200,
-        }
-    }
-}
+/// Maximum subset size explored by the naive backend.
+const BFS_MAX_SIZE: usize = 3;
+
+/// Maximum number of subsets the naive backend examines per
+/// strengthening step.
+const BFS_MAX_SUBSETS: usize = 20_000;
+
+/// Safety cap on fixpoint iterations per repair.
+const MAX_ITERATIONS: usize = 200;
 
 /// Statistics of the fixpoint solver.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -118,24 +100,24 @@ pub struct FixpointSolver {
     pub registry: UnknownRegistry,
     constraints: Vec<HornConstraint>,
     candidates: Vec<Assignment>,
-    config: FixpointConfig,
+    backend: StrengthenBackend,
     stats: FixpointStats,
 }
 
 impl Default for FixpointSolver {
     fn default() -> Self {
-        FixpointSolver::new(FixpointConfig::default())
+        FixpointSolver::new(StrengthenBackend::default())
     }
 }
 
 impl FixpointSolver {
-    /// Creates a solver with the given configuration.
-    pub fn new(config: FixpointConfig) -> FixpointSolver {
+    /// Creates a solver that strengthens with the given backend.
+    pub fn new(backend: StrengthenBackend) -> FixpointSolver {
         FixpointSolver {
             registry: UnknownRegistry::new(),
             constraints: Vec::new(),
             candidates: vec![Assignment::top()],
-            config,
+            backend,
             stats: FixpointStats::default(),
         }
     }
@@ -194,7 +176,7 @@ impl FixpointSolver {
                 if !new_candidates.contains(&cand) {
                     new_candidates.push(cand);
                 }
-                if new_candidates.len() >= self.config.max_candidates {
+                if new_candidates.len() >= MAX_CANDIDATES {
                     break;
                 }
                 continue;
@@ -205,11 +187,11 @@ impl FixpointSolver {
                     new_candidates.push(r);
                 }
             }
-            if new_candidates.len() >= self.config.max_candidates {
+            if new_candidates.len() >= MAX_CANDIDATES {
                 break;
             }
         }
-        new_candidates.truncate(self.config.max_candidates);
+        new_candidates.truncate(MAX_CANDIDATES);
         if new_candidates.is_empty() {
             // Leave the solver in a usable (if failed) state for callers
             // that want to continue with a different program candidate.
@@ -246,7 +228,7 @@ impl FixpointSolver {
         let mut iterations = 0usize;
         while let Some(current) = worklist.pop() {
             iterations += 1;
-            if iterations > self.config.max_iterations {
+            if iterations > MAX_ITERATIONS {
                 break;
             }
             let violated = self
@@ -259,7 +241,7 @@ impl FixpointSolver {
                     if !results.contains(&current) {
                         results.push(current);
                     }
-                    if results.len() >= self.config.max_candidates {
+                    if results.len() >= MAX_CANDIDATES {
                         break;
                     }
                 }
@@ -323,14 +305,12 @@ impl FixpointSolver {
         let required_idx = soft.len() - 1;
         let required: BTreeSet<usize> = [required_idx].into_iter().collect();
 
-        let additions_sets: Vec<BTreeSet<usize>> = match self.config.backend {
-            StrengthenBackend::Musfix => {
-                enumerate_mus_smt(smt, &background, &soft, &required, self.config.mus)
-                    .into_iter()
-                    .map(|mus| mus.into_iter().filter(|i| *i != required_idx).collect())
-                    .filter(|s: &BTreeSet<usize>| !s.is_empty())
-                    .collect()
-            }
+        let additions_sets: Vec<BTreeSet<usize>> = match self.backend {
+            StrengthenBackend::Musfix => enumerate_mus_smt(smt, &background, &soft, &required)
+                .into_iter()
+                .map(|mus| mus.into_iter().filter(|i| *i != required_idx).collect())
+                .filter(|s: &BTreeSet<usize>| !s.is_empty())
+                .collect(),
             StrengthenBackend::NaiveBfs => {
                 self.naive_strengthen(&background, &soft, required_idx, smt)
             }
@@ -378,11 +358,11 @@ impl FixpointSolver {
             (0..soft.len()).filter(|i| *i != required_idx).collect();
         let mut found: Vec<BTreeSet<usize>> = Vec::new();
         let mut examined = 0usize;
-        for size in 1..=self.config.bfs_max_size.min(candidate_indices.len()) {
+        for size in 1..=BFS_MAX_SIZE.min(candidate_indices.len()) {
             let mut subset_iter = SubsetIter::new(candidate_indices.len(), size);
             while let Some(subset) = subset_iter.next_subset() {
                 examined += 1;
-                if examined > self.config.bfs_max_subsets {
+                if examined > BFS_MAX_SUBSETS {
                     return found;
                 }
                 let chosen: BTreeSet<usize> =
@@ -653,11 +633,7 @@ mod tests {
 
     #[test]
     fn naive_backend_finds_the_same_condition() {
-        let config = FixpointConfig {
-            backend: StrengthenBackend::NaiveBfs,
-            ..FixpointConfig::default()
-        };
-        let mut solver = FixpointSolver::new(config);
+        let mut solver = FixpointSolver::new(StrengthenBackend::NaiveBfs);
         let mut smt = Smt::new();
         let p0 = solver.fresh_unknown("P0", replicate_qspace(), Term::int(0).le(n()));
         let lhs = Term::int(0)

@@ -42,7 +42,5 @@
 pub mod fixpoint;
 pub mod unknowns;
 
-pub use fixpoint::{
-    FixpointConfig, FixpointSolver, FixpointStats, HornConstraint, HornError, StrengthenBackend,
-};
+pub use fixpoint::{FixpointSolver, FixpointStats, HornConstraint, HornError, StrengthenBackend};
 pub use unknowns::{Assignment, UnknownInfo, UnknownRegistry};

@@ -295,8 +295,8 @@ pub struct ComparisonRow {
     pub synquid_spec: usize,
     /// Synquid time reported in the paper (seconds).
     pub synquid_time: f64,
-    /// The corresponding benchmark in [`table1`] (by name), if transcribed.
-    pub table1_name: Option<&'static str>,
+    /// The corresponding benchmark in [`table1`], as `(group, name)`.
+    pub table1: Option<(&'static str, &'static str)>,
 }
 
 /// All 18 rows of Table 2.
@@ -308,7 +308,7 @@ pub fn table2() -> Vec<ComparisonRow> {
         competitor_time: f64,
         synquid_spec: usize,
         synquid_time: f64,
-        table1_name: Option<&'static str>,
+        table1: Option<(&'static str, &'static str)>,
     ) -> ComparisonRow {
         ComparisonRow {
             tool,
@@ -317,7 +317,7 @@ pub fn table2() -> Vec<ComparisonRow> {
             competitor_time,
             synquid_spec,
             synquid_time,
-            table1_name,
+            table1,
         }
     }
     vec![
@@ -347,7 +347,7 @@ pub fn table2() -> Vec<ComparisonRow> {
             64.8,
             6,
             0.09,
-            Some("is member"),
+            Some(("BST", "is member")),
         ),
         row(
             "Jennisys",
@@ -366,7 +366,7 @@ pub fn table2() -> Vec<ComparisonRow> {
             0.12,
             8,
             0.25,
-            Some("insert (sorted)"),
+            Some(("Sorting", "insert (sorted)")),
         ),
         row(
             "Myth",
@@ -384,7 +384,7 @@ pub fn table2() -> Vec<ComparisonRow> {
             0.37,
             8,
             0.91,
-            Some("insert"),
+            Some(("BST", "insert")),
         ),
         row(
             "Lambda2",
@@ -402,7 +402,7 @@ pub fn table2() -> Vec<ComparisonRow> {
             316.4,
             11,
             0.1,
-            Some("drop first n elements"),
+            Some(("List", "drop first n elements")),
         ),
         row("Lambda2", "tree find", Some(12), 4.7, 6, 0.29, None),
         row("Escher", "list rm adjacent dupl.", None, 1.0, 5, 1.33, None),
@@ -414,9 +414,17 @@ pub fn table2() -> Vec<ComparisonRow> {
             0.16,
             7,
             0.05,
-            Some("duplicate each element"),
+            Some(("List", "duplicate each element")),
         ),
-        row("Myth2", "BST insert", None, 1.81, 8, 0.91, Some("insert")),
+        row(
+            "Myth2",
+            "BST insert",
+            None,
+            1.81,
+            8,
+            0.91,
+            Some(("BST", "insert")),
+        ),
         row(
             "Myth2",
             "sorted list insert",
@@ -424,7 +432,7 @@ pub fn table2() -> Vec<ComparisonRow> {
             1.02,
             8,
             0.25,
-            Some("insert (sorted)"),
+            Some(("Sorting", "insert (sorted)")),
         ),
         row("Myth2", "tree count nodes", None, 0.45, 4, 0.20, None),
     ]
@@ -463,6 +471,23 @@ mod tests {
     fn table2_has_all_18_rows() {
         assert_eq!(table2().len(), 18);
         assert_eq!(table2().iter().filter(|r| r.tool == "Leon").count(), 3);
+        let t1 = table1();
+        for row in table2() {
+            let Some((group, name)) = row.table1 else {
+                continue;
+            };
+            let matches: Vec<_> = t1
+                .iter()
+                .filter(|b| (b.group, b.name) == (group, name))
+                .collect();
+            assert_eq!(matches.len(), 1, "{} {}", row.tool, row.benchmark);
+            assert!(
+                matches[0].spec.is_some(),
+                "{} {} links {group}/{name}, which is not transcribed",
+                row.tool,
+                row.benchmark
+            );
+        }
     }
 
     #[test]

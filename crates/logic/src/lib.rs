@@ -16,7 +16,9 @@
 //! * normalization helpers (negation normal form, conjunct splitting,
 //!   constant folding) used by the solver and the type checker;
 //! * [`Interner`] — hash-consed interning of terms into dense [`TermId`]s,
-//!   the key representation of the shared validity cache.
+//!   the key representation of the shared validity cache;
+//! * [`Rng`] — the seeded SplitMix64 stream behind every randomized
+//!   input in the workspace (oracle inputs, property suites).
 //!
 //! The value variable `ν` of the paper is represented by the distinguished
 //! variable name [`VALUE_VAR`].
@@ -40,6 +42,7 @@
 pub mod intern;
 pub mod pretty;
 pub mod qualifier;
+pub mod rng;
 pub mod simplify;
 pub mod snapshot;
 pub mod sort;
@@ -47,6 +50,7 @@ pub mod term;
 
 pub use intern::{Interner, TermId};
 pub use qualifier::{QSpace, Qualifier};
+pub use rng::Rng;
 pub use sort::Sort;
 pub use term::{BinOp, Term, UnOp, UnknownId, VALUE_VAR};
 

@@ -1,11 +1,13 @@
 //! A tiny deterministic RNG (SplitMix64).
 //!
-//! The oracle's determinism contract — `synquid fuzz --seed S` is
+//! The runtime oracle's determinism contract — `synquid fuzz --seed S` is
 //! bit-reproducible across runs and machines — forbids wall-clock or OS
-//! randomness, so the generator draws from this self-contained stream.
-//! SplitMix64 passes BigCrush, needs eight bytes of state, and its whole
-//! implementation fits on one page, which is exactly the auditability a
-//! soundness harness wants from its entropy source.
+//! randomness, so its input generator draws from this self-contained
+//! stream; so do the seeded property suites and the benchmark's
+//! submission orders. SplitMix64 passes BigCrush, needs eight bytes of
+//! state, and its whole implementation fits on one page, which is
+//! exactly the auditability a soundness harness wants from its entropy
+//! source.
 
 /// A seeded SplitMix64 stream.
 #[derive(Debug, Clone)]

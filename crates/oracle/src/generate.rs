@@ -15,8 +15,7 @@
 use crate::check::Checker;
 use crate::cval::CVal;
 use crate::interp::{LogicEnv, LogicVal, OracleError};
-use crate::rng::Rng;
-use synquid_logic::{Term, VALUE_VAR};
+use synquid_logic::{Rng, Term, VALUE_VAR};
 use synquid_types::{BaseType, Datatypes, RType};
 
 /// Counters the harness reports (how hard rejection sampling worked).

@@ -18,11 +18,11 @@ use crate::check::Checker;
 use crate::cval::CVal;
 use crate::generate::{GenStats, Generator};
 use crate::interp::{LogicEnv, LogicVal, OracleError};
-use crate::rng::Rng;
 use crate::shrink;
 use std::time::Duration;
 use synquid_core::{Evaluator, Goal, Program, SynthesisConfig};
 use synquid_engine::{Engine, EngineConfig, GoalJob, SynthesisSession};
+use synquid_logic::Rng;
 use synquid_telemetry::json::Json;
 use synquid_types::RType;
 

@@ -14,7 +14,7 @@
 //!   `IList` sortedness), and the top-level refinement.
 //! - [`generate::Generator`] produces seeded, size-bounded random inputs
 //!   satisfying argument refinements by rejection sampling, driven by the
-//!   deterministic [`rng::Rng`] (no wall-clock, no OS entropy).
+//!   deterministic [`Rng`] (no wall-clock, no OS entropy).
 //! - [`shrink`] minimizes failing inputs greedily to small witnesses.
 //! - [`harness`] ties it together: synthesize each goal through the full
 //!   engine, fuzz the result, shrink violations, and (in differential
@@ -32,7 +32,6 @@ pub mod cval;
 pub mod generate;
 pub mod harness;
 pub mod interp;
-pub mod rng;
 pub mod shrink;
 
 pub use check::Checker;
@@ -43,4 +42,4 @@ pub use harness::{
     GoalFuzzReport, Violation,
 };
 pub use interp::{conjuncts, nu_env, LogicEnv, LogicVal, MeasureInterp, OracleError};
-pub use rng::Rng;
+pub use synquid_logic::Rng;

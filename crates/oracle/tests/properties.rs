@@ -1,17 +1,9 @@
-//! Property tests for the input generator, gated behind the `proptest`
-//! feature so the default test run stays fast:
+//! Property tests for the input generator.
 //!
-//! ```text
-//! cargo test -p synquid-oracle --features proptest
-//! ```
-//!
-//! The properties are driven by the oracle's own seeded [`Rng`] rather
-//! than the external `proptest` crate — the workspace must resolve
-//! offline, so the dev-dependency stays commented out in `Cargo.toml`.
-//! Each property sweeps a few hundred seeds; failures print the seed,
-//! which reproduces the exact run (`Rng::new(seed)` is the only source
-//! of randomness in the whole crate).
-#![cfg(feature = "proptest")]
+//! The properties are driven by the seeded [`Rng`]. Each property sweeps
+//! a few hundred seeds; failures print the seed, which reproduces the
+//! exact run (`Rng::new(seed)` is the only source of randomness in the
+//! whole crate).
 
 use synquid_logic::{Sort, Term};
 use synquid_oracle::{CVal, Checker, GenStats, Generator, LogicEnv, Rng};

@@ -50,7 +50,7 @@ pub use cache::{NormalizedQuery, SharedValidityCache, ValidityCacheStats};
 pub use cancel::CancellationToken;
 pub use epoch_memo::{EpochMemo, MemoStats};
 pub use lemmas::{Lemma, LemmaSeed, LemmaStoreStats, SharedLemmaStore};
-pub use mus::{enumerate_mus, enumerate_mus_smt, MusConfig, MusKey, MusMemo};
+pub use mus::{enumerate_mus, enumerate_mus_smt, MusKey, MusMemo};
 pub use rational::Rational;
 pub use sat::{Lit, SatResult, SatSolver};
 pub use smt::{Smt, SmtResult, SmtStats};

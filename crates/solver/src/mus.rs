@@ -25,33 +25,18 @@ use crate::smt::{Smt, SmtResult};
 use std::collections::BTreeSet;
 use synquid_logic::Term;
 
-/// Budgets for MUS enumeration.
-#[derive(Debug, Clone, Copy)]
-pub struct MusConfig {
-    /// Maximum number of MUSes to report.
-    pub max_muses: usize,
-    /// Maximum number of subset satisfiability checks.
-    pub max_checks: usize,
-}
+/// Maximum number of MUSes one enumeration reports.
+const MAX_MUSES: usize = 4;
 
-impl Default for MusConfig {
-    fn default() -> Self {
-        MusConfig {
-            max_muses: 4,
-            max_checks: 400,
-        }
-    }
-}
+/// Maximum number of subset satisfiability checks one enumeration issues.
+const MAX_CHECKS: usize = 400;
 
-/// Key of one memoized enumeration: the whole strengthening problem plus
-/// the enumeration budgets, so differently-configured calls never alias.
+/// Key of one memoized enumeration: the whole strengthening problem.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct MusKey {
     background: Term,
     soft: Vec<Term>,
     required: Vec<usize>,
-    max_muses: usize,
-    max_checks: usize,
 }
 
 /// A cloneable handle to a memo of *decided* MUS enumerations: every
@@ -78,7 +63,8 @@ impl Default for MusMemo {
 }
 
 /// Enumerates minimal unsatisfiable subsets of `0..n` using the provided
-/// oracle. Every reported subset is a superset of `required`; elements of
+/// oracle, stopping after `MAX_MUSES` MUSes or `MAX_CHECKS` oracle calls.
+/// Every reported subset is a superset of `required`; elements of
 /// `required` are never candidates for removal during shrinking.
 ///
 /// The `is_unsat` oracle receives a candidate subset (always including
@@ -87,7 +73,6 @@ impl Default for MusMemo {
 pub fn enumerate_mus(
     n: usize,
     required: &BTreeSet<usize>,
-    config: MusConfig,
     mut is_unsat: impl FnMut(&BTreeSet<usize>) -> bool,
 ) -> Vec<BTreeSet<usize>> {
     let mut muses: Vec<BTreeSet<usize>> = Vec::new();
@@ -99,7 +84,7 @@ pub fn enumerate_mus(
     }
 
     loop {
-        if muses.len() >= config.max_muses || checks >= config.max_checks {
+        if muses.len() >= MAX_MUSES || checks >= MAX_CHECKS {
             break;
         }
         // Find an unexplored seed.
@@ -126,7 +111,7 @@ pub fn enumerate_mus(
                 let mut candidate = mss.clone();
                 candidate.insert(i);
                 checks += 1;
-                if checks >= config.max_checks {
+                if checks >= MAX_CHECKS {
                     break;
                 }
                 if !is_unsat(&candidate) {
@@ -152,7 +137,7 @@ pub fn enumerate_mus(
                 let mut candidate = mus.clone();
                 candidate.remove(&i);
                 checks += 1;
-                if checks >= config.max_checks {
+                if checks >= MAX_CHECKS {
                     break;
                 }
                 if is_unsat(&candidate) {
@@ -206,15 +191,12 @@ pub fn enumerate_mus_smt(
     background: &Term,
     soft: &[Term],
     required: &BTreeSet<usize>,
-    config: MusConfig,
 ) -> Vec<BTreeSet<usize>> {
     let memo = smt.mus_memo().cloned().map(|memo| {
         let key = MusKey {
             background: background.clone(),
             soft: soft.to_vec(),
             required: required.iter().copied().collect(),
-            max_muses: config.max_muses,
-            max_checks: config.max_checks,
         };
         (memo, key)
     });
@@ -260,7 +242,7 @@ pub fn enumerate_mus_smt(
     // A deadline cut answers `Unknown` too, so "every check decided"
     // also rules out interrupted enumerations.
     let mut decided = true;
-    let muses = enumerate_mus(soft.len(), required, config, |subset| {
+    let muses = enumerate_mus(soft.len(), required, |subset| {
         let assumptions: Vec<_> = subset.iter().map(|i| selectors[*i]).collect();
         let verdict = smt.solve_session(&mut session, &problem, &assumptions);
         decided &= verdict != SmtResult::Unknown;
@@ -288,7 +270,7 @@ mod tests {
         let is_unsat = |s: &BTreeSet<usize>| {
             (s.contains(&0) && s.contains(&1)) || (s.contains(&1) && s.contains(&2))
         };
-        let muses = enumerate_mus(4, &BTreeSet::new(), MusConfig::default(), is_unsat);
+        let muses = enumerate_mus(4, &BTreeSet::new(), is_unsat);
         assert_eq!(muses.len(), 2);
         assert!(muses.contains(&set(&[0, 1])));
         assert!(muses.contains(&set(&[1, 2])));
@@ -300,19 +282,19 @@ mod tests {
         let is_unsat = |s: &BTreeSet<usize>| {
             (s.contains(&0) && s.contains(&1)) || (s.contains(&1) && s.contains(&2))
         };
-        let muses = enumerate_mus(4, &set(&[2]), MusConfig::default(), is_unsat);
+        let muses = enumerate_mus(4, &set(&[2]), is_unsat);
         assert_eq!(muses, vec![set(&[1, 2])]);
     }
 
     #[test]
     fn no_mus_when_everything_satisfiable() {
-        let muses = enumerate_mus(5, &BTreeSet::new(), MusConfig::default(), |_| false);
+        let muses = enumerate_mus(5, &BTreeSet::new(), |_| false);
         assert!(muses.is_empty());
     }
 
     #[test]
     fn required_set_alone_unsat_is_the_unique_mus() {
-        let muses = enumerate_mus(3, &set(&[1]), MusConfig::default(), |s| s.contains(&1));
+        let muses = enumerate_mus(3, &set(&[1]), |s| s.contains(&1));
         assert_eq!(muses, vec![set(&[1])]);
     }
 
@@ -337,13 +319,7 @@ mod tests {
     }
 
     fn enumerate(smt: &mut Smt, (background, soft): &(Term, Vec<Term>)) -> Vec<BTreeSet<usize>> {
-        enumerate_mus_smt(
-            smt,
-            background,
-            soft,
-            &BTreeSet::new(),
-            MusConfig::default(),
-        )
+        enumerate_mus_smt(smt, background, soft, &BTreeSet::new())
     }
 
     /// (hits, misses, entries) of the solver's memo.
@@ -420,13 +396,7 @@ mod tests {
         // n ≤ 0 is {n ≤ 0} itself: adding it makes the background unsat.
         let (background, soft) = replicate_nil_problem();
         let mut smt = Smt::new();
-        let muses = enumerate_mus_smt(
-            &mut smt,
-            &background,
-            &soft,
-            &BTreeSet::new(),
-            MusConfig::default(),
-        );
+        let muses = enumerate_mus_smt(&mut smt, &background, &soft, &BTreeSet::new());
         assert!(
             muses.contains(&set(&[0])),
             "expected {{n ≤ 0}} to be a MUS, got {muses:?}"
@@ -467,13 +437,7 @@ mod tests {
             elems(nu).eq(elems(xs).set_diff(single("x"))).not(),
         ];
         let mut smt = Smt::new();
-        let muses = enumerate_mus_smt(
-            &mut smt,
-            &background,
-            &soft,
-            &set(&[2]),
-            MusConfig::default(),
-        );
+        let muses = enumerate_mus_smt(&mut smt, &background, &soft, &set(&[2]));
         assert!(
             muses.contains(&set(&[0, 1, 2])),
             "expected {{x ≤ x0, x0 ≤ x, ¬conclusion}} to be a MUS, got {muses:?}"

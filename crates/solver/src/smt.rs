@@ -24,7 +24,7 @@ use crate::sat::{Lit, SatResult, SatSolver};
 use std::collections::{HashMap, HashSet};
 use std::time::Instant;
 use synquid_logic::Term;
-use synquid_telemetry::{events, events::Event, Phase, PhaseProfile};
+use synquid_telemetry::{events, events::Event, Phase};
 
 /// Result of an SMT query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -98,15 +98,6 @@ pub struct SmtStats {
     /// estimate — the baseline is the same query's first solve, not a
     /// from-scratch rerun of each check.
     pub lia_pivots_saved: usize,
-    /// Per-phase wall-time attribution of the work done *inside* this
-    /// instance's queries (cache-lookup, encode, SAT, LIA, core-shrink),
-    /// captured per `Smt::check_query` call when span profiling is on
-    /// (see [`synquid_telemetry`]) and empty otherwise. This is the
-    /// solver-side subset of a synthesis run's profile: the synthesizer
-    /// windows the whole run on the same thread-local spans, so these
-    /// timings are *already included* there — merge one or the other
-    /// into reports, never both.
-    pub phases: PhaseProfile,
 }
 
 /// The SMT solver facade.
@@ -381,18 +372,12 @@ impl Smt {
     /// query entry point reduces to this, so all of them share both
     /// cache layers under consistent `(antecedent, consequent)` keys.
     ///
-    /// When span profiling is on, the phase-time delta of the query is
-    /// folded into [`SmtStats::phases`]; when the event sink is open,
-    /// queries slower than 25 ms are captured with their formulas
-    /// (`smt_query` events — the raw material solver-benchmark fixtures
-    /// are transcribed from).
+    /// When the event sink is open, queries slower than 25 ms are
+    /// captured with their formulas (`smt_query` events — the raw
+    /// material solver-benchmark fixtures are transcribed from).
     fn check_query(&mut self, antecedent: Term, consequent: Term) -> SmtResult {
-        let profile = synquid_telemetry::window();
         let capture = events::events_enabled().then(Instant::now);
         let result = self.check_query_inner(&antecedent, &consequent);
-        if let Some(profile) = profile {
-            self.stats.phases.merge(&profile.close());
-        }
         if let Some(started) = capture {
             let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
             if elapsed_ms >= 25.0 {

@@ -2,27 +2,31 @@
 //! cross-checked against brute-force evaluation over a small integer
 //! domain, and core algebraic laws of the decision procedures are checked.
 //!
-//! Gated behind the `proptest` feature: the external `proptest` crate is
-//! not vendored, so these tests only compile where it can be fetched —
-//! enabling the feature also requires uncommenting the `proptest`
-//! dev-dependency in this crate's Cargo.toml.
-#![cfg(feature = "proptest")]
+//! Each property sweeps a fixed range of seeds through the seeded
+//! [`Rng`]; a failure names its seed, and `Rng::new(seed)` replays the
+//! exact case.
 
-use proptest::prelude::*;
-use std::collections::BTreeMap;
-use synquid_logic::{BinOp, Sort, Term, UnOp};
-use synquid_solver::lia::{Constraint, LiaResult, LiaSolver, LinExpr};
+use synquid_logic::{BinOp, Rng, Sort, Term, UnOp};
+use synquid_solver::lia::{Constraint, LiaResult, LiaSolver, LinExpr, Rel};
 use synquid_solver::{Lit, Rational, SatResult, SatSolver, Smt, SmtResult};
+
+/// `n` draws of `draw`, where `n` is uniform in `lo..=hi`.
+fn vec_of<T>(rng: &mut Rng, lo: u64, hi: u64, mut draw: impl FnMut(&mut Rng) -> T) -> Vec<T> {
+    let n = lo + rng.below(hi - lo + 1);
+    (0..n).map(|_| draw(rng)).collect()
+}
 
 // ---------------------------------------------------------------------
 // SAT solver vs. brute force
 // ---------------------------------------------------------------------
 
-fn arb_cnf(num_vars: usize) -> impl Strategy<Value = Vec<Vec<(usize, bool)>>> {
-    prop::collection::vec(
-        prop::collection::vec((0..num_vars, any::<bool>()), 1..4),
-        0..12,
-    )
+/// Up to 11 clauses of 1–3 literals over `num_vars` variables.
+fn arb_cnf(rng: &mut Rng, num_vars: usize) -> Vec<Vec<(usize, bool)>> {
+    vec_of(rng, 0, 11, |rng| {
+        vec_of(rng, 1, 3, |rng| {
+            (rng.below(num_vars as u64) as usize, rng.flip())
+        })
+    })
 }
 
 fn brute_force_sat(num_vars: usize, cnf: &[Vec<(usize, bool)>]) -> bool {
@@ -35,12 +39,11 @@ fn brute_force_sat(num_vars: usize, cnf: &[Vec<(usize, bool)>]) -> bool {
     })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(128))]
-
-    /// The CDCL solver agrees with brute force on small CNFs.
-    #[test]
-    fn cdcl_agrees_with_brute_force(cnf in arb_cnf(5)) {
+/// The CDCL solver agrees with brute force on small CNFs.
+#[test]
+fn cdcl_agrees_with_brute_force() {
+    for seed in 0..128 {
+        let cnf = arb_cnf(&mut Rng::new(seed), 5);
         let mut solver = SatSolver::new();
         solver.reserve_vars(5);
         for clause in &cnf {
@@ -49,13 +52,24 @@ proptest! {
         let expected = brute_force_sat(5, &cnf);
         match solver.solve() {
             SatResult::Sat(model) => {
-                prop_assert!(expected, "solver said SAT on an UNSAT instance");
+                assert!(
+                    expected,
+                    "seed {seed}: solver said SAT on an UNSAT instance"
+                );
                 // The model must satisfy every clause.
                 for clause in &cnf {
-                    prop_assert!(clause.iter().any(|(v, p)| model[*v] == *p));
+                    assert!(
+                        clause.iter().any(|(v, p)| model[*v] == *p),
+                        "seed {seed}: model violates {clause:?}"
+                    );
                 }
             }
-            SatResult::Unsat(_) => prop_assert!(!expected, "solver said UNSAT on a SAT instance"),
+            SatResult::Unsat(_) => {
+                assert!(
+                    !expected,
+                    "seed {seed}: solver said UNSAT on a SAT instance"
+                )
+            }
         }
     }
 }
@@ -64,64 +78,50 @@ proptest! {
 // LIA solver vs. brute force over a small box
 // ---------------------------------------------------------------------
 
+/// `coeffs · (x, y, z) + constant  rel  0`.
 #[derive(Debug, Clone)]
 struct SmallConstraint {
-    coeffs: Vec<i64>, // over three variables
+    coeffs: [i64; 3],
     constant: i64,
-    rel: u8, // 0: <=, 1: >=, 2: ==
+    rel: Rel,
 }
 
-fn arb_lia(num_constraints: usize) -> impl Strategy<Value = Vec<SmallConstraint>> {
-    prop::collection::vec(
-        (prop::collection::vec(-2i64..3, 3), -4i64..5, 0u8..3).prop_map(
-            |(coeffs, constant, rel)| SmallConstraint {
-                coeffs,
-                constant,
-                rel,
-            },
-        ),
-        0..num_constraints,
-    )
+/// Up to 4 constraints with coefficients in `-2..=2` and constants in
+/// `-4..=4`.
+fn arb_lia(rng: &mut Rng) -> Vec<SmallConstraint> {
+    vec_of(rng, 0, 4, |rng| SmallConstraint {
+        coeffs: [rng.int_in(-2, 2), rng.int_in(-2, 2), rng.int_in(-2, 2)],
+        constant: rng.int_in(-4, 4),
+        rel: [Rel::Le, Rel::Ge, Rel::Eq][rng.below(3) as usize],
+    })
 }
 
 fn lia_brute_force(constraints: &[SmallConstraint]) -> bool {
     let range = -6i64..=6;
-    for x in range.clone() {
-        for y in range.clone() {
-            for z in range.clone() {
-                let point = [x, y, z];
-                if constraints.iter().all(|c| {
-                    let lhs: i64 = c
-                        .coeffs
-                        .iter()
-                        .zip(point.iter())
-                        .map(|(a, v)| a * v)
-                        .sum::<i64>()
-                        + c.constant;
+    range.clone().any(|x| {
+        range.clone().any(|y| {
+            range.clone().any(|z| {
+                constraints.iter().all(|c| {
+                    let lhs = c.coeffs[0] * x + c.coeffs[1] * y + c.coeffs[2] * z + c.constant;
                     match c.rel {
-                        0 => lhs <= 0,
-                        1 => lhs >= 0,
-                        _ => lhs == 0,
+                        Rel::Le => lhs <= 0,
+                        Rel::Ge => lhs >= 0,
+                        Rel::Eq => lhs == 0,
                     }
-                }) {
-                    return true;
-                }
-            }
-        }
-    }
-    false
+                })
+            })
+        })
+    })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// If the brute-force search over a small box finds an integer model,
-    /// the simplex + branch-and-bound solver must not report UNSAT (it
-    /// searches the unbounded integer lattice, so the converse need not
-    /// hold).
-    #[test]
-    fn lia_never_misses_box_solutions(constraints in arb_lia(5)) {
-        let solver = LiaSolver::new();
+/// If the brute-force search over a small box finds an integer model,
+/// the simplex + branch-and-bound solver must not report UNSAT (it
+/// searches the unbounded integer lattice, so the converse need not
+/// hold).
+#[test]
+fn lia_never_misses_box_solutions() {
+    for seed in 0..96 {
+        let constraints = arb_lia(&mut Rng::new(seed));
         let lia_constraints: Vec<Constraint> = constraints
             .iter()
             .map(|c| {
@@ -129,26 +129,26 @@ proptest! {
                 for (v, a) in c.coeffs.iter().enumerate() {
                     expr.add_scaled(&LinExpr::variable(v), Rational::from_int(*a));
                 }
-                match c.rel {
-                    0 => Constraint { expr, rel: synquid_solver::lia::Rel::Le },
-                    1 => Constraint { expr, rel: synquid_solver::lia::Rel::Ge },
-                    _ => Constraint { expr, rel: synquid_solver::lia::Rel::Eq },
-                }
+                Constraint { expr, rel: c.rel }
             })
             .collect();
-        let verdict = solver.check(3, &lia_constraints);
+        let verdict = LiaSolver::new().check(3, &lia_constraints);
         if lia_brute_force(&constraints) {
-            prop_assert!(verdict.possibly_sat(), "solver reported UNSAT but a model exists");
+            assert!(
+                verdict.possibly_sat(),
+                "seed {seed}: solver reported UNSAT but a model exists for {constraints:?}"
+            );
         }
         // When the solver returns a model, it must satisfy the constraints.
         if let LiaResult::Sat(model) = verdict {
             for (c, lc) in constraints.iter().zip(&lia_constraints) {
                 let val = lc.expr.eval(&model);
-                match c.rel {
-                    0 => prop_assert!(val <= Rational::ZERO),
-                    1 => prop_assert!(val >= Rational::ZERO),
-                    _ => prop_assert!(val.is_zero()),
-                }
+                let ok = match c.rel {
+                    Rel::Le => val <= Rational::ZERO,
+                    Rel::Ge => val >= Rational::ZERO,
+                    Rel::Eq => val.is_zero(),
+                };
+                assert!(ok, "seed {seed}: model {model:?} violates {c:?}");
             }
         }
     }
@@ -158,28 +158,38 @@ proptest! {
 // End-to-end SMT properties
 // ---------------------------------------------------------------------
 
-fn arb_atom() -> impl Strategy<Value = Term> {
-    let var = prop_oneof![
-        Just(Term::var("x", Sort::Int)),
-        Just(Term::var("y", Sort::Int)),
-        (-3i64..4).prop_map(Term::int),
-    ];
-    (var.clone(), var, 0u8..4).prop_map(|(a, b, op)| match op {
-        0 => a.le(b),
-        1 => a.lt(b),
-        2 => a.eq(b),
-        _ => a.ge(b),
-    })
+/// `x`, `y`, or a constant in `-3..=3`.
+fn arb_operand(rng: &mut Rng) -> Term {
+    match rng.below(3) {
+        0 => Term::var("x", Sort::Int),
+        1 => Term::var("y", Sort::Int),
+        _ => Term::int(rng.int_in(-3, 3)),
+    }
 }
 
-fn arb_smt_formula() -> impl Strategy<Value = Term> {
-    arb_atom().prop_recursive(3, 16, 2, |inner| {
-        prop_oneof![
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.and(b)),
-            (inner.clone(), inner.clone()).prop_map(|(a, b)| a.or(b)),
-            inner.clone().prop_map(|a| a.not()),
-        ]
-    })
+/// Comparisons of [`arb_operand`]s under `∧`, `∨` and `¬`, at most
+/// `depth` connectives deep.
+fn smt_formula(rng: &mut Rng, depth: usize) -> Term {
+    if depth == 0 || rng.below(3) == 0 {
+        let a = arb_operand(rng);
+        let b = arb_operand(rng);
+        return match rng.below(4) {
+            0 => a.le(b),
+            1 => a.lt(b),
+            2 => a.eq(b),
+            _ => a.ge(b),
+        };
+    }
+    let a = smt_formula(rng, depth - 1);
+    match rng.below(3) {
+        0 => a.and(smt_formula(rng, depth - 1)),
+        1 => a.or(smt_formula(rng, depth - 1)),
+        _ => a.not(),
+    }
+}
+
+fn arb_smt_formula(rng: &mut Rng) -> Term {
+    smt_formula(rng, 3)
 }
 
 fn eval_formula(t: &Term, x: i64, y: i64) -> bool {
@@ -209,34 +219,48 @@ fn eval_formula(t: &Term, x: i64, y: i64) -> bool {
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// If a small-domain model exists, the SMT facade must not report
-    /// UNSAT; if it reports SAT for the negation, the formula is not
-    /// valid, which must agree with a counterexample search.
-    #[test]
-    fn smt_verdicts_are_consistent_with_small_models(f in arb_smt_formula()) {
+/// If a small-domain model exists, the SMT facade must not report
+/// UNSAT; if it reports SAT for the negation, the formula is not
+/// valid, which must agree with a counterexample search.
+#[test]
+fn smt_verdicts_are_consistent_with_small_models() {
+    for seed in 0..64 {
+        let f = arb_smt_formula(&mut Rng::new(seed));
         let mut smt = Smt::new();
         let has_model = (-4i64..5).any(|x| (-4i64..5).any(|y| eval_formula(&f, x, y)));
         let verdict = smt.check_sat(&f);
         if has_model {
-            prop_assert_ne!(verdict, SmtResult::Unsat, "missed a model of {}", f);
+            assert_ne!(
+                verdict,
+                SmtResult::Unsat,
+                "seed {seed}: missed a model of {f}"
+            );
         }
         // Validity is dual: if every small assignment satisfies the
         // formula's negation, the formula cannot be valid.
         let negation_everywhere = (-4i64..5).all(|x| (-4i64..5).all(|y| !eval_formula(&f, x, y)));
         if negation_everywhere {
-            prop_assert!(!smt.is_valid(&f));
+            assert!(!smt.is_valid(&f), "seed {seed}: {f} reported valid");
         }
     }
+}
 
-    /// `entails` is reflexive and respects conjunction weakening.
-    #[test]
-    fn entailment_laws(f in arb_smt_formula(), g in arb_smt_formula()) {
+/// `entails` is reflexive and respects conjunction weakening.
+#[test]
+fn entailment_laws() {
+    for seed in 0..64 {
+        let mut rng = Rng::new(seed);
+        let f = arb_smt_formula(&mut rng);
+        let g = arb_smt_formula(&mut rng);
         let mut smt = Smt::new();
-        prop_assert!(smt.entails(&f, &f.clone()));
-        prop_assert!(smt.entails(&f.clone().and(g.clone()), &f));
-        prop_assert!(smt.entails(&f.clone(), &f.clone().or(g)));
+        assert!(smt.entails(&f, &f), "seed {seed}: {f} ⊭ itself");
+        assert!(
+            smt.entails(&f.clone().and(g.clone()), &f),
+            "seed {seed}: {f} ∧ {g} ⊭ {f}"
+        );
+        assert!(
+            smt.entails(&f, &f.clone().or(g.clone())),
+            "seed {seed}: {f} ⊭ {f} ∨ {g}"
+        );
     }
 }

@@ -28,7 +28,7 @@
 //! The profiler's thread-locality is deliberate: one synthesis run stays
 //! on one worker thread, so a run's profile is a [`window`] opened around
 //! it, with no locks on the hot path and no cross-worker bleed. Windows
-//! nest (a solver query inside a run); each reports the maxima of its own
+//! nest (a derivation node inside a run); each reports the maxima of its own
 //! spans only. What is *stable* across runs for a fixed goal and
 //! configuration is the per-phase span **counts** (the search is
 //! deterministic); totals and maxima are wall-clock measurements and vary.
@@ -39,7 +39,7 @@ pub mod json;
 use json::Json;
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Instant;
 
 // ---------------------------------------------------------------------
@@ -298,37 +298,19 @@ impl From<&PhaseProfile> for Json {
 // The profiler
 // ---------------------------------------------------------------------
 
-const STATE_OFF: u8 = 0;
-const STATE_ON: u8 = 1;
-const STATE_UNREAD: u8 = 2;
+static PROFILING: AtomicBool = AtomicBool::new(false);
 
-static PROFILING: AtomicU8 = AtomicU8::new(STATE_UNREAD);
-
-/// True if span profiling is on. The first call (per process) consults
-/// `SYNQUID_PROFILE`; [`set_profiling`] overrides either way. This load
-/// is the *entire* cost of a span when profiling is off.
+/// True if span profiling is on (see [`set_profiling`]). This load is the
+/// *entire* cost of a span when profiling is off.
 #[inline]
 pub fn profiling_enabled() -> bool {
-    match PROFILING.load(Ordering::Relaxed) {
-        STATE_ON => true,
-        STATE_OFF => false,
-        _ => init_profiling(),
-    }
-}
-
-#[cold]
-fn init_profiling() -> bool {
-    let on = std::env::var("SYNQUID_PROFILE")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    PROFILING.store(u8::from(on), Ordering::Relaxed);
-    on
+    PROFILING.load(Ordering::Relaxed)
 }
 
 /// Turns span profiling on or off for the whole process (e.g. from
 /// `--stats` in the CLI, or from a benchmark harness).
 pub fn set_profiling(on: bool) {
-    PROFILING.store(u8::from(on), Ordering::Relaxed);
+    PROFILING.store(on, Ordering::Relaxed);
 }
 
 struct ThreadProfiler {

@@ -11,7 +11,7 @@
 use crate::env::Environment;
 use crate::ty::{is_free_type_var, BaseType, RType, FREE_TYPE_VAR_PREFIX};
 use std::collections::BTreeMap;
-use synquid_horn::{FixpointConfig, FixpointSolver, HornConstraint};
+use synquid_horn::{FixpointSolver, HornConstraint, StrengthenBackend};
 use synquid_logic::{Sort, Term};
 use synquid_solver::{Smt, SmtResult};
 
@@ -57,15 +57,15 @@ pub struct ConstraintSolver {
 
 impl Default for ConstraintSolver {
     fn default() -> Self {
-        ConstraintSolver::new(FixpointConfig::default())
+        ConstraintSolver::new(StrengthenBackend::default())
     }
 }
 
 impl ConstraintSolver {
-    /// Creates a solver with the given fixpoint configuration.
-    pub fn new(config: FixpointConfig) -> ConstraintSolver {
+    /// Creates a solver whose fixpoint solver strengthens with `backend`.
+    pub fn new(backend: StrengthenBackend) -> ConstraintSolver {
         ConstraintSolver {
-            fixpoint: FixpointSolver::new(config),
+            fixpoint: FixpointSolver::new(backend),
             type_assignment: BTreeMap::new(),
             fresh_tyvar_counter: 0,
             consistency_enabled: true,
