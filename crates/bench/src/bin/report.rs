@@ -58,11 +58,18 @@ use synquid_bench::{
     run_table1, run_table2,
 };
 
+/// The value of a numeric flag, `None` if the flag is absent. A missing
+/// or malformed value exits 2: running on the default instead would let
+/// a typo in a gate (`--warm-runs`, say) check nothing.
 fn parse_flag(args: &[String], name: &str) -> Option<u64> {
-    args.iter()
-        .position(|a| a == name)
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse().ok())
+    let i = args.iter().position(|a| a == name)?;
+    match args.get(i + 1).map(|v| v.parse()) {
+        Some(Ok(value)) => Some(value),
+        _ => {
+            eprintln!("{name} needs a non-negative integer value");
+            std::process::exit(2)
+        }
+    }
 }
 
 /// Unwraps a result, or prints why it failed (a spec that did not load,

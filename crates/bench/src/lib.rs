@@ -368,7 +368,7 @@ fn run_json(warm: bool, run: &BatchReport) -> Json {
         ("enum_hit_rate", Json::fixed(s.enumeration.hit_rate(), 4)),
         ("enum_evicted", s.enumeration.evicted.into()),
         ("lemmas_absorbed", s.lemmas.absorbed.into()),
-        ("lemmas_resident", s.lemmas.resident.into()),
+        ("lemmas_resident", s.lemmas.entries.into()),
         ("namespaces", s.namespaces.into()),
     ])
 }
@@ -1097,7 +1097,7 @@ mod tests {
         session.enumeration.misses = 30;
         session.enumeration.evicted = 2;
         session.lemmas.absorbed = 12;
-        session.lemmas.resident = 40;
+        session.lemmas.entries = 40;
         session.namespaces = 12;
         let cold = BatchReport {
             outcomes: vec![

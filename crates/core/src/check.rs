@@ -55,18 +55,6 @@ impl TypeChecker {
         }
     }
 
-    /// Creates a checker whose SMT backend is wired into a shared solver
-    /// context, so re-validation of synthesized programs reuses the
-    /// validity verdicts the synthesis runs already paid for.
-    pub fn with_context(context: &crate::context::SolverContext) -> TypeChecker {
-        TypeChecker {
-            smt: context.make_smt(),
-            fresh_counter: 0,
-            node_counter: 0,
-            current_node: 0,
-        }
-    }
-
     fn fresh_name(&mut self, prefix: &str) -> String {
         let n = self.fresh_counter;
         self.fresh_counter += 1;

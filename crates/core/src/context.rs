@@ -1,17 +1,15 @@
 //! The shared solver context: what a batch of synthesis runs has in
 //! common.
 //!
-//! The single-goal [`Synthesizer`](crate::Synthesizer) historically
-//! constructed its own SMT backend per run, which made every validity
-//! check start cold. [`SolverContext`] is the seam the parallel engine
-//! (and any future server frontend) plugs into instead: it carries the
-//! [`SharedValidityCache`] that all workers populate together and the
-//! [`CancellationToken`] that lets a portfolio winner stop its siblings.
-//! Constructing a context is cheap; cloning one shares the underlying
-//! cache and token.
+//! [`SessionCaches`] is the one bundle of cache layers a solver reads and
+//! feeds; a resident session keeps one per component library, and a
+//! standalone run gets a fresh one. [`SolverContext`] adds what one batch
+//! run fixes on top: the lemma seed frozen from the bundle's store, and
+//! the [`CancellationToken`] that lets a portfolio winner stop its
+//! siblings. Cloning a context shares its caches and token.
 
 use crate::memo::{EnumerationCache, ENUMERATION_MAX_ENTRIES};
-use synquid_solver::{LemmaSeed, MusMemo, SharedLemmaStore, SharedValidityCache, Smt};
+use synquid_solver::{LemmaSeed, MusMemo, SharedLemmaStore, SharedValidityCache};
 
 /// The cancellation token now lives in `synquid-solver` so the DPLL(T)
 /// loop itself can poll it (see `synquid_solver::cancel`); it is
@@ -19,127 +17,106 @@ use synquid_solver::{LemmaSeed, MusMemo, SharedLemmaStore, SharedValidityCache, 
 /// this crate.
 pub use synquid_solver::CancellationToken;
 
-/// Shared state for a family of synthesis runs: the validity cache all
-/// their SMT instances feed, and the cancellation token they observe.
+/// The cache layers every solver of a context shares. Each stores only
+/// pure functions of its keys, so sharing changes timing, never results.
+/// Cloning shares the underlying tables.
+#[derive(Debug, Clone)]
+pub struct SessionCaches {
+    /// SMT verdicts of normalized `(antecedent, consequent)` queries.
+    pub validity: SharedValidityCache,
+    /// E-term candidate sets (see [`EnumerationCache`]), reused by every
+    /// rung and goal that shares an environment.
+    pub enumeration: EnumerationCache,
+    /// Learned theory lemmas, frozen into a seed per batch run (see
+    /// `synquid_solver::lemmas`).
+    pub lemmas: SharedLemmaStore,
+    /// Decided MUS enumerations.
+    pub mus: MusMemo,
+}
+
+impl Default for SessionCaches {
+    /// A fresh bundle with every layer at its default bound.
+    fn default() -> SessionCaches {
+        SessionCaches {
+            validity: SharedValidityCache::new(),
+            enumeration: EnumerationCache::with_max_entries(ENUMERATION_MAX_ENTRIES),
+            lemmas: SharedLemmaStore::new(),
+            mus: MusMemo::new(),
+        }
+    }
+}
+
+/// Shared state for a family of synthesis runs: the caches all their
+/// solvers feed, the lemma seed they all replay, and the cancellation
+/// token they observe.
 #[derive(Debug, Clone)]
 pub struct SolverContext {
-    /// The cross-run validity cache; `None` runs every backend cold
-    /// (the pre-engine behaviour).
-    pub cache: Option<SharedValidityCache>,
+    /// The cache layers.
+    pub caches: SessionCaches,
+    /// The lemmas of `caches.lemmas`, frozen when the context was built,
+    /// so every run of the context replays the same seed.
+    pub lemma_seed: LemmaSeed,
     /// Cooperative cancellation observed by deadline checks.
     pub cancel: CancellationToken,
-    /// The cross-run E-term enumeration memo (see [`EnumerationCache`]):
-    /// candidate sets generated by one rung (or one goal sharing an
-    /// environment) are reused by every other run attached to the same
-    /// context. Entries are deterministic functions of their key, so
-    /// sharing never changes results, only timing.
-    pub enum_cache: EnumerationCache,
-    /// Theory lemmas inherited from a resident session, frozen at the
-    /// batch boundary so every run of the batch replays the same seed
-    /// (`None` ⇒ cold start). See `synquid_solver::lemmas`.
-    pub lemma_seed: Option<LemmaSeed>,
-    /// Resident store where freshly learned conflicts are published for
-    /// future runs of the owning session.
-    pub lemma_sink: Option<SharedLemmaStore>,
-    /// The MUS-enumeration memo every solver of the context shares
-    /// (`None` ⇒ each solver keeps a private one). Only decided
-    /// enumerations are stored, so sharing changes timing, never results.
-    pub mus_memo: Option<MusMemo>,
 }
 
 impl Default for SolverContext {
     fn default() -> SolverContext {
-        SolverContext {
-            cache: None,
-            cancel: CancellationToken::new(),
-            enum_cache: EnumerationCache::with_max_entries(ENUMERATION_MAX_ENTRIES),
-            lemma_seed: None,
-            lemma_sink: None,
-            mus_memo: None,
-        }
+        SolverContext::new()
     }
 }
 
 impl SolverContext {
-    /// A context with no cache and a fresh token — equivalent to the
-    /// standalone behaviour of [`Synthesizer::new`](crate::Synthesizer::new).
+    /// A standalone context: a fresh bundle, an empty seed and a fresh
+    /// token — what [`Synthesizer::new`](crate::Synthesizer::new) runs on.
     pub fn new() -> SolverContext {
-        SolverContext::default()
+        SolverContext::with_caches(SessionCaches::default())
     }
 
-    /// A context whose runs share the given validity cache.
-    pub fn with_cache(cache: SharedValidityCache) -> SolverContext {
+    /// A context on `caches` with a fresh token, its lemma seed frozen
+    /// from `caches.lemmas` now.
+    pub fn with_caches(caches: SessionCaches) -> SolverContext {
         SolverContext {
-            cache: Some(cache),
-            ..SolverContext::default()
-        }
-    }
-
-    /// Derives a context that shares this one's caches but has its own
-    /// cancellation token (one portfolio rung each, for example).
-    pub fn child(&self) -> SolverContext {
-        SolverContext {
-            cache: self.cache.clone(),
+            lemma_seed: caches.lemmas.seed(),
+            caches,
             cancel: CancellationToken::new(),
-            enum_cache: self.enum_cache.clone(),
-            lemma_seed: self.lemma_seed.clone(),
-            lemma_sink: self.lemma_sink.clone(),
-            mus_memo: self.mus_memo.clone(),
         }
-    }
-
-    /// Builds an SMT backend wired to the shared cache (if any) and, for
-    /// session-resident contexts, the frozen lemma seed, the flush-back
-    /// store and the shared MUS memo.
-    pub fn make_smt(&self) -> Smt {
-        let mut smt = match &self.cache {
-            Some(cache) => Smt::with_cache(cache.clone()),
-            None => Smt::new(),
-        };
-        if let (Some(seed), Some(sink)) = (&self.lemma_seed, &self.lemma_sink) {
-            smt.attach_lemma_session(seed.clone(), sink.clone());
-        }
-        if let Some(memo) = &self.mus_memo {
-            smt.attach_mus_memo(memo.clone());
-        }
-        smt
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SynthesisConfig, Synthesizer};
 
     #[test]
-    fn child_contexts_share_the_cache_but_not_the_token() {
-        let ctx = SolverContext::with_cache(SharedValidityCache::new());
-        let child = ctx.child();
-        assert!(child.cache.is_some());
-        child.cancel.cancel();
-        assert!(!ctx.cancel.is_cancelled());
-    }
+    fn standalone_contexts_get_a_fresh_bundle() {
+        use synquid_logic::{Sort, Term};
+        use synquid_solver::SmtResult;
 
-    #[test]
-    fn make_smt_attaches_the_cache() {
-        let ctx = SolverContext::with_cache(SharedValidityCache::new());
-        assert!(ctx.make_smt().shared_cache().is_some());
-        assert!(SolverContext::new().make_smt().shared_cache().is_none());
+        let x = Term::var("x", Sort::Int);
+        let query = x.clone().lt(Term::int(0)).and(x.gt(Term::int(0)));
+        for _ in 0..2 {
+            // Each standalone synthesizer consults a validity cache of
+            // its own: the second misses what the first stored.
+            let mut synth = Synthesizer::new(SynthesisConfig::default());
+            assert_eq!(synth.smt.check_sat(&query), SmtResult::Unsat);
+            let stats = synth.stats();
+            assert_eq!((stats.shared_cache_hits, stats.shared_cache_misses), (0, 1));
+        }
+        assert!(SolverContext::new().lemma_seed.is_empty());
     }
 
     #[test]
     fn synthesizers_of_one_context_share_its_mus_memo() {
-        use crate::{SynthesisConfig, Synthesizer};
         use std::collections::BTreeSet;
         use synquid_logic::{Sort, Term};
         use synquid_solver::enumerate_mus_smt;
 
-        let memo = MusMemo::new();
-        let ctx = SolverContext {
-            mus_memo: Some(memo.clone()),
-            ..SolverContext::new()
-        };
-        // `with_context` enables incrementality after `make_smt`; that
-        // must keep the attached memo, not swap in a private one.
+        let ctx = SolverContext::new();
+        // `with_context` enables incrementality after building the
+        // solver; that must keep the session's memo, not swap in a
+        // private one.
         let mut first = Synthesizer::with_context(SynthesisConfig::default(), &ctx);
         let mut second = Synthesizer::with_context(SynthesisConfig::default(), &ctx);
         let x = Term::var("x", Sort::Int);
@@ -151,7 +128,7 @@ mod tests {
         let computed = enumerate(&mut first);
         assert_eq!(computed, vec![BTreeSet::from([0])]);
         assert_eq!(enumerate(&mut second), computed);
-        let stats = memo.stats();
+        let stats = ctx.caches.mus.stats();
         assert_eq!((stats.misses, stats.hits, stats.entries), (1, 1, 1));
     }
 }

@@ -24,7 +24,7 @@ pub mod synthesis;
 
 pub use ast::{Case, Program};
 pub use check::TypeChecker;
-pub use context::{CancellationToken, SolverContext};
+pub use context::{CancellationToken, SessionCaches, SolverContext};
 pub use eval::{EvalError, Evaluator, Value};
 pub use memo::{EnumerationCache, GenerationEntry, ENUMERATION_MAX_ENTRIES};
 pub use options::SynthesisConfig;

@@ -128,8 +128,8 @@ pub struct SynthesisStats {
     pub smt_queries: usize,
     /// Queries answered by the instance-local memo.
     pub smt_cache_hits: usize,
-    /// Queries answered by the shared validity cache (zero when the run
-    /// has no [`SolverContext`] cache attached).
+    /// Queries answered by the validity cache of the run's
+    /// [`SolverContext`] (a fresh one for a standalone run).
     pub shared_cache_hits: usize,
     /// Subset of `shared_cache_hits` whose cached verdict was negative
     /// (`Unsat`), i.e. a previously proven entailment was reused.
@@ -216,18 +216,24 @@ pub struct Synthesizer {
 }
 
 impl Synthesizer {
-    /// Creates a standalone synthesizer: no shared validity cache, a
-    /// fresh cancellation token.
+    /// Creates a standalone synthesizer: a fresh cache bundle, a fresh
+    /// cancellation token.
     pub fn new(config: SynthesisConfig) -> Synthesizer {
         Synthesizer::with_context(config, &SolverContext::new())
     }
 
     /// Creates a synthesizer wired into a shared solver context: its SMT
-    /// backend feeds (and is fed by) the context's validity cache, and
-    /// the run stops early when the context's token is cancelled.
+    /// backend feeds (and is fed by) the context's caches, and the run
+    /// stops early when the context's token is cancelled.
     pub fn with_context(config: SynthesisConfig, context: &SolverContext) -> Synthesizer {
         let deadline = Instant::now() + config.timeout;
-        let mut smt = context.make_smt();
+        let caches = &context.caches;
+        let mut smt = Smt::with_session(
+            caches.validity.clone(),
+            caches.mus.clone(),
+            context.lemma_seed.clone(),
+            caches.lemmas.clone(),
+        );
         // Budget enforcement reaches the DPLL(T) loop itself: a single
         // liquid-abduction round can spend the whole budget inside one
         // fixpoint strengthening, so deadline checks between candidates
@@ -242,7 +248,7 @@ impl Synthesizer {
             cancel: context.cancel.clone(),
             deadline,
             stats: SynthesisStats::default(),
-            memo: context.enum_cache.clone(),
+            memo: caches.enumeration.clone(),
             goal_name: String::new(),
             fresh_counter: 0,
             node_counter: 0,

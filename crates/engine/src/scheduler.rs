@@ -26,13 +26,12 @@
 //! wall-clock finish order.
 
 use crate::portfolio::{Portfolio, RungOutcome, DEFAULT_RUNGS};
-use crate::session::{LibraryFingerprint, SessionCaches, SessionStats, SynthesisSession};
+use crate::session::{LibraryFingerprint, SessionStats, SynthesisSession};
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use synquid_core::{Goal, SolverContext, SynthesisConfig};
 use synquid_lang::runner::{goal_label, run_goal_in_context, RunResult};
-use synquid_solver::LemmaSeed;
 use synquid_telemetry::{events, events::Event};
 
 /// Configuration of a batch run.
@@ -233,17 +232,14 @@ impl Engine {
         // lemma seed per namespace: every run of this batch replays the
         // same seed, while fresh conflicts flow into the resident store
         // for *future* batches only.
-        let mut namespaces: BTreeMap<LibraryFingerprint, (SessionCaches, LemmaSeed)> =
-            BTreeMap::new();
+        let mut namespaces: BTreeMap<LibraryFingerprint, SolverContext> = BTreeMap::new();
         let goal_namespaces: Vec<LibraryFingerprint> = jobs
             .iter()
             .map(|job| {
                 let fingerprint = LibraryFingerprint::of_env(&job.goal.env);
-                namespaces.entry(fingerprint).or_insert_with(|| {
-                    let caches = session.caches_for(fingerprint);
-                    let seed = caches.lemmas.snapshot();
-                    (caches, seed)
-                });
+                namespaces
+                    .entry(fingerprint)
+                    .or_insert_with(|| SolverContext::with_caches(session.caches_for(fingerprint)));
                 fingerprint
             })
             .collect();
@@ -326,7 +322,7 @@ impl Engine {
         &self,
         shared: &Mutex<Shared>,
         jobs: &[GoalJob],
-        namespaces: &BTreeMap<LibraryFingerprint, (SessionCaches, LemmaSeed)>,
+        namespaces: &BTreeMap<LibraryFingerprint, SolverContext>,
         goal_namespaces: &[LibraryFingerprint],
     ) {
         // Consecutive pops that all ended in a starved park (see below).
@@ -413,14 +409,9 @@ impl Engine {
 
             let mut config = self.config.base.clone().with_bounds(app_depth, match_depth);
             config.timeout = slice;
-            let (caches, seed) = &namespaces[&goal_namespaces[goal_idx]];
             let ctx = SolverContext {
-                cache: Some(caches.validity.clone()),
                 cancel: token,
-                enum_cache: caches.enumeration.clone(),
-                lemma_seed: Some(seed.clone()),
-                lemma_sink: Some(caches.lemmas.clone()),
-                mus_memo: Some(caches.mus.clone()),
+                ..namespaces[&goal_namespaces[goal_idx]].clone()
             };
             events::emit(|| {
                 Event::new("rung_start")

@@ -47,11 +47,11 @@
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
-use synquid_core::{EnumerationCache, ENUMERATION_MAX_ENTRIES};
+use synquid_core::{EnumerationCache, SessionCaches, ENUMERATION_MAX_ENTRIES};
 use synquid_logic::snapshot::{decode_term, encode_term};
 use synquid_solver::{
-    LemmaStoreStats, MemoStats, MusMemo, SharedLemmaStore, SharedValidityCache, SmtResult,
-    ValidityCacheStats,
+    MemoStats, MusMemo, SharedLemmaStore, SharedValidityCache, SmtResult, ValidityCacheStats,
+    MAX_LEMMAS,
 };
 use synquid_telemetry::{events, events::Event};
 use synquid_types::Environment;
@@ -74,7 +74,7 @@ impl Default for SessionLimits {
         SessionLimits {
             validity_entries: SharedValidityCache::DEFAULT_MAX_ENTRIES,
             enumeration_entries: ENUMERATION_MAX_ENTRIES,
-            lemmas: SharedLemmaStore::DEFAULT_MAX_LEMMAS,
+            lemmas: MAX_LEMMAS,
             mus_entries: MusMemo::DEFAULT_MAX_ENTRIES,
         }
     }
@@ -130,32 +130,6 @@ fn fnv1a_128(bytes: &[u8]) -> u128 {
     hash
 }
 
-/// The cache handles of one library namespace. Cloning shares the
-/// underlying state; a borrower wires these into its `SolverContext`s
-/// and never constructs caches of its own.
-#[derive(Debug, Clone)]
-pub struct SessionCaches {
-    /// Cross-run SMT validity memo.
-    pub validity: SharedValidityCache,
-    /// Cross-run E-term enumeration memo.
-    pub enumeration: EnumerationCache,
-    /// Cross-run theory-lemma pool (frozen into a seed per batch run).
-    pub lemmas: SharedLemmaStore,
-    /// Cross-run memo of decided MUS enumerations.
-    pub mus: MusMemo,
-}
-
-impl SessionCaches {
-    fn with_limits(limits: &SessionLimits) -> SessionCaches {
-        SessionCaches {
-            validity: SharedValidityCache::with_max_entries(limits.validity_entries),
-            enumeration: EnumerationCache::with_max_entries(limits.enumeration_entries),
-            lemmas: SharedLemmaStore::with_max_lemmas(limits.lemmas),
-            mus: MusMemo::with_max_entries(limits.mus_entries),
-        }
-    }
-}
-
 #[derive(Debug)]
 struct SessionState {
     namespaces: BTreeMap<LibraryFingerprint, SessionCaches>,
@@ -186,7 +160,7 @@ pub struct SessionStats {
     /// Enumeration-cache counters, summed across namespaces.
     pub enumeration: MemoStats,
     /// Lemma-store counters, summed across namespaces.
-    pub lemmas: LemmaStoreStats,
+    pub lemmas: MemoStats,
     /// MUS-memo counters, summed across namespaces.
     pub mus: MemoStats,
     /// Distinct library namespaces resident.
@@ -198,18 +172,12 @@ pub struct SessionStats {
 impl SessionStats {
     /// The counters accumulated since an earlier snapshot of the same
     /// session — one run's traffic against a resident session. Gauges
-    /// (entries, resident lemmas, namespaces, epochs) keep their
-    /// end-of-run values.
+    /// (entries, namespaces, epochs) keep their end-of-run values.
     pub fn since(&self, earlier: &SessionStats) -> SessionStats {
         SessionStats {
             validity: self.validity.since(&earlier.validity),
             enumeration: self.enumeration.since(&earlier.enumeration),
-            lemmas: LemmaStoreStats {
-                resident: self.lemmas.resident,
-                absorbed: self.lemmas.absorbed - earlier.lemmas.absorbed,
-                evicted: self.lemmas.evicted - earlier.lemmas.evicted,
-                epoch: self.lemmas.epoch,
-            },
+            lemmas: self.lemmas.since(&earlier.lemmas),
             mus: self.mus.since(&earlier.mus),
             namespaces: self.namespaces,
             epochs: self.epochs,
@@ -295,16 +263,21 @@ impl SynthesisSession {
     }
 
     /// The cache namespace for one component library, created on first
-    /// use. Callers wire the returned handles into their
-    /// `SolverContext`s; two environments with the same fingerprint
-    /// share state, different fingerprints never do.
+    /// use. Callers build their `SolverContext`s on the returned bundle;
+    /// two environments with the same fingerprint share state, different
+    /// fingerprints never do.
     pub fn caches_for(&self, fingerprint: LibraryFingerprint) -> SessionCaches {
         let mut state = self.inner.lock().expect("session poisoned");
         let limits = state.limits;
         state
             .namespaces
             .entry(fingerprint)
-            .or_insert_with(|| SessionCaches::with_limits(&limits))
+            .or_insert_with(|| SessionCaches {
+                validity: SharedValidityCache::with_max_entries(limits.validity_entries),
+                enumeration: EnumerationCache::with_max_entries(limits.enumeration_entries),
+                lemmas: SharedLemmaStore::with_max_entries(limits.lemmas),
+                mus: MusMemo::with_max_entries(limits.mus_entries),
+            })
             .clone()
     }
 
@@ -337,8 +310,10 @@ impl SynthesisSession {
                 .uint("terms_evicted", stats.validity.terms_evicted as u64)
                 .uint("enum_entries", stats.enumeration.entries as u64)
                 .uint("enum_evicted", stats.enumeration.evicted as u64)
-                .uint("lemmas_resident", stats.lemmas.resident as u64)
+                .uint("lemmas_resident", stats.lemmas.entries as u64)
                 .uint("lemmas_evicted", stats.lemmas.evicted as u64)
+                .uint("mus_entries", stats.mus.entries as u64)
+                .uint("mus_evicted", stats.mus.evicted as u64)
         });
     }
 
@@ -366,11 +341,7 @@ impl SynthesisSession {
             out.validity.terms_evicted += v.terms_evicted;
             out.validity.epoch = out.validity.epoch.max(v.epoch);
             out.enumeration.merge(&caches.enumeration.stats());
-            let l = caches.lemmas.stats();
-            out.lemmas.resident += l.resident;
-            out.lemmas.absorbed += l.absorbed;
-            out.lemmas.evicted += l.evicted;
-            out.lemmas.epoch = out.lemmas.epoch.max(l.epoch);
+            out.lemmas.merge(&caches.lemmas.stats());
             out.mus.merge(&caches.mus.stats());
         }
         out
@@ -407,7 +378,7 @@ impl SynthesisSession {
                 }
                 out.push_str(&format!("validity {a} {c} {verdict}\n"));
             }
-            for lemma in caches.lemmas.export_lemmas() {
+            for lemma in caches.lemmas.sorted_keys() {
                 out.push_str("lemma");
                 for (key, value) in &lemma {
                     // Atom keys routinely contain whitespace (pretty-
@@ -508,7 +479,7 @@ impl SynthesisSession {
                 report.validity_entries += 1;
             }
             for lemma in lemmas {
-                caches.lemmas.absorb(lemma);
+                caches.lemmas.insert(lemma, ());
                 report.lemmas += 1;
             }
         }
@@ -590,10 +561,13 @@ mod tests {
         // Real atom keys contain whitespace and `%` (pretty-printed
         // terms, `Rational { num, den }` debug output) — the snapshot
         // escaping must round-trip them exactly.
-        caches.lemmas.absorb(vec![
-            ("le:Rational { num: 0, den: 1 }:1*[v:x]".to_string(), true),
-            ("b<=1%".to_string(), false),
-        ]);
+        caches.lemmas.insert(
+            vec![
+                ("le:Rational { num: 0, den: 1 }:1*[v:x]".to_string(), true),
+                ("b<=1%".to_string(), false),
+            ],
+            (),
+        );
         let snapshot = session.serialize();
 
         let restored = SynthesisSession::new();
@@ -608,9 +582,9 @@ mod tests {
             caches.validity.lookup(&x.le(Term::int(3)), &Term::ff()),
             Some(SmtResult::Unsat)
         );
-        assert_eq!(caches.lemmas.stats().resident, 1);
+        assert_eq!(caches.lemmas.stats().entries, 1);
         assert_eq!(
-            caches.lemmas.export_lemmas(),
+            caches.lemmas.sorted_keys(),
             vec![vec![
                 ("le:Rational { num: 0, den: 1 }:1*[v:x]".to_string(), true),
                 ("b<=1%".to_string(), false),

@@ -176,7 +176,7 @@ fn tiny_cache_bounds_still_synthesize_correctly() {
         starved.session
     );
     assert!(
-        starved.session.lemmas.resident <= 2 * starved.session.namespaces,
+        starved.session.lemmas.entries <= 2 * starved.session.namespaces,
         "lemma store exceeded its per-namespace bound: {:?}",
         starved.session
     );

@@ -205,16 +205,6 @@ impl FixpointSolver {
         Ok(())
     }
 
-    /// Checks that every constraint holds under the current assignment
-    /// (useful as a final sanity check after synthesis).
-    pub fn check_all(&mut self, smt: &mut Smt) -> bool {
-        let assignment = self.assignment().clone();
-        self.constraints
-            .clone()
-            .iter()
-            .all(|c| self.constraint_holds(&assignment, c, smt))
-    }
-
     // -----------------------------------------------------------------
     // Fixpoint iteration
     // -----------------------------------------------------------------

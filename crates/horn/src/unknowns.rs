@@ -143,14 +143,6 @@ impl Assignment {
             atoms.is_subset(&mine)
         })
     }
-
-    /// All unknowns with a non-trivial valuation.
-    pub fn assigned_unknowns(&self) -> impl Iterator<Item = UnknownId> + '_ {
-        self.valuations
-            .iter()
-            .filter(|(_, v)| !v.is_empty())
-            .map(|(id, _)| *id)
-    }
 }
 
 #[cfg(test)]

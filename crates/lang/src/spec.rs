@@ -72,12 +72,6 @@ pub fn goal_from_corpus(name: &str) -> Option<Goal> {
     None
 }
 
-/// Loads a spec file and returns its goals, rendering any diagnostics
-/// into the error message.
-pub fn goals_from_path(path: impl AsRef<Path>) -> Result<Vec<Goal>, Box<dyn std::error::Error>> {
-    Ok(load_file(path)?.goals)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -5,8 +5,7 @@
 //! rungs, portfolio siblings, and goals that share a component library.
 //! [`SharedValidityCache`] is the cross-solver memo table: it is shared
 //! by every [`Smt`](crate::Smt) instance of a batch run (clone the handle
-//! and attach it with [`Smt::attach_cache`](crate::Smt::attach_cache)),
-//! and keyed by *normalized, interned* `(antecedent, consequent)` query
+//! into [`Smt::with_session`](crate::Smt::with_session)), and keyed by *normalized, interned* `(antecedent, consequent)` query
 //! pairs: each probe walks the normalized terms once against the
 //! hash-consing table (under a read lock, so concurrent workers don't
 //! serialize on hits), and the memo map itself stores and compares only
@@ -151,7 +150,7 @@ impl Default for CacheShared {
 
 /// A cloneable handle to a concurrent validity memo table. All clones
 /// share the same underlying table; the handle is `Send + Sync` and is
-/// designed to be attached to one [`Smt`](crate::Smt) per worker thread.
+/// designed to be shared by one [`Smt`](crate::Smt) per worker thread.
 #[derive(Debug, Clone, Default)]
 pub struct SharedValidityCache {
     inner: Arc<CacheShared>,

@@ -3,7 +3,8 @@
 //! Resident sessions keep memo tables alive across batch runs, so each
 //! must bound itself. [`EpochMemo`] is that policy for tables whose
 //! values are pure functions of their keys (the E-term enumeration memo
-//! of `synquid-core`, the MUS memo of [`crate::mus`]):
+//! of `synquid-core`, the MUS memo of [`crate::mus`]) and for the set of
+//! learned theory lemmas ([`crate::lemmas`], a table with `()` values):
 //!
 //! - every lookup hit or insert stamps its entry with the current epoch;
 //! - [`EpochMemo::advance_epoch`] (called at batch boundaries) drops
@@ -28,6 +29,9 @@ pub struct MemoStats {
     pub misses: usize,
     /// Entries currently stored.
     pub entries: usize,
+    /// Keys newly stored (monotone; storing a resident key again is not
+    /// counted).
+    pub absorbed: usize,
     /// Entries dropped by epoch GC or overflow sweeps (monotone).
     pub evicted: usize,
     /// GC epochs advanced since the memo was created.
@@ -53,6 +57,7 @@ impl MemoStats {
             hits: self.hits - earlier.hits,
             misses: self.misses - earlier.misses,
             entries: self.entries,
+            absorbed: self.absorbed - earlier.absorbed,
             evicted: self.evicted - earlier.evicted,
             epoch: self.epoch,
         }
@@ -65,6 +70,7 @@ impl MemoStats {
         self.hits += other.hits;
         self.misses += other.misses;
         self.entries += other.entries;
+        self.absorbed += other.absorbed;
         self.evicted += other.evicted;
         self.epoch = self.epoch.max(other.epoch);
     }
@@ -80,6 +86,7 @@ struct Table<K, V> {
     swept_epoch: Option<u32>,
     hits: usize,
     misses: usize,
+    absorbed: usize,
     evicted: usize,
 }
 
@@ -109,6 +116,7 @@ impl<K: Eq + Hash, V: Clone> EpochMemo<K, V> {
                 swept_epoch: None,
                 hits: 0,
                 misses: 0,
+                absorbed: 0,
                 evicted: 0,
             })),
         }
@@ -153,7 +161,25 @@ impl<K: Eq + Hash, V: Clone> EpochMemo<K, V> {
                 return;
             }
         }
-        table.map.insert(key, (value, epoch));
+        if table.map.insert(key, (value, epoch)).is_none() {
+            table.absorbed += 1;
+        }
+    }
+
+    /// Stamps every resident key of `keys` with the current epoch, under
+    /// one lock, without counting lookups: the keys were read from a
+    /// frozen copy of the table and are still in use.
+    pub(crate) fn touch_all<'a>(&self, keys: impl IntoIterator<Item = &'a K>)
+    where
+        K: 'a,
+    {
+        let mut table = self.lock();
+        let epoch = table.epoch;
+        for key in keys {
+            if let Some((_, stamp)) = table.map.get_mut(key) {
+                *stamp = epoch;
+            }
+        }
     }
 
     /// Closes one GC epoch: entries neither stored nor hit for two full
@@ -175,8 +201,19 @@ impl<K: Eq + Hash, V: Clone> EpochMemo<K, V> {
             hits: table.hits,
             misses: table.misses,
             entries: table.map.len(),
+            absorbed: table.absorbed,
             evicted: table.evicted,
             epoch: table.epoch as usize,
         }
+    }
+
+    /// The stored keys in ascending order.
+    pub fn sorted_keys(&self) -> Vec<K>
+    where
+        K: Ord + Clone,
+    {
+        let mut keys: Vec<K> = self.lock().map.keys().cloned().collect();
+        keys.sort_unstable();
+        keys
     }
 }

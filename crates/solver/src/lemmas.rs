@@ -1,225 +1,125 @@
-//! Session-resident persistence of learned theory conflicts.
+//! Learned theory lemmas: one index for replay, one resident store.
 //!
 //! Each [`Smt`](crate::Smt) instance learns theory conflicts while it
-//! solves and keeps them in a private store for the duration of one
-//! synthesis run (see the incremental DPLL(T) machinery in
-//! [`crate::smt`]). A lemma is a set of portable atom keys taken at
-//! truth values that are jointly LIA-inconsistent — a fact about the
-//! formulas themselves, valid in *any* query in which all of its atoms
-//! appear. That makes lemmas safe to outlive the run that learned them:
-//! [`SharedLemmaStore`] is the resident pool a session keeps across
-//! runs.
+//! solves (see the incremental DPLL(T) machinery in [`crate::smt`]). A
+//! lemma is a set of portable atom keys taken at truth values that are
+//! jointly LIA-inconsistent — a fact about the formulas themselves,
+//! valid in *any* query in which all of its atoms appear. That makes
+//! lemmas safe to outlive the run that learned them.
 //!
-//! Determinism is preserved by a freeze-then-flush protocol: at the
-//! start of a batch run the engine takes one immutable
-//! [`LemmaSeed`] snapshot, every solver of that run replays from the
-//! same seed (so results cannot depend on worker scheduling), and
-//! lemmas learned during the run flow back into the store for *future*
-//! runs only. Dropping lemmas is always sound — each one is implied by
-//! the encoding of any query containing its atoms — so the store is
-//! size-bounded and epoch-GC'd like every other resident cache:
-//! a lemma absorbed or replayed this epoch survives, two cold epochs
-//! evicts.
+//! A solver replays lemmas from two [`LemmaIndex`]es: the one it learns
+//! into, and a [`LemmaSeed`] — an index frozen from its session's
+//! [`SharedLemmaStore`] at the start of a batch run. Every solver of
+//! that run replays the same seed (so results cannot depend on worker
+//! scheduling), and lemmas learned during the run flow back into the
+//! store for *future* runs only. Dropping lemmas is always sound — each
+//! one is implied by the encoding of any query containing its atoms — so
+//! the store is an [`EpochMemo`] like every other resident memo: a lemma
+//! stored or replayed this epoch survives, two cold epochs evict.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, Mutex};
+use crate::epoch_memo::EpochMemo;
+use std::collections::HashMap;
+use std::sync::Arc;
 
 /// One persisted lemma: portable `(atom key, truth value)` literals,
 /// sorted by key. Asserting the negation of the conjunction is sound in
 /// any query whose atom set covers the keys.
 pub type Lemma = Vec<(String, bool)>;
 
-/// Counters exposed by [`SharedLemmaStore::stats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LemmaStoreStats {
-    /// Lemmas currently resident.
-    pub resident: usize,
-    /// Lemmas ever absorbed (monotone; duplicates not counted).
-    pub absorbed: usize,
-    /// Lemmas dropped by epoch GC or the size bound (monotone).
-    pub evicted: usize,
-    /// GC epochs advanced since the store was created.
-    pub epoch: usize,
-}
+/// Bound on the lemmas one solver learns and, by default, on a
+/// session namespace's store: enough for the longest synthesis runs
+/// observed (a few thousand distinct conflicts), small enough that
+/// applicability probing stays cheap.
+pub const MAX_LEMMAS: usize = 8_192;
 
+/// Lemmas with an index from each lemma's first (smallest) key to its
+/// id. Iterating a query's atom keys visits every applicable lemma
+/// exactly once, at a cost proportional to the query, not to the index.
 #[derive(Debug, Default)]
-struct StoreInner {
-    /// Lemma → epoch last absorbed or replayed.
-    lemmas: BTreeMap<Lemma, u32>,
-    epoch: u32,
-    absorbed: usize,
-    evicted: usize,
-    max_lemmas: usize,
-}
-
-/// A cloneable handle to the resident lemma pool of one session cache
-/// namespace. Writers (solvers absorbing fresh conflicts, replays
-/// touching seeded lemmas) take a short mutex; readers take immutable
-/// [`LemmaSeed`] snapshots at run boundaries and never lock on the
-/// solving hot path.
-#[derive(Debug, Clone)]
-pub struct SharedLemmaStore {
-    inner: Arc<Mutex<StoreInner>>,
-}
-
-impl Default for SharedLemmaStore {
-    fn default() -> SharedLemmaStore {
-        SharedLemmaStore::new()
-    }
-}
-
-impl SharedLemmaStore {
-    /// Default bound, matching the per-run store of the solver.
-    pub const DEFAULT_MAX_LEMMAS: usize = 8_192;
-
-    /// Creates an empty store with the default bound.
-    pub fn new() -> SharedLemmaStore {
-        SharedLemmaStore::with_max_lemmas(Self::DEFAULT_MAX_LEMMAS)
-    }
-
-    /// Creates an empty store bounded to `max_lemmas` (at least 1).
-    pub fn with_max_lemmas(max_lemmas: usize) -> SharedLemmaStore {
-        SharedLemmaStore {
-            inner: Arc::new(Mutex::new(StoreInner {
-                max_lemmas: max_lemmas.max(1),
-                ..StoreInner::default()
-            })),
-        }
-    }
-
-    /// Absorbs one freshly learned lemma (already sorted by key).
-    /// Duplicates refresh the existing entry's epoch; at the bound, new
-    /// lemmas are dropped (re-learning them later is sound and cheap
-    /// relative to the conflict analysis that produced them).
-    pub fn absorb(&self, lemma: Lemma) {
-        let mut inner = self.inner.lock().expect("lemma store poisoned");
-        let epoch = inner.epoch;
-        if let Some(stamp) = inner.lemmas.get_mut(&lemma) {
-            *stamp = epoch;
-            return;
-        }
-        if inner.lemmas.len() >= inner.max_lemmas {
-            return;
-        }
-        inner.lemmas.insert(lemma, epoch);
-        inner.absorbed += 1;
-    }
-
-    /// Marks seeded lemmas as used this epoch (called once per solver
-    /// query that replayed them, with the batch of replayed lemmas).
-    pub fn touch_all<'a>(&self, lemmas: impl IntoIterator<Item = &'a Lemma>) {
-        let mut inner = self.inner.lock().expect("lemma store poisoned");
-        let epoch = inner.epoch;
-        for lemma in lemmas {
-            if let Some(stamp) = inner.lemmas.get_mut(lemma) {
-                *stamp = epoch;
-            }
-        }
-    }
-
-    /// An immutable snapshot of the resident lemmas, in deterministic
-    /// (sorted) order, with a first-key index for cheap applicability
-    /// probing. Cheap to clone; one snapshot is shared by every solver
-    /// of a batch run.
-    pub fn snapshot(&self) -> LemmaSeed {
-        let inner = self.inner.lock().expect("lemma store poisoned");
-        let lemmas: Vec<Lemma> = inner.lemmas.keys().cloned().collect();
-        let mut index: HashMap<String, Vec<usize>> = HashMap::new();
-        for (id, lemma) in lemmas.iter().enumerate() {
-            index.entry(lemma[0].0.clone()).or_default().push(id);
-        }
-        LemmaSeed {
-            shared: Arc::new(SeedShared { lemmas, index }),
-        }
-    }
-
-    /// Closes one GC epoch: lemmas neither absorbed nor replayed for two
-    /// full epochs are dropped.
-    pub fn advance_epoch(&self) {
-        let mut inner = self.inner.lock().expect("lemma store poisoned");
-        let epoch = inner.epoch;
-        let before = inner.lemmas.len();
-        inner.lemmas.retain(|_, stamp| *stamp + 1 >= epoch);
-        inner.evicted += before - inner.lemmas.len();
-        inner.epoch = epoch + 1;
-    }
-
-    /// Current counters.
-    pub fn stats(&self) -> LemmaStoreStats {
-        let inner = self.inner.lock().expect("lemma store poisoned");
-        LemmaStoreStats {
-            resident: inner.lemmas.len(),
-            absorbed: inner.absorbed,
-            evicted: inner.evicted,
-            epoch: inner.epoch as usize,
-        }
-    }
-
-    /// The resident lemmas in deterministic order, for session
-    /// snapshots.
-    pub fn export_lemmas(&self) -> Vec<Lemma> {
-        let inner = self.inner.lock().expect("lemma store poisoned");
-        inner.lemmas.keys().cloned().collect()
-    }
-}
-
-#[derive(Debug)]
-struct SeedShared {
+pub struct LemmaIndex {
     lemmas: Vec<Lemma>,
-    index: HashMap<String, Vec<usize>>,
+    by_first_key: HashMap<String, Vec<usize>>,
 }
 
-/// An immutable snapshot of a [`SharedLemmaStore`], frozen at a batch
-/// boundary. Every solver of the batch replays from the same seed, so
-/// within-run results cannot depend on which worker learned what first.
-#[derive(Debug, Clone)]
-pub struct LemmaSeed {
-    shared: Arc<SeedShared>,
-}
+/// A [`LemmaIndex`] frozen at a batch boundary and shared by every
+/// solver of the batch.
+pub type LemmaSeed = Arc<LemmaIndex>;
 
-impl LemmaSeed {
-    /// An empty seed (cold start).
-    pub fn empty() -> LemmaSeed {
-        LemmaSeed {
-            shared: Arc::new(SeedShared {
-                lemmas: Vec::new(),
-                index: HashMap::new(),
-            }),
+/// The resident lemma pool of one session cache namespace. Solvers
+/// store fresh conflicts and touch the seeded lemmas they replay; a
+/// batch reads it only through [`SharedLemmaStore::seed`].
+pub type SharedLemmaStore = EpochMemo<Lemma, ()>;
+
+impl LemmaIndex {
+    fn push(&mut self, lemma: Lemma) {
+        self.by_first_key
+            .entry(lemma[0].0.clone())
+            .or_default()
+            .push(self.lemmas.len());
+        self.lemmas.push(lemma);
+    }
+
+    /// Adds a freshly learned lemma (sorted by key) unless it is empty,
+    /// already indexed, or the index holds [`MAX_LEMMAS`]; true if
+    /// added.
+    pub(crate) fn learn(&mut self, lemma: &Lemma) -> bool {
+        if self.lemmas.len() >= MAX_LEMMAS || lemma.is_empty() {
+            return false;
         }
+        if self
+            .ids_for_first_key(&lemma[0].0)
+            .iter()
+            .any(|&id| self.lemmas[id] == *lemma)
+        {
+            return false;
+        }
+        self.push(lemma.clone());
+        true
     }
 
-    /// Number of seeded lemmas.
+    /// Number of indexed lemmas.
     pub fn len(&self) -> usize {
-        self.shared.lemmas.len()
+        self.lemmas.len()
     }
 
-    /// True if the seed carries no lemmas.
+    /// True if the index holds no lemma.
     pub fn is_empty(&self) -> bool {
-        self.shared.lemmas.is_empty()
+        self.lemmas.is_empty()
     }
 
-    /// The lemma ids indexed under `first_key` (each lemma is indexed
-    /// under exactly its smallest key, so iterating a query's atom keys
-    /// visits every applicable lemma once).
-    pub fn ids_for_first_key(&self, first_key: &str) -> &[usize] {
-        self.shared
-            .index
+    /// The ids of the lemmas whose smallest key is `first_key`.
+    pub(crate) fn ids_for_first_key(&self, first_key: &str) -> &[usize] {
+        self.by_first_key
             .get(first_key)
             .map(Vec::as_slice)
             .unwrap_or(&[])
     }
 
     /// The literals of lemma `id`.
-    pub fn lemma(&self, id: usize) -> &Lemma {
-        &self.shared.lemmas[id]
+    pub(crate) fn lemma(&self, id: usize) -> &Lemma {
+        &self.lemmas[id]
+    }
+}
+
+impl SharedLemmaStore {
+    /// Creates an empty store bounded to [`MAX_LEMMAS`].
+    pub fn new() -> SharedLemmaStore {
+        SharedLemmaStore::with_max_entries(MAX_LEMMAS)
     }
 
-    /// True if the seed already carries this (sorted) lemma — used to
-    /// keep a run's private store from double-asserting a seeded lemma.
-    pub fn contains(&self, lemma: &Lemma) -> bool {
-        self.ids_for_first_key(&lemma[0].0)
-            .iter()
-            .any(|&id| self.lemma(id) == lemma)
+    /// Freezes the resident lemmas, in sorted order, into a seed.
+    pub fn seed(&self) -> LemmaSeed {
+        let mut index = LemmaIndex::default();
+        for lemma in self.sorted_keys() {
+            index.push(lemma);
+        }
+        Arc::new(index)
+    }
+}
+
+impl Default for SharedLemmaStore {
+    fn default() -> SharedLemmaStore {
+        SharedLemmaStore::new()
     }
 }
 
@@ -236,43 +136,56 @@ mod tests {
     #[test]
     fn absorb_dedups_and_snapshot_is_sorted() {
         let store = SharedLemmaStore::new();
-        store.absorb(lemma(&[("b", true), ("a", false)]));
-        store.absorb(lemma(&[("a", false), ("b", true)]));
-        store.absorb(lemma(&[("c", true)]));
+        store.insert(lemma(&[("b", true), ("c", false)]), ());
+        store.insert(lemma(&[("c", false), ("b", true)]), ());
+        store.insert(lemma(&[("a", true)]), ());
         let stats = store.stats();
-        assert_eq!((stats.resident, stats.absorbed), (2, 2));
-        let seed = store.snapshot();
+        assert_eq!((stats.entries, stats.absorbed), (2, 2));
+        let seed = store.seed();
         assert_eq!(seed.len(), 2);
-        assert!(seed.contains(&lemma(&[("a", false), ("b", true)])));
-        assert!(!seed.contains(&lemma(&[("a", true)])));
-        assert_eq!(seed.ids_for_first_key("a").len(), 1);
-        assert_eq!(seed.ids_for_first_key("zzz").len(), 0);
+        assert_eq!(seed.lemma(0), &lemma(&[("a", true)]));
+        assert_eq!(seed.ids_for_first_key("b"), &[1]);
+        assert_eq!(seed.ids_for_first_key("c").len(), 0);
+    }
+
+    #[test]
+    fn learning_dedups_and_stops_at_the_bound() {
+        let mut index = LemmaIndex::default();
+        assert!(index.learn(&lemma(&[("a", true), ("b", false)])));
+        assert!(!index.learn(&lemma(&[("b", false), ("a", true)])));
+        assert!(index.learn(&lemma(&[("a", true), ("b", true)])));
+        assert!(!index.learn(&Vec::new()));
+        assert_eq!(index.ids_for_first_key("a").len(), 2);
+        for i in index.len()..MAX_LEMMAS {
+            assert!(index.learn(&lemma(&[(&format!("k{i}"), true)])));
+        }
+        assert!(!index.learn(&lemma(&[("z", true)])));
+        assert_eq!(index.len(), MAX_LEMMAS);
     }
 
     #[test]
     fn epoch_gc_keeps_touched_lemmas_for_two_epochs() {
         let store = SharedLemmaStore::new();
-        store.absorb(lemma(&[("a", true)]));
-        store.absorb(lemma(&[("b", true)]));
+        store.insert(lemma(&[("a", true)]), ());
+        store.insert(lemma(&[("b", true)]), ());
         store.advance_epoch();
         // Epoch 1: replaying `a` refreshes it; `b` goes cold.
         store.touch_all([&lemma(&[("a", true)])]);
         store.advance_epoch();
-        assert_eq!(store.stats().resident, 2, "one cold epoch survives");
+        assert_eq!(store.stats().entries, 2, "one cold epoch survives");
         store.advance_epoch();
         let stats = store.stats();
-        assert_eq!(stats.resident, 1, "two cold epochs evict");
+        assert_eq!(stats.entries, 1, "two cold epochs evict");
         assert_eq!(stats.evicted, 1);
-        assert!(store.snapshot().contains(&lemma(&[("a", true)])));
+        assert_eq!(store.sorted_keys(), vec![lemma(&[("a", true)])]);
     }
 
     #[test]
     fn size_bound_drops_new_lemmas_not_old_ones() {
-        let store = SharedLemmaStore::with_max_lemmas(1);
-        store.absorb(lemma(&[("a", true)]));
-        store.absorb(lemma(&[("b", true)]));
-        let seed = store.snapshot();
-        assert_eq!(seed.len(), 1);
-        assert!(seed.contains(&lemma(&[("a", true)])));
+        let store = SharedLemmaStore::with_max_entries(1);
+        store.insert(lemma(&[("a", true)]), ());
+        store.insert(lemma(&[("b", true)]), ());
+        assert_eq!(store.sorted_keys(), vec![lemma(&[("a", true)])]);
+        assert_eq!(store.stats().absorbed, 1);
     }
 }

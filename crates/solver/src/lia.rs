@@ -523,11 +523,6 @@ impl IncrementalLia {
         self.poisoned
     }
 
-    /// Marks the tableau as untrusted; the next check rebuilds it.
-    pub fn poison(&mut self) {
-        self.poisoned = true;
-    }
-
     fn rebuild(&mut self) {
         self.simplex = Simplex::new(self.num_problem_vars);
         self.slacks.clear();

@@ -21,7 +21,9 @@
 //!   which lets the parallel engine reuse solver verdicts across goals,
 //!   portfolio siblings, and iterative-deepening rungs,
 //! * the bounded, epoch-collected memo table resident sessions build
-//!   their memo layers from ([`epoch_memo`]).
+//!   their memo layers and their lemma store from ([`epoch_memo`]),
+//! * learned theory lemmas, indexed for replay and kept resident
+//!   across runs ([`lemmas`]).
 //!
 //! ## Example
 //!
@@ -49,7 +51,7 @@ pub mod smt;
 pub use cache::{NormalizedQuery, SharedValidityCache, ValidityCacheStats};
 pub use cancel::CancellationToken;
 pub use epoch_memo::{EpochMemo, MemoStats};
-pub use lemmas::{Lemma, LemmaSeed, LemmaStoreStats, SharedLemmaStore};
+pub use lemmas::{Lemma, LemmaIndex, LemmaSeed, SharedLemmaStore, MAX_LEMMAS};
 pub use mus::{enumerate_mus, enumerate_mus_smt, MusKey, MusMemo};
 pub use rational::Rational;
 pub use sat::{Lit, SatResult, SatSolver};

@@ -55,16 +55,6 @@ impl Rational {
         }
     }
 
-    /// The numerator (sign-carrying).
-    pub fn numer(&self) -> i128 {
-        self.num
-    }
-
-    /// The denominator (always positive).
-    pub fn denom(&self) -> i128 {
-        self.den
-    }
-
     /// True if this rational is an integer.
     pub fn is_integer(&self) -> bool {
         self.den == 1

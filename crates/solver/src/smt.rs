@@ -17,11 +17,12 @@
 use crate::cache::SharedValidityCache;
 use crate::cancel::CancellationToken;
 use crate::encode::{Encoded, Encoder, Skeleton, TheoryAtom};
+use crate::lemmas::{Lemma, LemmaIndex, LemmaSeed, SharedLemmaStore};
 use crate::lia::{IncrementalLia, LiaResult, LiaSolver};
 use crate::mus::MusMemo;
 use crate::rational::Rational;
 use crate::sat::{Lit, SatResult, SatSolver};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::time::Instant;
 use synquid_logic::Term;
 use synquid_telemetry::{events, events::Event, Phase};
@@ -113,9 +114,9 @@ pub struct Smt {
     /// Maximum number of DPLL(T) iterations per query.
     pub max_iterations: usize,
     cache: std::collections::HashMap<Term, SmtResult>,
-    /// Optional cross-instance validity cache (see [`SharedValidityCache`]):
+    /// The session's validity cache (see [`SharedValidityCache`]):
     /// consulted after the local memo, keyed by normalized
-    /// `(antecedent, consequent)` pairs.
+    /// `(antecedent, consequent)` pairs. `None` for a bare solver.
     shared: Option<SharedValidityCache>,
     /// Wall-clock deadline; solving loops poll it and abort with
     /// [`SmtResult::Unknown`] once it passes.
@@ -131,16 +132,7 @@ pub struct Smt {
     /// later query that contains the conflict's atoms. `None` disables
     /// persistence (the from-scratch baseline the parity tests compare
     /// against).
-    lemmas: Option<LemmaStore>,
-    /// Lemmas inherited from a resident session, frozen at the batch
-    /// boundary: replayed exactly like privately learned ones, but
-    /// identical for every solver of the run (so results cannot depend
-    /// on worker scheduling). Cleared together with `lemmas` when
-    /// incrementality is disabled.
-    lemma_seed: Option<crate::lemmas::LemmaSeed>,
-    /// Where freshly learned conflicts are published for *future* runs
-    /// of the owning session (never read back within this run).
-    lemma_sink: Option<crate::lemmas::SharedLemmaStore>,
+    lemmas: Option<Lemmas>,
     /// When true (the default), each DPLL(T) query keeps one warm
     /// [`IncrementalLia`] tableau across all of its theory checks
     /// (including core shrinking and MUS subset oracles). When false,
@@ -151,49 +143,23 @@ pub struct Smt {
     /// the liquid-abduction loop re-derives the *same* strengthening
     /// problem for every candidate program that shares a VC skeleton, so
     /// the full MARCO enumeration — dozens of subset oracle calls plus
-    /// their bookkeeping — repeats verbatim. A private memo by default;
-    /// a session-resident solver shares its namespace's memo
-    /// ([`attach_mus_memo`](Smt::attach_mus_memo)). Disabled together
-    /// with the theory lemmas.
+    /// their bookkeeping — repeats verbatim. A private memo for a bare
+    /// solver, the session's for one built by
+    /// [`with_session`](Smt::with_session). Disabled together with the
+    /// theory lemmas.
     mus_memo: Option<MusMemo>,
 }
 
-/// Learned theory conflicts, keyed portably (see
-/// [`Encoded::portable_atom_key`]) so they survive the per-query atom
-/// renumbering. A lemma `{(a₁,v₁) … (aₖ,vₖ)}` records that the theory
-/// atoms `aᵢ` taken at truth values `vᵢ` are jointly LIA-inconsistent —
-/// a fact about the formulas themselves, valid in any query in which all
-/// of them appear.
+/// The theory lemmas an incremental solver replays: the conflicts it
+/// learned itself, keyed portably (see [`Encoded::portable_atom_key`])
+/// so they survive the per-query atom renumbering, and the frozen seed
+/// of its session. Both are replayed alike; fresh conflicts also flow
+/// into the session's store, for *future* runs only.
 #[derive(Debug, Default)]
-struct LemmaStore {
-    /// Each lemma's literals, sorted by key.
-    lemmas: Vec<Vec<(String, bool)>>,
-    /// First (smallest) key of each lemma → lemma indices, for cheap
-    /// applicability probing.
-    index: HashMap<String, Vec<usize>>,
-    /// Dedup guard.
-    seen: HashSet<Vec<(String, bool)>>,
-}
-
-impl LemmaStore {
-    /// Hard bound on persisted lemmas: enough for the longest synthesis
-    /// runs observed (a few thousand distinct conflicts), small enough
-    /// that applicability probing stays cheap.
-    const MAX_LEMMAS: usize = 8_192;
-
-    fn insert(&mut self, mut lemma: Vec<(String, bool)>) -> bool {
-        if self.lemmas.len() >= Self::MAX_LEMMAS {
-            return false;
-        }
-        lemma.sort();
-        if !self.seen.insert(lemma.clone()) {
-            return false;
-        }
-        let id = self.lemmas.len();
-        self.index.entry(lemma[0].0.clone()).or_default().push(id);
-        self.lemmas.push(lemma);
-        true
-    }
+struct Lemmas {
+    learned: LemmaIndex,
+    seed: LemmaSeed,
+    store: Option<SharedLemmaStore>,
 }
 
 impl Default for Smt {
@@ -203,7 +169,8 @@ impl Default for Smt {
 }
 
 impl Smt {
-    /// Creates a solver with default budgets.
+    /// Creates a bare solver with default budgets: private lemmas and
+    /// MUS memo, no validity cache.
     pub fn new() -> Smt {
         Smt {
             stats: SmtStats::default(),
@@ -213,35 +180,34 @@ impl Smt {
             deadline: None,
             cancel: None,
             interrupted: false,
-            lemmas: Some(LemmaStore::default()),
-            lemma_seed: None,
-            lemma_sink: None,
+            lemmas: Some(Lemmas::default()),
             incremental_lia: true,
             mus_memo: Some(MusMemo::new()),
         }
     }
 
-    /// Attaches the resident lemma state of a session: a frozen seed to
-    /// replay from and the shared store where fresh conflicts are
-    /// published for future runs. Ignored (and cleared) when
-    /// [`set_incremental`](Smt::set_incremental) later disables
-    /// incrementality — ablated runs must neither benefit from nor feed
-    /// the resident pool.
-    pub fn attach_lemma_session(
-        &mut self,
-        seed: crate::lemmas::LemmaSeed,
-        sink: crate::lemmas::SharedLemmaStore,
-    ) {
-        self.lemma_seed = Some(seed);
-        self.lemma_sink = Some(sink);
-    }
-
-    /// Replaces the private MUS memo with a shared one (a session
-    /// namespace's), so enumerations outlive this solver. Cleared like
-    /// the lemma session when [`set_incremental`](Smt::set_incremental)
-    /// later disables incrementality.
-    pub fn attach_mus_memo(&mut self, memo: MusMemo) {
-        self.mus_memo = Some(memo);
+    /// Creates a solver on a session's caches: it consults and feeds the
+    /// validity cache and the MUS memo, replays the lemmas of `seed` (a
+    /// frozen copy of `store`) and publishes fresh conflicts to `store`.
+    /// [`set_incremental(false)`](Smt::set_incremental) detaches the
+    /// seed, the store and the memo: ablated runs must neither benefit
+    /// from nor feed them.
+    pub fn with_session(
+        validity: SharedValidityCache,
+        mus: MusMemo,
+        seed: LemmaSeed,
+        store: SharedLemmaStore,
+    ) -> Smt {
+        Smt {
+            shared: Some(validity),
+            lemmas: Some(Lemmas {
+                learned: LemmaIndex::default(),
+                seed,
+                store: Some(store),
+            }),
+            mus_memo: Some(mus),
+            ..Smt::new()
+        }
     }
 
     /// The MUS memo this solver reads and writes; `None` when
@@ -264,19 +230,17 @@ impl Smt {
     }
 
     /// Enables or disables the incremental DPLL(T) state: cross-query
-    /// theory-conflict persistence, the attached lemma session and the
-    /// MUS memo. Enabled by default. Enabling keeps whatever is already
-    /// attached; disabling drops all of it, giving the from-scratch
+    /// theory-conflict persistence, the session's lemmas and the MUS
+    /// memo. Enabled by default. Enabling keeps whatever the solver
+    /// already has; disabling drops all of it, giving the from-scratch
     /// behaviour.
     pub fn set_incremental(&mut self, incremental: bool) {
         if incremental {
-            self.lemmas.get_or_insert_with(LemmaStore::default);
+            self.lemmas.get_or_insert_with(Lemmas::default);
             self.mus_memo.get_or_insert_with(MusMemo::new);
         } else {
             self.lemmas = None;
             self.mus_memo = None;
-            self.lemma_seed = None;
-            self.lemma_sink = None;
         }
     }
 
@@ -300,24 +264,6 @@ impl Smt {
             Some(d) => Instant::now() > d,
             None => false,
         }
-    }
-
-    /// Creates a solver attached to a shared validity cache.
-    pub fn with_cache(cache: SharedValidityCache) -> Smt {
-        let mut smt = Smt::new();
-        smt.attach_cache(cache);
-        smt
-    }
-
-    /// Attaches a shared validity cache; subsequent queries consult and
-    /// populate it (in addition to the instance-local memo).
-    pub fn attach_cache(&mut self, cache: SharedValidityCache) {
-        self.shared = Some(cache);
-    }
-
-    /// The attached shared validity cache, if any.
-    pub fn shared_cache(&self) -> Option<&SharedValidityCache> {
-        self.shared.as_ref()
     }
 
     /// Statistics collected so far.
@@ -524,7 +470,7 @@ impl Smt {
         } else {
             Vec::new()
         };
-        if let Some(store) = &self.lemmas {
+        if let Some(lemmas) = &self.lemmas {
             let mut by_key: HashMap<&str, usize> = HashMap::new();
             for (idx, key) in atom_keys.iter().enumerate() {
                 if let Some(key) = key {
@@ -535,48 +481,37 @@ impl Smt {
             }
             // Maps a lemma's literals onto this problem's atom indices;
             // `None` if some atom is absent (the lemma does not apply).
-            let clause_of = |lemma: &[(String, bool)]| -> Option<Vec<Lit>> {
+            let clause_of = |lemma: &Lemma| -> Option<Vec<Lit>> {
                 lemma
                     .iter()
                     .map(|(key, value)| by_key.get(key.as_str()).map(|&idx| Lit::new(idx, !*value)))
                     .collect()
             };
-            // Probe the run-private store by this problem's atom keys
-            // (each lemma is indexed under exactly one bucket — its
-            // smallest key — so no lemma is visited twice): cost
-            // proportional to the query's atoms, not to the whole
-            // accumulated store.
+            // Probe the learned lemmas, then the session seed, by this
+            // problem's atom keys: cost proportional to the query's
+            // atoms, not to the indexes. A seeded lemma can never
+            // coincide with a learned one: learning requires the SAT
+            // core to violate it, which the already-asserted replay
+            // clause makes impossible. Replayed seed lemmas are reported
+            // back to the resident store so the epoch GC sees them as
+            // live.
             let mut replayed: Vec<Vec<Lit>> = Vec::new();
-            for first_key in by_key.keys() {
-                let Some(ids) = store.index.get(*first_key) else {
-                    continue;
-                };
-                for &id in ids {
-                    if let Some(clause) = clause_of(&store.lemmas[id]) {
-                        replayed.push(clause);
-                    }
-                }
-            }
-            // Then the session seed (lemmas inherited from earlier runs).
-            // A seeded lemma can never coincide with a run-learned one:
-            // learning requires the SAT core to violate it, which the
-            // already-asserted replay clause makes impossible. Replayed
-            // seed lemmas are reported back to the resident store so the
-            // epoch GC sees them as live.
-            if let Some(seed) = &self.lemma_seed {
-                let mut touched: Vec<&crate::lemmas::Lemma> = Vec::new();
+            let mut touched: Vec<&Lemma> = Vec::new();
+            for (index, seeded) in [(&lemmas.learned, false), (&*lemmas.seed, true)] {
                 for first_key in by_key.keys() {
-                    for &id in seed.ids_for_first_key(first_key) {
-                        let lemma = seed.lemma(id);
+                    for &id in index.ids_for_first_key(first_key) {
+                        let lemma = index.lemma(id);
                         if let Some(clause) = clause_of(lemma) {
                             replayed.push(clause);
-                            touched.push(lemma);
+                            if seeded {
+                                touched.push(lemma);
+                            }
                         }
                     }
                 }
-                if let (Some(sink), false) = (&self.lemma_sink, touched.is_empty()) {
-                    sink.touch_all(touched);
-                }
+            }
+            if let (Some(store), false) = (&lemmas.store, touched.is_empty()) {
+                store.touch_all(touched);
             }
             // HashMap iteration order is nondeterministic; the clause set
             // is order-independent for correctness, but sort anyway so a
@@ -757,8 +692,8 @@ impl Smt {
                     // core's atoms at these polarities are jointly
                     // LIA-inconsistent whatever boolean skeleton
                     // surrounds them.
-                    if let Some(store) = &mut self.lemmas {
-                        let lemma: Option<Vec<(String, bool)>> = core
+                    if let Some(lemmas) = &mut self.lemmas {
+                        let lemma: Option<Lemma> = core
                             .iter()
                             .map(|(idx, value, _)| {
                                 session
@@ -770,16 +705,16 @@ impl Smt {
                             .collect();
                         if let Some(mut lemma) = lemma {
                             lemma.sort();
-                            if !lemma.is_empty() && store.insert(lemma.clone()) {
+                            if lemmas.learned.learn(&lemma) {
                                 self.stats.conflicts_learned += 1;
                                 events::emit(|| {
                                     Event::new("lemma_learn").uint("size", core.len() as u64)
                                 });
                                 // Publish for future runs of the owning
                                 // session (this run keeps replaying from
-                                // its private store and frozen seed).
-                                if let Some(sink) = &self.lemma_sink {
-                                    sink.absorb(lemma);
+                                // its learned lemmas and frozen seed).
+                                if let Some(store) = &lemmas.store {
+                                    store.insert(lemma, ());
                                 }
                             }
                         }
@@ -1164,16 +1099,26 @@ mod tests {
         assert_eq!(smt.check_sat(&c), SmtResult::Sat);
     }
 
+    /// A solver on `cache` with an otherwise empty session.
+    fn on_cache(cache: &SharedValidityCache) -> Smt {
+        Smt::with_session(
+            cache.clone(),
+            MusMemo::new(),
+            LemmaSeed::default(),
+            SharedLemmaStore::new(),
+        )
+    }
+
     #[test]
     fn shared_cache_is_reused_across_instances() {
         let cache = SharedValidityCache::new();
-        let mut first = Smt::with_cache(cache.clone());
+        let mut first = on_cache(&cache);
         assert!(first.entails(&x().lt(y()), &x().le(y())));
         assert_eq!(first.stats().shared_hits, 0);
         assert_eq!(first.stats().shared_misses, 1);
         // A second instance (as used by a sibling worker thread) answers
         // the same entailment from the shared table without solving.
-        let mut second = Smt::with_cache(cache.clone());
+        let mut second = on_cache(&cache);
         let sat_calls_before = second.stats().sat_calls;
         assert!(second.entails(&x().lt(y()), &x().le(y())));
         assert_eq!(second.stats().sat_calls, sat_calls_before);
@@ -1187,12 +1132,39 @@ mod tests {
     #[test]
     fn shared_cache_caches_positive_results_too() {
         let cache = SharedValidityCache::new();
-        let mut first = Smt::with_cache(cache.clone());
+        let mut first = on_cache(&cache);
         assert!(!first.entails(&x().le(y()), &x().eq(y())));
-        let mut second = Smt::with_cache(cache.clone());
+        let mut second = on_cache(&cache);
         assert!(!second.entails(&x().le(y()), &x().eq(y())));
         assert_eq!(second.stats().shared_hits, 1);
         assert_eq!(second.stats().shared_negative_hits, 0);
+    }
+
+    #[test]
+    fn a_later_solver_replays_lemmas_from_the_seed_of_the_store() {
+        let z = Term::var("z", Sort::Int);
+        let cycle = x().lt(y()).and(y().lt(z.clone())).and(z.lt(x()));
+        let store = SharedLemmaStore::new();
+        let mut first = Smt::with_session(
+            SharedValidityCache::new(),
+            MusMemo::new(),
+            LemmaSeed::default(),
+            store.clone(),
+        );
+        assert_eq!(first.check_sat(&cycle), SmtResult::Unsat);
+        assert!(first.stats().conflicts_learned > 0);
+        assert_eq!(store.stats().absorbed, first.stats().conflicts_learned);
+        // A solver of a later batch: a fresh validity cache, so the
+        // query is solved again, over the seed frozen from the store.
+        let mut second = Smt::with_session(
+            SharedValidityCache::new(),
+            MusMemo::new(),
+            store.seed(),
+            store.clone(),
+        );
+        assert_eq!(second.check_sat(&cycle), SmtResult::Unsat);
+        assert!(second.stats().conflicts_reused > 0);
+        assert_eq!(second.stats().conflicts_learned, 0);
     }
 
     #[test]

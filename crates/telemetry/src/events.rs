@@ -38,14 +38,16 @@ use crate::json::{self, Json};
 ///   optional `phases` split); `check_step` kinds from the round-trip
 ///   checker; `rung` indices on the rung/ledger lifecycle events;
 /// * 3 — the `session_epoch` kind (resident-session GC boundaries, with
-///   per-layer eviction counts).
+///   per-layer eviction counts);
+/// * 4 — `mus_entries` and `mus_evicted` on `session_epoch` (the MUS
+///   memo layer).
 ///
 /// Versioning rules (see `docs/ARCHITECTURE.md`): *adding* a field to an
 /// existing kind or adding a new kind bumps this constant but keeps old
 /// consumers working (consumers must tolerate unknown fields); renaming
 /// or removing a field or kind is a breaking change and additionally
 /// renames the event kind.
-pub const EVENT_SCHEMA_VERSION: u64 = 3;
+pub const EVENT_SCHEMA_VERSION: u64 = 4;
 
 const MODE_OFF: u8 = 0;
 const MODE_JSON: u8 = 1;

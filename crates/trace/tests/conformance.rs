@@ -110,6 +110,26 @@ fn fast_corpus_trace_conforms_to_schema() {
             "fast corpus run emitted no {required} event"
         );
     }
+    // The batch closes one GC epoch, and its event reports every
+    // session layer.
+    let epoch = trace
+        .events
+        .iter()
+        .find(|e| e.kind == "session_epoch")
+        .expect("the batch closed a session epoch");
+    for field in [
+        "validity_entries",
+        "enum_entries",
+        "lemmas_resident",
+        "mus_entries",
+        "mus_evicted",
+    ] {
+        assert!(
+            epoch.get_u64(field).is_some(),
+            "session_epoch lacks {field}: {:?}",
+            epoch.fields
+        );
+    }
     // Every goal window that opened also closed (per tid, goal windows
     // are balanced in a run that did not crash).
     let starts = trace

@@ -73,14 +73,6 @@ pub struct Datatype {
 }
 
 impl Datatype {
-    /// The base type `D α₁ … αₙ` with unrefined type-variable arguments.
-    pub fn applied_to_params(&self) -> BaseType {
-        BaseType::Data(
-            self.name.clone(),
-            self.type_params.iter().map(RType::tyvar).collect(),
-        )
-    }
-
     /// Looks up a constructor by name.
     pub fn constructor(&self, name: &str) -> Option<&Constructor> {
         self.constructors.iter().find(|c| c.name == name)

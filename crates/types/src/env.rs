@@ -78,13 +78,6 @@ impl Environment {
         self.constructors.contains_key(name)
     }
 
-    /// The datatype a constructor belongs to.
-    pub fn constructor_datatype(&self, name: &str) -> Option<&Datatype> {
-        self.constructors
-            .get(name)
-            .and_then(|dt| self.datatypes.get(dt))
-    }
-
     /// Looks up a datatype declaration.
     pub fn datatype(&self, name: &str) -> Option<&Datatype> {
         self.datatypes.get(name)
@@ -143,11 +136,6 @@ impl Environment {
     // -----------------------------------------------------------------
     // Logical content
     // -----------------------------------------------------------------
-
-    /// The conjunction of all path conditions, `P(Γ)`.
-    pub fn path_condition(&self) -> Term {
-        Term::conjunction(self.path_conditions.iter().cloned())
-    }
 
     /// The assumption extractor `⟦Γ⟧ψ` of the paper: the conjunction of all
     /// path conditions and of the refinements of every scalar variable

@@ -120,11 +120,6 @@ impl ConstraintSolver {
     // Type assignment
     // -----------------------------------------------------------------
 
-    /// The current assignment of a free type variable, if any.
-    pub fn lookup_type_var(&self, name: &str) -> Option<&RType> {
-        self.type_assignment.get(name)
-    }
-
     /// Fully resolves a type: free type variables with assignments are
     /// substituted (recursively), and predicate unknowns are left in place.
     pub fn resolve(&self, ty: &RType) -> RType {

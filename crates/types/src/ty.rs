@@ -2,7 +2,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use synquid_logic::{Sort, Substitution, Term, VALUE_VAR};
+use synquid_logic::{Sort, Substitution, Term};
 
 /// A base type `B`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -314,12 +314,6 @@ impl RType {
             refinement: Term::value_var(sort.clone()).eq(Term::var(var_name, sort)),
         }
     }
-
-    /// True if the refinement is syntactically `false` (the vacuous type
-    /// used by round-trip application goals).
-    pub fn is_vacuous(&self) -> bool {
-        matches!(self, RType::Scalar { refinement, .. } if refinement.is_false())
-    }
 }
 
 impl BaseType {
@@ -452,11 +446,6 @@ impl fmt::Display for Schema {
         }
         write!(f, "{}", self.ty)
     }
-}
-
-/// A convenience constructor for the `ν` term at a given base type.
-pub fn value_of(base: &BaseType) -> Term {
-    Term::var(VALUE_VAR, base.sort())
 }
 
 #[cfg(test)]

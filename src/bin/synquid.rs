@@ -806,7 +806,7 @@ fn main() -> ExitCode {
             s.mus.hits,
             s.mus.misses,
             100.0 * s.mus.hit_rate(),
-            s.lemmas.resident,
+            s.lemmas.entries,
             s.lemmas.absorbed,
         );
         // Aggregate phase split: the main thread's parse/desugar time
