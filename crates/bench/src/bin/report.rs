@@ -1,16 +1,7 @@
 //! Regenerates the paper's evaluation artifacts.
 //!
-//! ```text
-//! report table1 [--ablations] [--timeout SECS]
-//! report table2 [--timeout SECS]
-//! report fig7   [--max-n N]   [--timeout SECS]
-//! report batch  [--jobs N]    [--timeout SECS] [--out PATH]
-//!               [--compare OLD.json] [--readme] [--warm-runs N]
-//! report trace  <TRACE.jsonl> [--perfetto OUT.json] [--top K]
-//! report solver-bench [--smoke] [--iters N] [--out PATH]
-//! report fuzz   <SUMMARY.json>
-//! report all
-//! ```
+//! The subcommands and their arguments are the usage lines of `USAGE`
+//! below; an argument a subcommand does not take exits 2.
 //!
 //! `batch` runs the whole `specs/` corpus through the parallel engine
 //! (with span profiling on, so every goal entry carries its per-phase
@@ -58,17 +49,99 @@ use synquid_bench::{
     run_table1, run_table2,
 };
 
-/// The value of a numeric flag, `None` if the flag is absent. A missing
-/// or malformed value exits 2: running on the default instead would let
-/// a typo in a gate (`--warm-runs`, say) check nothing.
-fn parse_flag(args: &[String], name: &str) -> Option<u64> {
-    let i = args.iter().position(|a| a == name)?;
-    match args.get(i + 1).map(|v| v.parse()) {
-        Some(Ok(value)) => Some(value),
-        _ => {
-            eprintln!("{name} needs a non-negative integer value");
+/// Each subcommand's usage line, which is also its syntax: `<ARG>` is a
+/// positional argument, `[--flag VALUE]` a flag that takes a value and
+/// `[--flag]` a switch.
+const USAGE: [&str; 8] = [
+    "table1 [--ablations] [--timeout SECS]",
+    "table2 [--timeout SECS]",
+    "fig7 [--max-n N] [--timeout SECS]",
+    "batch [--jobs N] [--timeout SECS] [--out PATH] [--compare OLD.json] [--readme] [--warm-runs N]",
+    "trace <TRACE.jsonl> [--perfetto OUT.json] [--top K]",
+    "solver-bench [--smoke] [--iters N] [--out PATH]",
+    "fuzz <SUMMARY.json>",
+    "all [--ablations] [--max-n N] [--timeout SECS]",
+];
+
+/// One subcommand's command line: its positional arguments and the
+/// flags given, each with its value (`None` for a switch).
+struct Args {
+    positional: Vec<String>,
+    flags: Vec<(String, Option<String>)>,
+}
+
+impl Args {
+    /// Parses the arguments after the subcommand `which` against its
+    /// usage line. An unknown flag, a flag missing its value, or a
+    /// missing or surplus positional argument exits 2: ignoring it would
+    /// let a typo in a gate (`--warm-runs`, say) check nothing.
+    fn parse(which: &str, args: &[String]) -> Args {
+        let Some(usage) = USAGE.iter().find(|u| u.split(' ').next() == Some(which)) else {
+            eprintln!(
+                "unknown report '{which}': expected table1, table2, fig7, batch, trace, solver-bench, fuzz, or all"
+            );
             std::process::exit(2)
+        };
+        let fail = |message: String| -> ! {
+            eprintln!("report {which}: {message}\nusage: report {usage}");
+            std::process::exit(2)
+        };
+        let syntax: Vec<&str> = usage.split(' ').collect();
+        let positional = syntax.iter().filter(|t| t.starts_with('<')).count();
+        let mut out = Args {
+            positional: Vec::new(),
+            flags: Vec::new(),
+        };
+        let mut rest = args.iter();
+        while let Some(arg) = rest.next() {
+            if !arg.starts_with("--") {
+                if out.positional.len() == positional {
+                    fail(format!("unexpected argument {arg}"));
+                }
+                out.positional.push(arg.clone());
+                continue;
+            }
+            let Some(token) = syntax
+                .iter()
+                .find(|t| t.trim_start_matches('[').trim_end_matches(']') == arg)
+            else {
+                fail(format!("unknown flag {arg}"));
+            };
+            let value = if token.ends_with(']') {
+                None
+            } else {
+                match rest.next().filter(|v| !v.starts_with("--")) {
+                    Some(value) => Some(value.clone()),
+                    None => fail(format!("{arg} needs a value")),
+                }
+            };
+            out.flags.push((arg.clone(), value));
         }
+        if out.positional.len() < positional {
+            fail("missing argument".to_string());
+        }
+        out
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|(f, _)| *f == flag)
+    }
+
+    fn value(&self, flag: &str) -> Option<&str> {
+        self.flags
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .and_then(|(_, value)| value.as_deref())
+    }
+
+    /// The value of a numeric flag, `None` if the flag is absent. A
+    /// malformed value exits 2, like any other usage error.
+    fn number(&self, flag: &str) -> Option<u64> {
+        let value = self.value(flag)?;
+        Some(value.parse().unwrap_or_else(|_| {
+            eprintln!("{flag} needs a non-negative integer value");
+            std::process::exit(2)
+        }))
     }
 }
 
@@ -89,11 +162,12 @@ fn load<T, E: std::fmt::Display>(path: &str, parse: impl FnOnce(&str) -> Result<
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let which = args.first().map(String::as_str).unwrap_or("all");
-    let timeout = Duration::from_secs(parse_flag(&args, "--timeout").unwrap_or(20));
-    let ablations = args.iter().any(|a| a == "--ablations");
-    let max_n = parse_flag(&args, "--max-n").unwrap_or(4) as usize;
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let which = argv.first().map(String::as_str).unwrap_or("all");
+    let args = Args::parse(which, argv.get(1..).unwrap_or_default());
+    let timeout = Duration::from_secs(args.number("--timeout").unwrap_or(20));
+    let ablations = args.has("--ablations");
+    let max_n = args.number("--max-n").unwrap_or(4) as usize;
 
     match which {
         "table1" => {
@@ -112,20 +186,13 @@ fn main() {
             println!("{}", format_fig7(&run_fig7(max_n, timeout)));
         }
         "batch" => {
-            let jobs = parse_flag(&args, "--jobs").unwrap_or(4) as usize;
-            let out = args
-                .iter()
-                .position(|a| a == "--out")
-                .and_then(|i| args.get(i + 1))
-                .cloned()
-                .unwrap_or_else(|| "BENCH_pr10.json".to_string());
+            let jobs = args.number("--jobs").unwrap_or(4) as usize;
+            let out = args.value("--out").unwrap_or("BENCH_pr10.json");
             let compare = args
-                .iter()
-                .position(|a| a == "--compare")
-                .and_then(|i| args.get(i + 1))
+                .value("--compare")
                 .map(|path| (path, load(path, parse_batch_json)));
-            let readme = args.iter().any(|a| a == "--readme");
-            let warm_runs = parse_flag(&args, "--warm-runs").unwrap_or(0) as usize;
+            let readme = args.has("--readme");
+            let warm_runs = args.number("--warm-runs").unwrap_or(0) as usize;
             // Phase splits ride the artifact (schema v2): profile every
             // batch run so `--compare` can show where time moved.
             synquid_telemetry::set_profiling(true);
@@ -150,7 +217,7 @@ fn main() {
                         );
                     }
                     let json = batch_report_json_runs(&runs, timeout);
-                    if let Err(e) = std::fs::write(&out, &json) {
+                    if let Err(e) = std::fs::write(out, &json) {
                         eprintln!("failed to write {out}: {e}");
                         std::process::exit(1);
                     }
@@ -231,22 +298,15 @@ fn main() {
             }
         }
         "trace" => {
-            let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                eprintln!("usage: report trace <TRACE.jsonl> [--perfetto OUT.json] [--top K]");
-                std::process::exit(2);
-            };
-            let top_k = parse_flag(&args, "--top").unwrap_or(5) as usize;
-            let perfetto = args
-                .iter()
-                .position(|a| a == "--perfetto")
-                .and_then(|i| args.get(i + 1))
-                .cloned();
+            let path = &args.positional[0];
+            let top_k = args.number("--top").unwrap_or(5) as usize;
+            let perfetto = args.value("--perfetto");
             let trace = load(path, synquid_trace::parse_trace);
             let report = synquid_trace::analyze(&trace);
             print!("{}", report.render(top_k));
             if let Some(out) = perfetto {
                 let json = synquid_trace::to_chrome_trace(&trace);
-                if let Err(e) = std::fs::write(&out, &json) {
+                if let Err(e) = std::fs::write(out, &json) {
                     eprintln!("failed to write {out}: {e}");
                     std::process::exit(1);
                 }
@@ -254,30 +314,22 @@ fn main() {
             }
         }
         "solver-bench" => {
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let iters = parse_flag(&args, "--iters").unwrap_or(if smoke { 3 } else { 10 }) as usize;
-            let out = args
-                .iter()
-                .position(|a| a == "--out")
-                .and_then(|i| args.get(i + 1))
-                .cloned()
-                .unwrap_or_else(|| "BENCH_solver.json".to_string());
+            let smoke = args.has("--smoke");
+            let iters = args.number("--iters").unwrap_or(if smoke { 3 } else { 10 }) as usize;
+            let out = args.value("--out").unwrap_or("BENCH_solver.json");
             synquid_telemetry::set_profiling(true);
             eprintln!("== Solver microbenchmarks ({iters} iteration(s) per fixture) ==");
             let results = synquid_bench::solver_bench::run_all(iters);
             println!("{}", synquid_bench::solver_bench::format_results(&results));
             let json = synquid_bench::solver_bench::solver_report_json(&results);
-            if let Err(e) = std::fs::write(&out, &json) {
+            if let Err(e) = std::fs::write(out, &json) {
                 eprintln!("failed to write {out}: {e}");
                 std::process::exit(1);
             }
             eprintln!("wrote {out}: {} fixture(s), all verdicts ok", results.len());
         }
         "fuzz" => {
-            let Some(path) = args.get(1).filter(|a| !a.starts_with("--")) else {
-                eprintln!("usage: report fuzz <SUMMARY.json>");
-                std::process::exit(2);
-            };
+            let path = &args.positional[0];
             let summary = load(path, parse_fuzz_json);
             print!("{}", format_fuzz_summary(&summary));
             if summary.total_violations > 0 || summary.total_divergences > 0 {
@@ -299,11 +351,6 @@ fn main() {
             println!("== Figure 7: non-recursive (SyGuS) benchmarks ==");
             println!("{}", format_fig7(&run_fig7(max_n, timeout)));
         }
-        other => {
-            eprintln!(
-                "unknown report '{other}': expected table1, table2, fig7, batch, trace, solver-bench, fuzz, or all"
-            );
-            std::process::exit(2);
-        }
+        _ => unreachable!("Args::parse accepts only known subcommands"),
     }
 }

@@ -1,5 +1,6 @@
 //! The `report` binary's command line: a numeric flag whose value is
-//! missing or malformed is a usage error (exit 2), never the default.
+//! missing or malformed is a usage error (exit 2), never the default,
+//! and so is any argument the subcommand does not take.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -43,6 +44,23 @@ fn a_malformed_or_missing_numeric_flag_exits_2() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains("--top"), "{args:?}: {stderr}");
+    }
+    std::fs::remove_file(&trace).ok();
+}
+
+#[test]
+fn an_unknown_flag_a_missing_value_or_a_surplus_argument_exits_2() {
+    let trace = one_line_trace("unknown");
+    let path = trace.to_str().unwrap();
+    for (args, named) in [
+        (vec!["trace", path, "--tpo", "3"], "--tpo"),
+        (vec!["trace", path, "--top", "3", "extra"], "extra"),
+        (vec!["trace", path, "--perfetto"], "--perfetto"),
+    ] {
+        let out = report(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(named), "{args:?}: {stderr}");
     }
     std::fs::remove_file(&trace).ok();
 }

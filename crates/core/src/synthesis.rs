@@ -131,9 +131,6 @@ pub struct SynthesisStats {
     /// Queries answered by the validity cache of the run's
     /// [`SolverContext`] (a fresh one for a standalone run).
     pub shared_cache_hits: usize,
-    /// Subset of `shared_cache_hits` whose cached verdict was negative
-    /// (`Unsat`), i.e. a previously proven entailment was reused.
-    pub shared_negative_hits: usize,
     /// Queries that consulted the shared validity cache and missed.
     pub shared_cache_misses: usize,
     /// Theory conflicts learned by the incremental DPLL(T) backend and
@@ -264,7 +261,6 @@ impl Synthesizer {
         stats.smt_queries = smt.queries;
         stats.smt_cache_hits = smt.cache_hits;
         stats.shared_cache_hits = smt.shared_hits;
-        stats.shared_negative_hits = smt.shared_negative_hits;
         stats.shared_cache_misses = smt.shared_misses;
         stats.smt_conflicts_learned = smt.conflicts_learned;
         stats.smt_conflicts_reused = smt.conflicts_reused;
@@ -345,8 +341,7 @@ impl Synthesizer {
         let mut env = goal.env.clone();
         env.add_qualifiers_from_type(&goal.schema.ty);
 
-        let mut solver = ConstraintSolver::new(self.backend());
-        solver.consistency_enabled = self.config.consistency;
+        let solver = ConstraintSolver::new(self.backend());
 
         let (args, ret) = goal.schema.ty.uncurry();
         let arg_names: Vec<String> = args.iter().map(|(n, _)| n.clone()).collect();
@@ -501,7 +496,7 @@ impl Synthesizer {
                     .uint("depth", depth as u64)
                     .uint("n", candidates.len() as u64)
             });
-            for (program, solver, condition) in candidates {
+            for (program, condition) in candidates {
                 self.check_deadline()?;
                 if condition.is_true() {
                     return Ok(program);
@@ -537,10 +532,7 @@ impl Synthesizer {
                     branch_depth - 1,
                     match_depth,
                 ) {
-                    Ok(else_branch) => {
-                        let _ = solver;
-                        return Ok(Program::ite(guard, program, else_branch));
-                    }
+                    Ok(else_branch) => return Ok(Program::ite(guard, program, else_branch)),
                     Err(timeout @ SynthesisError::Timeout(_)) => return Err(timeout),
                     Err(SynthesisError::NoSolution(_)) => continue,
                 }
@@ -576,7 +568,7 @@ impl Synthesizer {
         depth: usize,
         base_solver: &ConstraintSolver,
         tried: &mut HashSet<Program>,
-    ) -> Result<Vec<(Program, ConstraintSolver, Term)>, SynthesisError> {
+    ) -> Result<Vec<(Program, Term)>, SynthesisError> {
         let shaped = self.generate_for(env, goal, depth, base_solver)?;
         let mut solver = base_solver.clone();
         let p0 = solver.fresh_unknown(env, None, "branch condition");
@@ -604,11 +596,11 @@ impl Synthesizer {
                         .bool("conditional", !condition.is_true())
                         .str("condition", condition.to_string())
                 });
-                out.push((program, cand_solver, condition));
+                out.push((program, condition));
             }
         }
         // Prefer candidates that need no branching, then smaller programs.
-        out.sort_by_key(|(p, _, cond)| (!cond.is_true() as usize, p.size()));
+        out.sort_by_key(|(p, cond)| (!cond.is_true() as usize, p.size()));
         Ok(out)
     }
 
@@ -1002,7 +994,6 @@ impl Synthesizer {
                 continue;
             };
             let mut gs = ConstraintSolver::new(self.backend());
-            gs.consistency_enabled = self.config.consistency;
             let fty = gs.instantiate_schema(&schema);
             if !fty.is_function() {
                 continue;

@@ -63,17 +63,6 @@ const BFS_MAX_SUBSETS: usize = 20_000;
 /// Safety cap on fixpoint iterations per repair.
 const MAX_ITERATIONS: usize = 200;
 
-/// Statistics of the fixpoint solver.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FixpointStats {
-    /// Total constraints added.
-    pub constraints: usize,
-    /// Number of strengthening steps performed.
-    pub strengthenings: usize,
-    /// Number of validity checks of individual constraints.
-    pub validity_checks: usize,
-}
-
 /// Error returned when the constraint system has no liquid solution.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HornError {
@@ -101,7 +90,6 @@ pub struct FixpointSolver {
     constraints: Vec<HornConstraint>,
     candidates: Vec<Assignment>,
     backend: StrengthenBackend,
-    stats: FixpointStats,
 }
 
 impl Default for FixpointSolver {
@@ -118,13 +106,7 @@ impl FixpointSolver {
             constraints: Vec::new(),
             candidates: vec![Assignment::top()],
             backend,
-            stats: FixpointStats::default(),
         }
-    }
-
-    /// Statistics collected so far.
-    pub fn stats(&self) -> FixpointStats {
-        self.stats
     }
 
     /// Allocates a fresh predicate unknown.
@@ -164,7 +146,6 @@ impl FixpointSolver {
     /// error if no candidate can be strengthened to satisfy all constraints
     /// added so far — i.e. a type error has been detected.
     pub fn add_constraint(&mut self, c: HornConstraint, smt: &mut Smt) -> Result<(), HornError> {
-        self.stats.constraints += 1;
         self.constraints.push(c.clone());
         let mut new_candidates = Vec::new();
         let candidates = std::mem::take(&mut self.candidates);
@@ -244,8 +225,7 @@ impl FixpointSolver {
         results
     }
 
-    fn constraint_holds(&mut self, l: &Assignment, c: &HornConstraint, smt: &mut Smt) -> bool {
-        self.stats.validity_checks += 1;
+    fn constraint_holds(&self, l: &Assignment, c: &HornConstraint, smt: &mut Smt) -> bool {
         let lhs = l.apply(&self.registry, &c.lhs);
         let rhs = l.apply(&self.registry, &c.rhs);
         smt.entails(&lhs, &rhs)
@@ -258,7 +238,6 @@ impl FixpointSolver {
         // `strengthen` that is not a nested SMT/MUS span is charged to
         // `Abduction` (qualifier filtering, valuation bookkeeping, …).
         let _span = synquid_telemetry::span(synquid_telemetry::Phase::Abduction);
-        self.stats.strengthenings += 1;
         // Occurrences of unknowns on the left-hand side, with their pending
         // substitutions.
         let occurrences = unknown_occurrences(&c.lhs);
@@ -660,15 +639,5 @@ mod tests {
         solver.add_constraint(c, &mut smt).unwrap();
         let val = solver.apply(&occurrence);
         assert!(smt.entails(&val, &m.le(Term::int(0))), "got {val}");
-    }
-
-    #[test]
-    fn stats_count_work() {
-        let mut solver = FixpointSolver::default();
-        let mut smt = Smt::new();
-        let c = HornConstraint::new(n().ge(Term::int(1)), n().ge(Term::int(0)), "warmup");
-        solver.add_constraint(c, &mut smt).unwrap();
-        assert_eq!(solver.stats().constraints, 1);
-        assert!(solver.stats().validity_checks >= 1);
     }
 }

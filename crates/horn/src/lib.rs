@@ -42,5 +42,5 @@
 pub mod fixpoint;
 pub mod unknowns;
 
-pub use fixpoint::{FixpointSolver, FixpointStats, HornConstraint, HornError, StrengthenBackend};
+pub use fixpoint::{FixpointSolver, HornConstraint, HornError, StrengthenBackend};
 pub use unknowns::{Assignment, UnknownInfo, UnknownRegistry};

@@ -5,12 +5,12 @@
 //! rungs, portfolio siblings, and goals that share a component library.
 //! [`SharedValidityCache`] is the cross-solver memo table: it is shared
 //! by every [`Smt`](crate::Smt) instance of a batch run (clone the handle
-//! into [`Smt::with_session`](crate::Smt::with_session)), and keyed by *normalized, interned* `(antecedent, consequent)` query
-//! pairs: each probe walks the normalized terms once against the
-//! hash-consing table (under a read lock, so concurrent workers don't
-//! serialize on hits), and the memo map itself stores and compares only
-//! compact `(TermId, TermId)` keys, with every shared subterm stored
-//! once. Normalization (constant folding) happens in
+//! into [`Smt::with_session`](crate::Smt::with_session)), and keyed by
+//! *normalized, interned* `(antecedent, consequent)` query pairs. Each
+//! probe walks the normalized terms once against the hash-consing table
+//! (under a read lock, and without growing it), and the memo stores and
+//! compares only compact `(TermId, TermId)` keys, with every shared
+//! subterm stored once. Normalization (constant folding) happens in
 //! [`SharedValidityCache::normalize`], outside any lock.
 //!
 //! A query `antecedent ⇒ consequent` is recorded under the pair of
@@ -22,25 +22,25 @@
 //!
 //! # Residency
 //!
-//! A resident session keeps one cache alive across many batch runs, so
-//! the table can no longer grow for process lifetime. Two mechanisms
-//! bound it:
-//!
-//! - **size bound** — inserts beyond [`SharedValidityCache::max_entries`]
-//!   first sweep out entries not touched in the current epoch (at most
-//!   once per epoch, so a full warm table can't thrash), then refuse;
-//! - **epoch GC** — [`SharedValidityCache::advance_epoch`] runs at batch
-//!   boundaries: every lookup hit or insert stamps its entry with the
-//!   current epoch, entries cold for two full epochs are dropped, and
-//!   the interner is compacted to exactly the nodes the surviving keys
-//!   still reach (see [`Interner::compact`]).
+//! The verdicts live in an [`EpochMemo`], so the validity cache is
+//! bounded and collected like every other session layer: a size bound
+//! with a once-per-epoch cold sweep, and an epoch GC
+//! ([`SharedValidityCache::advance_epoch`]) that drops entries cold for
+//! two full epochs. What this module adds is the interner behind the
+//! keys: an insert the bound refuses interns nothing, so the entry bound
+//! also bounds the interner, and each GC compacts the interner to
+//! exactly the nodes the surviving keys still reach (see
+//! [`Interner::compact`]) and renumbers the keys to match. Every memo
+//! access holds the interner's lock, so ids cannot be renumbered between
+//! the walk that found them and the probe that uses them.
 //!
 //! Eviction is always sound: a cached verdict is a pure function of its
 //! key, so dropping an entry only means the same query is re-solved (to
 //! the identical verdict) if it ever recurs.
 
+use crate::epoch_memo::EpochMemo;
 use crate::smt::SmtResult;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 use synquid_logic::simplify::fold_constants;
 use synquid_logic::{Interner, Term, TermId};
@@ -100,60 +100,18 @@ impl ValidityCacheStats {
     }
 }
 
-/// One memoized verdict, stamped with the epoch that last used it. The
-/// stamp is atomic so lookup hits (which hold only the read lock) can
-/// refresh it.
-#[derive(Debug)]
-struct Entry {
-    result: SmtResult,
-    epoch: AtomicU32,
-}
-
-#[derive(Debug, Default)]
-struct CacheTable {
-    interner: Interner,
-    memo: std::collections::HashMap<(TermId, TermId), Entry>,
-    /// Epoch of the last overflow sweep, so a table that is full of
-    /// this-epoch entries refuses further inserts instead of sweeping
-    /// (and finding nothing) on every one.
-    swept_epoch: Option<u32>,
-}
-
-/// The shared state: the table behind a read/write lock (lookups are
-/// read-only thanks to [`Interner::find`], so hits from many workers
-/// proceed concurrently) and counters as atomics so probes never need
-/// the write lock.
-#[derive(Debug)]
-struct CacheShared {
-    table: RwLock<CacheTable>,
-    hits: AtomicUsize,
-    misses: AtomicUsize,
-    negative_hits: AtomicUsize,
-    entries_evicted: AtomicUsize,
-    epoch: AtomicU32,
-    max_entries: usize,
-}
-
-impl Default for CacheShared {
-    fn default() -> CacheShared {
-        CacheShared {
-            table: RwLock::default(),
-            hits: AtomicUsize::new(0),
-            misses: AtomicUsize::new(0),
-            negative_hits: AtomicUsize::new(0),
-            entries_evicted: AtomicUsize::new(0),
-            epoch: AtomicU32::new(0),
-            max_entries: SharedValidityCache::DEFAULT_MAX_ENTRIES,
-        }
-    }
-}
-
 /// A cloneable handle to a concurrent validity memo table. All clones
 /// share the same underlying table; the handle is `Send + Sync` and is
 /// designed to be shared by one [`Smt`](crate::Smt) per worker thread.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct SharedValidityCache {
-    inner: Arc<CacheShared>,
+    /// The terms behind the memo's keys. Lookups, exports and stats
+    /// hold it for reading, inserts and the GC for writing.
+    interner: Arc<RwLock<Interner>>,
+    /// Verdicts keyed by the interned ids of each query's two sides.
+    memo: EpochMemo<(TermId, TermId), SmtResult>,
+    /// Hits whose verdict was `Unsat`.
+    negative_hits: Arc<AtomicUsize>,
 }
 
 /// A validity query with normalization (constant folding) already
@@ -164,6 +122,12 @@ pub struct SharedValidityCache {
 pub struct NormalizedQuery {
     antecedent: Term,
     consequent: Term,
+}
+
+impl Default for SharedValidityCache {
+    fn default() -> SharedValidityCache {
+        SharedValidityCache::with_max_entries(SharedValidityCache::DEFAULT_MAX_ENTRIES)
+    }
 }
 
 impl SharedValidityCache {
@@ -181,16 +145,10 @@ impl SharedValidityCache {
     /// query pairs (clamped to at least 1).
     pub fn with_max_entries(max_entries: usize) -> SharedValidityCache {
         SharedValidityCache {
-            inner: Arc::new(CacheShared {
-                max_entries: max_entries.max(1),
-                ..CacheShared::default()
-            }),
+            interner: Arc::default(),
+            memo: EpochMemo::with_max_entries(max_entries),
+            negative_hits: Arc::default(),
         }
-    }
-
-    /// The configured entry bound.
-    pub fn max_entries(&self) -> usize {
-        self.inner.max_entries
     }
 
     /// Normalizes a query pair. Pure (no lock taken): callers on the hot
@@ -202,88 +160,48 @@ impl SharedValidityCache {
         }
     }
 
+    /// The memo key of a query, if both of its terms were interned.
+    fn find(interner: &Interner, query: &NormalizedQuery) -> Option<(TermId, TermId)> {
+        Some((
+            interner.find(&query.antecedent)?,
+            interner.find(&query.consequent)?,
+        ))
+    }
+
     /// Looks up a normalized query. Returns the cached [`SmtResult`] of
     /// `sat(antecedent ∧ ¬consequent)` if the same pair was solved
     /// before. Probing is read-only ([`Interner::find`] never inserts),
-    /// so concurrent lookups share a read lock, misses never grow the
-    /// interner, and the entry bound really bounds memory. A hit stamps
-    /// the entry with the current epoch (atomically, still under the
-    /// read lock), which is what keeps it alive across epoch GCs.
+    /// so concurrent lookups share the interner's read lock, misses
+    /// never grow the interner, and the entry bound really bounds
+    /// memory. A hit stamps the entry with the current epoch, which is
+    /// what keeps it alive across epoch GCs.
     pub fn lookup_normalized(&self, query: &NormalizedQuery) -> Option<SmtResult> {
-        let epoch = self.inner.epoch.load(Ordering::Relaxed);
-        let cached = {
-            let table = self.inner.table.read().expect("validity cache poisoned");
-            match (
-                table.interner.find(&query.antecedent),
-                table.interner.find(&query.consequent),
-            ) {
-                (Some(a), Some(c)) => table.memo.get(&(a, c)).map(|entry| {
-                    entry.epoch.store(epoch, Ordering::Relaxed);
-                    entry.result
-                }),
-                _ => None,
-            }
+        let interner = self.interner.read().expect("validity cache poisoned");
+        let Some(key) = Self::find(&interner, query) else {
+            self.memo.count_miss();
+            return None;
         };
-        match cached {
-            Some(result) => {
-                self.inner.hits.fetch_add(1, Ordering::Relaxed);
-                if result == SmtResult::Unsat {
-                    self.inner.negative_hits.fetch_add(1, Ordering::Relaxed);
-                }
-                Some(result)
-            }
-            None => {
-                self.inner.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
+        let cached = self.memo.lookup(&key);
+        if cached == Some(SmtResult::Unsat) {
+            self.negative_hits.fetch_add(1, Ordering::Relaxed);
         }
+        cached
     }
 
-    /// Records the result of a normalized query. At the size bound, one
-    /// sweep per epoch evicts entries not touched this epoch; if the
-    /// table is still full the insert is refused (a refused insert only
-    /// means the query is re-solved, to the identical verdict, next
-    /// time).
+    /// Records the result of a normalized query, unless the memo's size
+    /// bound refuses it (see [`EpochMemo::insert`]); a refused insert
+    /// interns nothing and only means the query is re-solved, to the
+    /// identical verdict, next time.
     pub fn insert_normalized(&self, query: &NormalizedQuery, result: SmtResult) {
-        let epoch = self.inner.epoch.load(Ordering::Relaxed);
-        let mut table = self.inner.table.write().expect("validity cache poisoned");
-        if table.memo.len() >= self.inner.max_entries {
-            // Updating an existing key never grows the table.
-            let existing = match (
-                table.interner.find(&query.antecedent),
-                table.interner.find(&query.consequent),
-            ) {
-                (Some(a), Some(c)) => table.memo.contains_key(&(a, c)),
-                _ => false,
-            };
-            if !existing {
-                if table.swept_epoch == Some(epoch) {
-                    return;
-                }
-                table.swept_epoch = Some(epoch);
-                let before = table.memo.len();
-                table
-                    .memo
-                    .retain(|_, entry| entry.epoch.load(Ordering::Relaxed) >= epoch);
-                self.inner
-                    .entries_evicted
-                    .fetch_add(before - table.memo.len(), Ordering::Relaxed);
-                if table.memo.len() >= self.inner.max_entries {
-                    return;
-                }
-            }
+        let mut interner = self.interner.write().expect("validity cache poisoned");
+        if !self.memo.make_room(|| Self::find(&interner, query)) {
+            return;
         }
         let key = (
-            table.interner.intern(&query.antecedent),
-            table.interner.intern(&query.consequent),
+            interner.intern(&query.antecedent),
+            interner.intern(&query.consequent),
         );
-        table.memo.insert(
-            key,
-            Entry {
-                result,
-                epoch: AtomicU32::new(epoch),
-            },
-        );
+        self.memo.insert(key, result);
     }
 
     /// Convenience wrapper: [`normalize`](Self::normalize) + lookup.
@@ -296,39 +214,22 @@ impl SharedValidityCache {
         self.insert_normalized(&Self::normalize(antecedent, consequent), result)
     }
 
-    /// Closes one GC epoch: entries not touched for two full epochs are
-    /// dropped, the interner is compacted to the nodes the surviving
-    /// keys still reach, and the epoch counter advances. Resident
+    /// Closes one GC epoch: the memo drops the entries cold for two full
+    /// epochs, the interner is compacted to the nodes the surviving keys
+    /// still reach, and the keys are renumbered to match. Resident
     /// sessions call this at batch-run boundaries; one-shot runs never
-    /// do, which reproduces the old unbounded-growth behaviour within a
-    /// single run.
+    /// do, so one run's table only grows up to its bound.
     pub fn advance_epoch(&self) {
-        let mut table = self.inner.table.write().expect("validity cache poisoned");
-        let epoch = self.inner.epoch.load(Ordering::Relaxed);
-        let before = table.memo.len();
-        // Keep entries touched in the current or previous epoch; an entry
-        // last touched in epoch `e` survives the GCs closing epochs `e`
-        // and `e + 1` and is dropped by the GC closing `e + 2` — two full
-        // cold epochs.
-        table
+        let mut interner = self.interner.write().expect("validity cache poisoned");
+        self.memo.advance_epoch();
+        let roots = self
             .memo
-            .retain(|_, entry| entry.epoch.load(Ordering::Relaxed) + 1 >= epoch);
-        self.inner
-            .entries_evicted
-            .fetch_add(before - table.memo.len(), Ordering::Relaxed);
-        let roots: Vec<TermId> = table.memo.keys().flat_map(|&(a, c)| [a, c]).collect();
-        let remap = table.interner.compact(roots);
-        table.memo = table
-            .memo
-            .drain()
-            .map(|((a, c), entry)| {
-                let a = remap[a.index()].expect("memo key survived GC");
-                let c = remap[c.index()].expect("memo key survived GC");
-                ((a, c), entry)
-            })
-            .collect();
-        table.swept_epoch = None;
-        self.inner.epoch.store(epoch + 1, Ordering::Relaxed);
+            .entries()
+            .into_iter()
+            .flat_map(|((a, c), _)| [a, c]);
+        let remap = interner.compact(roots);
+        let renumber = |id: TermId| remap[id.index()].expect("memo key survived GC");
+        self.memo.rekey(|(a, c)| (renumber(a), renumber(c)));
     }
 
     /// Resolves every stored `Sat`/`Unsat` entry back to its term pair,
@@ -337,18 +238,13 @@ impl SharedValidityCache {
     /// that produced them, so persisting them across processes would be
     /// misleading.
     pub fn export_entries(&self) -> Vec<(Term, Term, SmtResult)> {
-        let table = self.inner.table.read().expect("validity cache poisoned");
-        let mut out: Vec<(Term, Term, SmtResult)> = table
+        let interner = self.interner.read().expect("validity cache poisoned");
+        let mut out: Vec<(Term, Term, SmtResult)> = self
             .memo
-            .iter()
-            .filter(|(_, entry)| entry.result != SmtResult::Unknown)
-            .map(|(&(a, c), entry)| {
-                (
-                    table.interner.resolve(a),
-                    table.interner.resolve(c),
-                    entry.result,
-                )
-            })
+            .entries()
+            .into_iter()
+            .filter(|&(_, result)| result != SmtResult::Unknown)
+            .map(|((a, c), result)| (interner.resolve(a), interner.resolve(c), result))
             .collect();
         // Deterministic snapshot order (HashMap iteration is not).
         out.sort();
@@ -369,17 +265,18 @@ impl SharedValidityCache {
 
     /// A snapshot of the counters.
     pub fn stats(&self) -> ValidityCacheStats {
-        let table = self.inner.table.read().expect("validity cache poisoned");
+        let interner = self.interner.read().expect("validity cache poisoned");
+        let memo = self.memo.stats();
         ValidityCacheStats {
-            hits: self.inner.hits.load(Ordering::Relaxed),
-            misses: self.inner.misses.load(Ordering::Relaxed),
-            negative_hits: self.inner.negative_hits.load(Ordering::Relaxed),
-            entries: table.memo.len(),
-            interned_nodes: table.interner.len(),
-            entries_evicted: self.inner.entries_evicted.load(Ordering::Relaxed),
-            terms_interned: table.interner.total_interned(),
-            terms_evicted: table.interner.total_evicted(),
-            epoch: self.inner.epoch.load(Ordering::Relaxed) as usize,
+            hits: memo.hits,
+            misses: memo.misses,
+            negative_hits: self.negative_hits.load(Ordering::Relaxed),
+            entries: memo.entries,
+            interned_nodes: interner.len(),
+            entries_evicted: memo.evicted,
+            terms_interned: interner.total_interned(),
+            terms_evicted: interner.total_evicted(),
+            epoch: memo.epoch,
         }
     }
 }
@@ -473,6 +370,48 @@ mod tests {
             stats.terms_interned - stats.terms_evicted,
             stats.interned_nodes
         );
+    }
+
+    #[test]
+    fn gc_renumbering_keeps_each_pairs_verdict() {
+        let cache = SharedValidityCache::new();
+        let cold = (x().le(Term::int(7)), Term::ff());
+        let unsat = (x().lt(y()), x().le(y()));
+        let sat = (y().le(x().plus(Term::int(2))), Term::ff());
+        cache.insert(&cold.0, &cold.1, SmtResult::Sat);
+        cache.insert(&unsat.0, &unsat.1, SmtResult::Unsat);
+        cache.insert(&sat.0, &sat.1, SmtResult::Sat);
+        cache.advance_epoch();
+        // The first pair's ids come first; once it has been cold for two
+        // epochs, the GC drops its terms and renumbers the survivors.
+        for _ in 0..2 {
+            cache.lookup(&unsat.0, &unsat.1);
+            cache.lookup(&sat.0, &sat.1);
+            cache.advance_epoch();
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.entries, 2);
+        assert!(stats.terms_evicted > 0, "the survivors were renumbered");
+        assert_eq!(cache.lookup(&cold.0, &cold.1), None);
+        assert_eq!(cache.lookup(&unsat.0, &unsat.1), Some(SmtResult::Unsat));
+        assert_eq!(cache.lookup(&sat.0, &sat.1), Some(SmtResult::Sat));
+    }
+
+    #[test]
+    fn a_refused_insert_interns_nothing() {
+        let cache = SharedValidityCache::with_max_entries(2);
+        cache.insert(&x().le(Term::int(0)), &Term::ff(), SmtResult::Sat);
+        cache.insert(&x().le(Term::int(1)), &Term::ff(), SmtResult::Sat);
+        let full = cache.stats();
+        cache.insert(
+            &y().lt(Term::int(5)),
+            &y().le(Term::int(9)),
+            SmtResult::Unsat,
+        );
+        let after = cache.stats();
+        assert_eq!(after.entries, 2, "the insert was refused");
+        assert_eq!(after.interned_nodes, full.interned_nodes);
+        assert_eq!(after.terms_interned, full.terms_interned);
     }
 
     #[test]

@@ -1,10 +1,12 @@
 //! A bounded, epoch-collected memo table shared between threads.
 //!
 //! Resident sessions keep memo tables alive across batch runs, so each
-//! must bound itself. [`EpochMemo`] is that policy for tables whose
-//! values are pure functions of their keys (the E-term enumeration memo
-//! of `synquid-core`, the MUS memo of [`crate::mus`]) and for the set of
-//! learned theory lemmas ([`crate::lemmas`], a table with `()` values):
+//! must bound itself. [`EpochMemo`] is that policy for every session
+//! layer: the tables whose values are pure functions of their keys (the
+//! validity verdicts of [`crate::cache`], keyed by interned term ids;
+//! the E-term enumeration memo of `synquid-core`; the MUS memo of
+//! [`crate::mus`]) and the set of learned theory lemmas
+//! ([`crate::lemmas`], a table with `()` values):
 //!
 //! - every lookup hit or insert stamps its entry with the current epoch;
 //! - [`EpochMemo::advance_epoch`] (called at batch boundaries) drops
@@ -90,6 +92,22 @@ struct Table<K, V> {
     evicted: usize,
 }
 
+impl<K: Eq + Hash, V> Table<K, V> {
+    /// Makes room in a full table by sweeping out the entries not
+    /// touched this epoch, at most once per epoch so a full warm table
+    /// cannot thrash; true if that left room for a new key.
+    fn sweep(&mut self) -> bool {
+        if self.swept_epoch == Some(self.epoch) {
+            return false;
+        }
+        self.swept_epoch = Some(self.epoch);
+        let (epoch, before) = (self.epoch, self.map.len());
+        self.map.retain(|_, (_, stamp)| *stamp >= epoch);
+        self.evicted += before - self.map.len();
+        self.map.len() < self.max_entries
+    }
+}
+
 /// A cloneable handle to one bounded memo table; clones share it.
 #[derive(Debug)]
 pub struct EpochMemo<K, V> {
@@ -148,22 +166,30 @@ impl<K: Eq + Hash, V: Clone> EpochMemo<K, V> {
     /// this epoch; if the table is still full the insert is dropped.
     pub fn insert(&self, key: K, value: V) {
         let mut table = self.lock();
-        let epoch = table.epoch;
-        if table.map.len() >= table.max_entries && !table.map.contains_key(&key) {
-            if table.swept_epoch == Some(epoch) {
-                return;
-            }
-            table.swept_epoch = Some(epoch);
-            let before = table.map.len();
-            table.map.retain(|_, (_, stamp)| *stamp >= epoch);
-            table.evicted += before - table.map.len();
-            if table.map.len() >= table.max_entries {
-                return;
-            }
+        if table.map.len() >= table.max_entries && !table.map.contains_key(&key) && !table.sweep() {
+            return;
         }
+        let epoch = table.epoch;
         if table.map.insert(key, (value, epoch)).is_none() {
             table.absorbed += 1;
         }
+    }
+
+    /// The room check of [`insert`](Self::insert), sweep included, for
+    /// a caller that must spend memory to build a key: a refused insert
+    /// then builds nothing. `key` is called only when the table is full,
+    /// and answers `None` for a key that cannot be resident yet.
+    pub(crate) fn make_room(&self, key: impl FnOnce() -> Option<K>) -> bool {
+        let mut table = self.lock();
+        table.map.len() < table.max_entries
+            || key().is_some_and(|key| table.map.contains_key(&key))
+            || table.sweep()
+    }
+
+    /// Counts a miss for a probe that could not build its key because
+    /// the key was never stored.
+    pub(crate) fn count_miss(&self) {
+        self.lock().misses += 1;
     }
 
     /// Stamps every resident key of `keys` with the current epoch, under
@@ -192,6 +218,30 @@ impl<K: Eq + Hash, V: Clone> EpochMemo<K, V> {
         table.evicted += before - table.map.len();
         table.swept_epoch = None;
         table.epoch = epoch + 1;
+    }
+
+    /// Renames every key through `rename`, keeping values and stamps,
+    /// as when the ids a key is made of are renumbered. `rename` must be
+    /// injective on the stored keys.
+    pub(crate) fn rekey(&self, mut rename: impl FnMut(K) -> K) {
+        let mut table = self.lock();
+        table.map = std::mem::take(&mut table.map)
+            .into_iter()
+            .map(|(key, entry)| (rename(key), entry))
+            .collect();
+    }
+
+    /// Every stored entry, in no particular order, without stamping it.
+    pub(crate) fn entries(&self) -> Vec<(K, V)>
+    where
+        K: Clone,
+    {
+        let table = self.lock();
+        table
+            .map
+            .iter()
+            .map(|(key, (value, _))| (key.clone(), value.clone()))
+            .collect()
     }
 
     /// Current counters.

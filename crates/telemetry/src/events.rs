@@ -7,8 +7,6 @@
 //!
 //! * `--trace-out PATH` (CLI) or `SYNQUID_TRACE_OUT=PATH` → JSONL to the
 //!   file (`-` means stderr);
-//! * `SYNQUID_TRACE=1` (the historical ad-hoc switch) → human-readable
-//!   lines on stderr, one `[synquid] …` line per event;
 //! * neither → events are disabled and an [`emit`] call costs one relaxed
 //!   atomic load (the closure building the event never runs).
 //!
@@ -51,8 +49,7 @@ pub const EVENT_SCHEMA_VERSION: u64 = 4;
 
 const MODE_OFF: u8 = 0;
 const MODE_JSON: u8 = 1;
-const MODE_HUMAN: u8 = 2;
-const MODE_UNREAD: u8 = 3;
+const MODE_UNREAD: u8 = 2;
 
 static MODE: AtomicU8 = AtomicU8::new(MODE_UNREAD);
 static SINK: Mutex<Option<Box<dyn Write + Send>>> = Mutex::new(None);
@@ -88,24 +85,15 @@ fn mode() -> u8 {
 
 #[cold]
 fn init_from_env() -> u8 {
-    if let Ok(path) = std::env::var("SYNQUID_TRACE_OUT") {
-        if !path.is_empty() {
-            return match init_trace_file(&path) {
-                Ok(()) => MODE.load(Ordering::Relaxed),
-                Err(e) => {
-                    eprintln!("[synquid] cannot open SYNQUID_TRACE_OUT={path}: {e}");
-                    MODE.store(MODE_OFF, Ordering::Relaxed);
-                    MODE_OFF
-                }
-            };
+    let path = std::env::var("SYNQUID_TRACE_OUT").unwrap_or_default();
+    if !path.is_empty() {
+        match init_trace_file(&path) {
+            Ok(()) => return MODE.load(Ordering::Relaxed),
+            Err(e) => eprintln!("[synquid] cannot open SYNQUID_TRACE_OUT={path}: {e}"),
         }
     }
-    let human = std::env::var("SYNQUID_TRACE")
-        .map(|v| !v.is_empty() && v != "0")
-        .unwrap_or(false);
-    let mode = if human { MODE_HUMAN } else { MODE_OFF };
-    MODE.store(mode, Ordering::Relaxed);
-    mode
+    MODE.store(MODE_OFF, Ordering::Relaxed);
+    MODE_OFF
 }
 
 /// Routes events as JSON Lines to `path` (`-` for stderr). Overrides any
@@ -243,47 +231,20 @@ impl Event {
         }
         out.push_str("}\n");
     }
-
-    /// Renders the event as the historical human-readable stderr line.
-    /// A `message` event with a single `text` field reproduces the old
-    /// `trace!` output byte-for-byte.
-    pub fn render_human(&self) -> String {
-        if self.kind == "message" {
-            if let [(_, Json::Str(text))] = self.fields.as_slice() {
-                return format!("[synquid] {text}");
-            }
-        }
-        let mut out = format!("[synquid] {}", self.kind);
-        for (key, value) in &self.fields {
-            out.push(' ');
-            out.push_str(key);
-            out.push('=');
-            match value {
-                Json::Str(text) => out.push_str(text),
-                other => other.write_compact(&mut out),
-            }
-        }
-        out
-    }
 }
 
 /// Emits an event. The closure only runs when a sink is configured, so a
 /// disabled call site costs one atomic load and never formats anything.
 #[inline]
 pub fn emit(build: impl FnOnce() -> Event) {
-    let mode = mode();
-    if mode == MODE_OFF {
+    if mode() == MODE_OFF {
         return;
     }
-    emit_now(build(), mode);
+    emit_now(build());
 }
 
 #[cold]
-fn emit_now(event: Event, mode: u8) {
-    if mode == MODE_HUMAN {
-        eprintln!("{}", event.render_human());
-        return;
-    }
+fn emit_now(event: Event) {
     let seq = SEQ.fetch_add(1, Ordering::Relaxed);
     let t_ms = epoch().elapsed().as_secs_f64() * 1e3;
     let tid = TID.with(|t| *t);
@@ -351,23 +312,6 @@ mod tests {
             "{\"ev\":\"candidate_reject\",\"seq\":7,\"t_ms\":12.346,\"tid\":2,\"goal\":\"take\",\
              \"text\":\"q\\\"b\\\\s\\nn\\tt\\rr\\u0001c ν→≤\",\"depth\":-2,\"n\":3,\
              \"conditional\":false,\"elapsed_ms\":1.500}\n"
-        );
-    }
-
-    #[test]
-    fn human_rendering_preserves_the_old_trace_format() {
-        let event = Event::new("message").str("text", "depth 2: 31 abduction candidates");
-        assert_eq!(
-            event.render_human(),
-            "[synquid] depth 2: 31 abduction candidates"
-        );
-        let typed = Event::new("cache_hit")
-            .str("layer", "shared")
-            .uint("n", 3)
-            .f64("ms", 0.25);
-        assert_eq!(
-            typed.render_human(),
-            "[synquid] cache_hit layer=shared n=3 ms=0.250"
         );
     }
 

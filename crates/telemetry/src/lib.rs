@@ -14,11 +14,10 @@
 //!   is no compile-time feature gate to get wrong;
 //! * a **structured event sink** ([`events`]): typed trace events
 //!   (candidate accept/reject, rung lifecycle, ledger movements, lemma
-//!   learn/replay, cache hit/miss) rendered as JSON Lines to a file
-//!   (`--trace-out PATH` / `SYNQUID_TRACE_OUT=PATH`) or as human-readable
-//!   lines to stderr (`SYNQUID_TRACE=1`, the historical switch). A
-//!   disabled event costs one relaxed atomic load; event construction is
-//!   deferred behind a closure;
+//!   learn/replay, cache hit/miss) rendered as JSON Lines to a file or
+//!   to stderr (`--trace-out PATH` / `SYNQUID_TRACE_OUT=PATH`, `-` for
+//!   stderr). A disabled event costs one relaxed atomic load; event
+//!   construction is deferred behind a closure;
 //! * the workspace's one **JSON codec** ([`json`]): a value type, a
 //!   string escaper, a compact and a one-entry-per-line writer, and a
 //!   strict RFC 8259 parser. Event lines, phase profiles, the Perfetto

@@ -20,6 +20,7 @@ use synquid_telemetry::json::{self, Json};
 /// here must go together with a version bump on the producer side.
 pub const KNOWN_EVENT_KINDS: &[&str] = &[
     "trace_meta",
+    // Free-form text; no longer emitted, kept so older streams parse.
     "message",
     // Engine scheduler: portfolio rungs and the budget ledger.
     "rung_start",

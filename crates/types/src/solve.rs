@@ -50,9 +50,6 @@ pub struct ConstraintSolver {
     pub fixpoint: FixpointSolver,
     type_assignment: BTreeMap<String, RType>,
     fresh_tyvar_counter: usize,
-    /// Enable type-consistency checks (Sec. 3.4); disabled for the T-ncc
-    /// ablation.
-    pub consistency_enabled: bool,
 }
 
 impl Default for ConstraintSolver {
@@ -68,7 +65,6 @@ impl ConstraintSolver {
             fixpoint: FixpointSolver::new(backend),
             type_assignment: BTreeMap::new(),
             fresh_tyvar_counter: 0,
-            consistency_enabled: true,
         }
     }
 
@@ -482,8 +478,8 @@ impl ConstraintSolver {
 
     /// Checks that two types are *consistent*: they have a common
     /// inhabitant for some valuation of the environment variables. Used to
-    /// prune partial applications early (Sec. 3.4). A disabled or
-    /// inconclusive check succeeds.
+    /// prune partial applications early (Sec. 3.4). An inconclusive
+    /// check succeeds.
     pub fn consistent(
         &mut self,
         env: &Environment,
@@ -492,9 +488,6 @@ impl ConstraintSolver {
         smt: &mut Smt,
         label: &str,
     ) -> Result<(), TypeError> {
-        if !self.consistency_enabled {
-            return Ok(());
-        }
         let lhs = self.resolve(lhs);
         let rhs = self.resolve(rhs);
         match (&lhs, &rhs) {
@@ -743,9 +736,6 @@ mod tests {
         assert!(solver
             .consistent(&env, &one, &neg, &mut smt, "bad")
             .is_err());
-        // Disabling the check (T-ncc ablation) accepts everything.
-        solver.consistency_enabled = false;
-        assert!(solver.consistent(&env, &one, &neg, &mut smt, "bad").is_ok());
     }
 
     #[test]
