@@ -288,7 +288,7 @@ pub fn run_corpus_warm(
 /// tableau starts, bounds propagated, shared MUS encodings, pivots
 /// saved), the shared validity-cache counters, and (schema v3) the
 /// `resident` block: one entry per run with that run's session-layer
-/// counters (validity / enumeration / lemma traffic, namespaces),
+/// counters (validity / enumeration / lemma traffic),
 /// cold-vs-warm wall times, and whether every warm replay reproduced the
 /// cold outcomes.
 pub fn batch_report_json_runs(runs: &[BatchReport], timeout: Duration) -> String {
@@ -369,7 +369,6 @@ fn run_json(warm: bool, run: &BatchReport) -> Json {
         ("enum_evicted", s.enumeration.evicted.into()),
         ("lemmas_absorbed", s.lemmas.absorbed.into()),
         ("lemmas_resident", s.lemmas.entries.into()),
-        ("namespaces", s.namespaces.into()),
     ])
 }
 
@@ -869,7 +868,7 @@ mod tests {
         assert!(json.contains("\"resident\": {"));
         assert!(json.contains("\"warm_runs\": 0"));
         assert!(json.contains("\"warm_min_wall_secs\": null"));
-        assert!(json.contains("\"namespaces\""));
+        assert!(json.contains("\"lemmas_resident\""));
         assert!(json.contains("\"tableau_warm_starts\""));
         assert!(json.contains("\"bounds_propagated\""));
         assert!(json.contains("\"mus_shared_encodings\""));
@@ -1098,7 +1097,6 @@ mod tests {
         session.enumeration.evicted = 2;
         session.lemmas.absorbed = 12;
         session.lemmas.entries = 40;
-        session.namespaces = 12;
         let cold = BatchReport {
             outcomes: vec![
                 outcome("take", "specs/take.sq", true, Some(with_phases)),
@@ -1122,7 +1120,8 @@ mod tests {
     }
 
     /// [`fixed_runs`] as the hand-rolled writer the shared codec
-    /// replaced rendered it, before it was deleted.
+    /// replaced rendered it, before it was deleted, less the
+    /// `namespaces` member that runs no longer carry.
     const FIXED_RUNS_BEFORE_THE_CODEC: &str = r#"{
   "report": "BENCH_pr10",
   "schema_version": 3,
@@ -1136,8 +1135,8 @@ mod tests {
     "cold_wall_secs": 184.511,
     "warm_min_wall_secs": 157.115,
     "runs": [
-      {"warm": false, "wall_secs": 184.511, "solved": 1, "validity_hits": 23565, "validity_misses": 21623, "validity_hit_rate": 0.5215, "validity_entries": 19333, "validity_evicted": 4, "terms_interned": 99, "terms_evicted": 1, "enum_hits": 10, "enum_misses": 30, "enum_hit_rate": 0.2500, "enum_evicted": 2, "lemmas_absorbed": 12, "lemmas_resident": 40, "namespaces": 12},
-      {"warm": true, "wall_secs": 157.115, "solved": 1, "validity_hits": 45000, "validity_misses": 12, "validity_hit_rate": 0.9997, "validity_entries": 19333, "validity_evicted": 4, "terms_interned": 99, "terms_evicted": 1, "enum_hits": 10, "enum_misses": 30, "enum_hit_rate": 0.2500, "enum_evicted": 2, "lemmas_absorbed": 12, "lemmas_resident": 40, "namespaces": 12}
+      {"warm": false, "wall_secs": 184.511, "solved": 1, "validity_hits": 23565, "validity_misses": 21623, "validity_hit_rate": 0.5215, "validity_entries": 19333, "validity_evicted": 4, "terms_interned": 99, "terms_evicted": 1, "enum_hits": 10, "enum_misses": 30, "enum_hit_rate": 0.2500, "enum_evicted": 2, "lemmas_absorbed": 12, "lemmas_resident": 40},
+      {"warm": true, "wall_secs": 157.115, "solved": 1, "validity_hits": 45000, "validity_misses": 12, "validity_hit_rate": 0.9997, "validity_entries": 19333, "validity_evicted": 4, "terms_interned": 99, "terms_evicted": 1, "enum_hits": 10, "enum_misses": 30, "enum_hit_rate": 0.2500, "enum_evicted": 2, "lemmas_absorbed": 12, "lemmas_resident": 40}
     ]
   },
   "goals": [

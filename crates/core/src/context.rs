@@ -2,11 +2,11 @@
 //! common.
 //!
 //! [`SessionCaches`] is the one bundle of cache layers a solver reads and
-//! feeds; a resident session keeps one per component library, and a
-//! standalone run gets a fresh one. [`SolverContext`] adds what one batch
-//! run fixes on top: the lemma seed frozen from the bundle's store, and
-//! the [`CancellationToken`] that lets a portfolio winner stop its
-//! siblings. Cloning a context shares its caches and token.
+//! feeds; a resident session keeps exactly one for every goal it runs,
+//! and a standalone run gets a fresh one. [`SolverContext`] adds what
+//! one batch run fixes on top: the lemma seed frozen from the bundle's
+//! store, and the [`CancellationToken`] that lets a portfolio winner
+//! stop its siblings. Cloning a context shares its caches and token.
 
 use crate::memo::{EnumerationCache, ENUMERATION_MAX_ENTRIES};
 use synquid_solver::{LemmaSeed, MusMemo, SharedLemmaStore, SharedValidityCache};

@@ -20,13 +20,12 @@
 //!   [`SharedValidityCache`](synquid_solver::SharedValidityCache) with
 //!   its hash-consed `(antecedent, consequent)` keys, the enumeration
 //!   memo, the theory-lemma store, and the MUS-enumeration memo: one
-//!   [`SessionCaches`] bundle per namespace) is owned by a long-lived
-//!   [`SynthesisSession`], namespaced by component-library fingerprint
-//!   and epoch-GC'd per batch; every
-//!   worker's SMT backend borrows from its goal's namespace, so solver
-//!   verdicts are reused across rungs, goals, threads, and — for a
-//!   resident session — whole batch runs; hit/miss/negative counters
-//!   surface in [`BatchReport::session`] and per-goal
+//!   [`SessionCaches`] bundle) is owned by a long-lived
+//!   [`SynthesisSession`] and epoch-GC'd per batch; every worker's SMT
+//!   backend borrows from that bundle, so solver verdicts are reused
+//!   across rungs, goals, threads, and — for a resident session — whole
+//!   batch runs; hit/miss/negative counters surface in
+//!   [`BatchReport::session`] and per-goal
 //!   [`SynthesisStats`](synquid_core::SynthesisStats).
 //!
 //! ## Example
@@ -67,5 +66,5 @@ pub mod session;
 
 pub use portfolio::{Portfolio, RungOutcome, DEFAULT_RUNGS};
 pub use scheduler::{BatchReport, Engine, EngineConfig, GoalJob, GoalOutcome};
-pub use session::{LibraryFingerprint, SessionLimits, SessionStats, SynthesisSession, WarmStart};
+pub use session::{SessionStats, SynthesisSession, WarmStart};
 pub use synquid_core::SessionCaches;

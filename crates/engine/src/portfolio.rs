@@ -225,12 +225,14 @@ impl Portfolio {
     }
 
     /// Settles a finished or truncated attempt on `rung`: the reservation
-    /// is released and the measured wall time is charged to the ledger.
-    pub fn settle(&mut self, rung: usize, slice: Duration, elapsed: Duration) {
+    /// is released and the measured wall time is charged to the ledger,
+    /// even where it overshoots the slice. Returns the charge.
+    pub fn settle(&mut self, rung: usize, slice: Duration, elapsed: Duration) -> Duration {
         debug_assert!(self.in_flight[rung]);
         self.in_flight[rung] = false;
         self.reserved = self.reserved.saturating_sub(slice);
         self.consumed += elapsed;
+        elapsed
     }
 
     /// True if some already-finished rung shallower than `rung` solved —

@@ -5,10 +5,9 @@
 //! rung of goal 1, …), so a single worker reproduces the sequential
 //! iterative-deepening ladder exactly, while `N` workers overlap both
 //! *across* goals and *within* a goal's portfolio. All workers borrow
-//! their caches from a [`SynthesisSession`] namespace (keyed by the
-//! goal's library fingerprint), so a subtyping obligation proven for one
-//! rung (or one goal) is never re-proven by another — and, for resident
-//! sessions, not even by a later batch.
+//! their caches from the batch's [`SynthesisSession`], so a subtyping
+//! obligation proven for one rung (or one goal) is never re-proven by
+//! another — and, for resident sessions, not even by a later batch.
 //!
 //! Each claim is budgeted through the goal's [`Portfolio`] ledger: the
 //! attempt reserves a bounded slice of the goal's remaining budget, is
@@ -26,8 +25,8 @@
 //! wall-clock finish order.
 
 use crate::portfolio::{Portfolio, RungOutcome, DEFAULT_RUNGS};
-use crate::session::{LibraryFingerprint, SessionStats, SynthesisSession};
-use std::collections::{BTreeMap, VecDeque};
+use crate::session::{SessionStats, SynthesisSession};
+use std::collections::VecDeque;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use synquid_core::{Goal, SolverContext, SynthesisConfig};
@@ -116,10 +115,9 @@ pub struct BatchReport {
     /// Per-goal outcomes, in job-submission order.
     pub outcomes: Vec<GoalOutcome>,
     /// All session-layer counters this run contributed (validity,
-    /// enumeration, lemmas, MUS enumerations), summed over the
-    /// namespaces it touched and measured before the end-of-batch GC
-    /// epoch. Against a warm session, hits include cross-run hits on
-    /// entries computed by earlier batches.
+    /// enumeration, lemmas, MUS enumerations), measured before the
+    /// end-of-batch GC epoch. Against a warm session, hits include
+    /// cross-run hits on entries computed by earlier batches.
     pub session: SessionStats,
     /// Wall-clock duration of the batch.
     pub wall_secs: f64,
@@ -196,11 +194,10 @@ impl Engine {
     /// Runs a batch of goals to completion against a resident session
     /// and aggregates the results.
     ///
-    /// The session supplies every piece of cross-goal state: per-goal
-    /// cache namespaces are resolved by library fingerprint at batch
-    /// start (one frozen lemma seed per namespace, so results cannot
-    /// depend on worker scheduling), and one GC epoch is closed when
-    /// the batch ends. The report's counters are this run's traffic
+    /// The session supplies every piece of cross-goal state: its one
+    /// cache bundle, with a lemma seed frozen at batch start (so results
+    /// cannot depend on worker scheduling), and one GC epoch is closed
+    /// when the batch ends. The report's counters are this run's traffic
     /// only ([`SessionStats::since`] against the start-of-batch
     /// snapshot), so warm hit rates are directly comparable to cold
     /// ones.
@@ -228,21 +225,10 @@ impl Engine {
         };
         let workers = self.config.jobs.max(1);
 
-        // Resolve each goal's cache namespace up front and freeze one
-        // lemma seed per namespace: every run of this batch replays the
-        // same seed, while fresh conflicts flow into the resident store
-        // for *future* batches only.
-        let mut namespaces: BTreeMap<LibraryFingerprint, SolverContext> = BTreeMap::new();
-        let goal_namespaces: Vec<LibraryFingerprint> = jobs
-            .iter()
-            .map(|job| {
-                let fingerprint = LibraryFingerprint::of_env(&job.goal.env);
-                namespaces
-                    .entry(fingerprint)
-                    .or_insert_with(|| SolverContext::with_caches(session.caches_for(fingerprint)));
-                fingerprint
-            })
-            .collect();
+        // Freeze the lemma seed once: every run of this batch replays
+        // the same seed, while fresh conflicts flow into the resident
+        // store for *future* batches only.
+        let context = SolverContext::with_caches(session.caches().clone());
 
         let mut queue = VecDeque::new();
         let mut portfolios = Vec::with_capacity(jobs.len());
@@ -263,7 +249,7 @@ impl Engine {
         let workers = workers.min(jobs.len().max(1) * rungs.len());
         std::thread::scope(|scope| {
             for _ in 0..workers {
-                scope.spawn(|| self.worker(&shared, &jobs, &namespaces, &goal_namespaces));
+                scope.spawn(|| self.worker(&shared, &jobs, &context));
             }
         });
 
@@ -318,13 +304,7 @@ impl Engine {
     }
 
     /// One worker: claim items until the queue is empty.
-    fn worker(
-        &self,
-        shared: &Mutex<Shared>,
-        jobs: &[GoalJob],
-        namespaces: &BTreeMap<LibraryFingerprint, SolverContext>,
-        goal_namespaces: &[LibraryFingerprint],
-    ) {
+    fn worker(&self, shared: &Mutex<Shared>, jobs: &[GoalJob], context: &SolverContext) {
         // Consecutive pops that all ended in a starved park (see below).
         let mut parked_streak = 0usize;
         loop {
@@ -411,7 +391,7 @@ impl Engine {
             config.timeout = slice;
             let ctx = SolverContext {
                 cancel: token,
-                ..namespaces[&goal_namespaces[goal_idx]].clone()
+                ..context.clone()
             };
             events::emit(|| {
                 Event::new("rung_start")
@@ -443,15 +423,12 @@ impl Engine {
 
             let mut state = shared.lock().expect("scheduler state poisoned");
             let portfolio = &mut state.portfolios[goal_idx];
-            portfolio.settle(rung_idx, slice, elapsed);
+            let charged = portfolio.settle(rung_idx, slice, elapsed);
             events::emit(|| {
                 Event::new("ledger_settle")
                     .uint("rung", rung_idx as u64)
                     .str("goal", &jobs[goal_idx].goal.name)
-                    .f64(
-                        "charged_secs",
-                        elapsed.as_secs_f64().min(slice.as_secs_f64()),
-                    )
+                    .f64("charged_secs", charged.as_secs_f64())
                     .f64("remaining_secs", portfolio.available().as_secs_f64())
             });
             if !result.timed_out {

@@ -8,18 +8,17 @@
 //! holder of all cross-goal solver state, and every entry point borrows
 //! it instead of constructing caches.
 //!
-//! # Namespacing
+//! # One bundle
 //!
-//! Cross-goal state is only worth sharing between goals that speak the
-//! same language: caches are keyed by a [`LibraryFingerprint`] — a hash
-//! of the component library (datatypes, measures, component signatures,
-//! qualifier sets) — and a mismatched fingerprint gets a fresh cache
-//! namespace. Namespacing is a pollution/fairness boundary, not a
-//! soundness one: validity keys are whole formulas, enumeration keys
+//! A session holds exactly one [`SessionCaches`] bundle, and every goal
+//! it runs reads and feeds it, whatever its component library. Sharing
+//! across libraries is sound because every layer's key is
+//! self-contained: validity keys are whole formulas, enumeration keys
 //! embed the full environment fingerprint, MUS keys are whole
 //! strengthening problems, and lemmas are facts about portable atom
-//! keys, so even a fingerprint collision could not make a cached verdict
-//! wrong — it would only let two libraries share a namespace's budget.
+//! keys. So goals over a common library (most of the corpus uses
+//! `List` with `len`/`elems`) warm each other, and an entry of another
+//! library can never answer a query wrongly, only occupy room.
 //!
 //! # Epochs and eviction
 //!
@@ -28,7 +27,9 @@
 //! [`Engine::run_batch`](crate::Engine::run_batch)): entries touched
 //! this epoch survive, entries cold for two full epochs are evicted,
 //! and every cache also enforces a size bound with an once-per-epoch
-//! cold sweep on overflow (see [`SessionLimits`]). Eviction is always
+//! cold sweep on overflow (the bounds are the layers' own; build a
+//! bundle with their `with_max_entries` and pass it to
+//! [`SynthesisSession::with_caches`] to change them). Eviction is always
 //! sound — validity verdicts, enumeration sets and decided MUS
 //! enumerations are pure functions of their keys, and each lemma is
 //! implied by the encoding of any query containing its atoms — so
@@ -44,149 +45,48 @@
 //! version, truncated file, or corrupt line falls back to a cold start
 //! without error — a fleet node must boot either way.
 
-use std::collections::BTreeMap;
-use std::fmt;
-use std::sync::{Arc, Mutex};
-use synquid_core::{EnumerationCache, SessionCaches, ENUMERATION_MAX_ENTRIES};
+use synquid_core::SessionCaches;
 use synquid_logic::snapshot::{decode_term, encode_term};
-use synquid_solver::{
-    MemoStats, MusMemo, SharedLemmaStore, SharedValidityCache, SmtResult, ValidityCacheStats,
-    MAX_LEMMAS,
-};
+use synquid_logic::Term;
+use synquid_solver::{Lemma, MemoStats, SmtResult, ValidityCacheStats};
 use synquid_telemetry::{events, events::Event};
-use synquid_types::Environment;
 
-/// Size bounds for each cache layer of a session namespace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SessionLimits {
-    /// Stored `(antecedent, consequent)` verdicts per namespace.
-    pub validity_entries: usize,
-    /// Stored enumeration candidate sets per namespace.
-    pub enumeration_entries: usize,
-    /// Resident theory lemmas per namespace.
-    pub lemmas: usize,
-    /// Stored MUS enumerations per namespace.
-    pub mus_entries: usize,
-}
-
-impl Default for SessionLimits {
-    fn default() -> SessionLimits {
-        SessionLimits {
-            validity_entries: SharedValidityCache::DEFAULT_MAX_ENTRIES,
-            enumeration_entries: ENUMERATION_MAX_ENTRIES,
-            lemmas: MAX_LEMMAS,
-            mus_entries: MusMemo::DEFAULT_MAX_ENTRIES,
-        }
-    }
-}
-
-/// The component-library key of one cache namespace: a 128-bit FNV-1a
-/// hash over a canonical rendering of the environment's datatypes
-/// (constructors included), measures, component signatures (in
-/// declaration order), and qualifier set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct LibraryFingerprint(u128);
-
-impl LibraryFingerprint {
-    /// Fingerprints a goal's top-level environment.
-    pub fn of_env(env: &Environment) -> LibraryFingerprint {
-        // `Environment::fingerprint` canonically renders component
-        // signatures, path conditions (empty at the top level),
-        // qualifiers, and measures; datatypes (with constructor
-        // signatures) are appended through their deterministic
-        // `BTreeMap` order.
-        let mut text = env.fingerprint();
-        for (name, dt) in env.datatypes() {
-            text.push_str("d ");
-            text.push_str(name);
-            text.push(':');
-            text.push_str(&format!("{dt:?}"));
-            text.push(';');
-        }
-        LibraryFingerprint(fnv1a_128(text.as_bytes()))
-    }
-
-    fn from_hex(hex: &str) -> Option<LibraryFingerprint> {
-        u128::from_str_radix(hex, 16).ok().map(LibraryFingerprint)
-    }
-}
-
-impl fmt::Display for LibraryFingerprint {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:032x}", self.0)
-    }
-}
-
-/// 128-bit FNV-1a; dependency-free and stable across platforms and
-/// process runs (unlike `DefaultHasher`, whose seeds vary).
-fn fnv1a_128(bytes: &[u8]) -> u128 {
-    const OFFSET: u128 = 0x6c62272e07bb014262b821756295c58d;
-    const PRIME: u128 = 0x0000000001000000000000000000013b;
-    let mut hash = OFFSET;
-    for &b in bytes {
-        hash ^= b as u128;
-        hash = hash.wrapping_mul(PRIME);
-    }
-    hash
-}
-
-#[derive(Debug)]
-struct SessionState {
-    namespaces: BTreeMap<LibraryFingerprint, SessionCaches>,
-    limits: SessionLimits,
-    /// GC epochs closed so far (== batch runs completed against this
-    /// session).
-    epochs: usize,
-}
-
-/// A long-lived synthesis session: the owner of all cross-goal caches,
-/// shared by every entry point. Cloning shares the session.
-#[derive(Debug, Clone)]
+/// A long-lived synthesis session: the one cache bundle every entry
+/// point borrows. Cloning shares the session.
+#[derive(Debug, Clone, Default)]
 pub struct SynthesisSession {
-    inner: Arc<Mutex<SessionState>>,
+    caches: SessionCaches,
 }
 
-impl Default for SynthesisSession {
-    fn default() -> SynthesisSession {
-        SynthesisSession::new()
-    }
-}
-
-/// Aggregated counters of a session (summed over its namespaces).
+/// The counters of a session's four cache layers.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct SessionStats {
-    /// Validity-cache counters, summed across namespaces.
+    /// Validity-cache counters.
     pub validity: ValidityCacheStats,
-    /// Enumeration-cache counters, summed across namespaces.
+    /// Enumeration-cache counters.
     pub enumeration: MemoStats,
-    /// Lemma-store counters, summed across namespaces.
+    /// Lemma-store counters.
     pub lemmas: MemoStats,
-    /// MUS-memo counters, summed across namespaces.
+    /// MUS-memo counters.
     pub mus: MemoStats,
-    /// Distinct library namespaces resident.
-    pub namespaces: usize,
-    /// GC epochs closed (== batch runs completed).
-    pub epochs: usize,
 }
 
 impl SessionStats {
     /// The counters accumulated since an earlier snapshot of the same
     /// session — one run's traffic against a resident session. Gauges
-    /// (entries, namespaces, epochs) keep their end-of-run values.
+    /// (entries, epoch) keep their end-of-run values.
     pub fn since(&self, earlier: &SessionStats) -> SessionStats {
         SessionStats {
             validity: self.validity.since(&earlier.validity),
             enumeration: self.enumeration.since(&earlier.enumeration),
             lemmas: self.lemmas.since(&earlier.lemmas),
             mus: self.mus.since(&earlier.mus),
-            namespaces: self.namespaces,
-            epochs: self.epochs,
         }
     }
 }
 
 /// Version tag of the snapshot container format.
-const SNAPSHOT_HEADER: &str = "synquid-session v1";
+const SNAPSHOT_HEADER: &str = "synquid-session v2";
 
 /// Escapes a lemma atom key for the space-separated snapshot line
 /// format. Keys are arbitrary strings (pretty-printed terms, debug
@@ -237,73 +137,42 @@ pub struct WarmStart {
     pub validity_entries: usize,
     /// Lemmas preloaded.
     pub lemmas: usize,
-    /// Library namespaces restored.
-    pub namespaces: usize,
     /// True if the snapshot was unusable (missing/stale/corrupt) and
     /// the session starts cold instead.
     pub cold: bool,
 }
 
 impl SynthesisSession {
-    /// Creates an empty session with default cache limits.
+    /// Creates an empty session, every layer at its default bound.
     pub fn new() -> SynthesisSession {
-        SynthesisSession::with_limits(SessionLimits::default())
+        SynthesisSession::default()
     }
 
-    /// Creates an empty session with explicit cache limits (applied to
-    /// every namespace created from now on).
-    pub fn with_limits(limits: SessionLimits) -> SynthesisSession {
-        SynthesisSession {
-            inner: Arc::new(Mutex::new(SessionState {
-                namespaces: BTreeMap::new(),
-                limits,
-                epochs: 0,
-            })),
-        }
+    /// Creates a session on `caches`, e.g. a bundle whose layers were
+    /// built with smaller bounds.
+    pub fn with_caches(caches: SessionCaches) -> SynthesisSession {
+        SynthesisSession { caches }
     }
 
-    /// The cache namespace for one component library, created on first
-    /// use. Callers build their `SolverContext`s on the returned bundle;
-    /// two environments with the same fingerprint share state, different
-    /// fingerprints never do.
-    pub fn caches_for(&self, fingerprint: LibraryFingerprint) -> SessionCaches {
-        let mut state = self.inner.lock().expect("session poisoned");
-        let limits = state.limits;
-        state
-            .namespaces
-            .entry(fingerprint)
-            .or_insert_with(|| SessionCaches {
-                validity: SharedValidityCache::with_max_entries(limits.validity_entries),
-                enumeration: EnumerationCache::with_max_entries(limits.enumeration_entries),
-                lemmas: SharedLemmaStore::with_max_entries(limits.lemmas),
-                mus: MusMemo::with_max_entries(limits.mus_entries),
-            })
-            .clone()
+    /// The session's cache bundle. Callers build their
+    /// `SolverContext`s on a clone of it, which shares the tables.
+    pub fn caches(&self) -> &SessionCaches {
+        &self.caches
     }
 
-    /// Convenience: [`LibraryFingerprint::of_env`] + [`Self::caches_for`].
-    pub fn caches_for_env(&self, env: &Environment) -> SessionCaches {
-        self.caches_for(LibraryFingerprint::of_env(env))
-    }
-
-    /// Closes one GC epoch across every namespace (see the module docs
-    /// for the eviction rule). Called by `Engine::run_batch` after each
-    /// batch; emits one `session_epoch` trace event summarizing what
-    /// was evicted.
+    /// Closes one GC epoch in every layer (see the module docs for the
+    /// eviction rule). Called by `Engine::run_batch` after each batch;
+    /// emits one `session_epoch` trace event summarizing what was
+    /// evicted.
     pub fn advance_epoch(&self) {
-        let mut state = self.inner.lock().expect("session poisoned");
-        for caches in state.namespaces.values() {
-            caches.validity.advance_epoch();
-            caches.enumeration.advance_epoch();
-            caches.lemmas.advance_epoch();
-            caches.mus.advance_epoch();
-        }
-        state.epochs += 1;
-        let stats = Self::sum_stats(&state);
+        self.caches.validity.advance_epoch();
+        self.caches.enumeration.advance_epoch();
+        self.caches.lemmas.advance_epoch();
+        self.caches.mus.advance_epoch();
         events::emit(|| {
+            let stats = self.stats();
             Event::new("session_epoch")
-                .uint("epoch", stats.epochs as u64)
-                .uint("namespaces", stats.namespaces as u64)
+                .uint("epoch", stats.validity.epoch as u64)
                 .uint("validity_entries", stats.validity.entries as u64)
                 .uint("validity_evicted", stats.validity.entries_evicted as u64)
                 .uint("terms_interned", stats.validity.terms_interned as u64)
@@ -317,82 +186,56 @@ impl SynthesisSession {
         });
     }
 
-    /// Aggregated counters over all namespaces.
+    /// The counters of every layer.
     pub fn stats(&self) -> SessionStats {
-        let state = self.inner.lock().expect("session poisoned");
-        Self::sum_stats(&state)
-    }
-
-    fn sum_stats(state: &SessionState) -> SessionStats {
-        let mut out = SessionStats {
-            namespaces: state.namespaces.len(),
-            epochs: state.epochs,
-            ..SessionStats::default()
-        };
-        for caches in state.namespaces.values() {
-            let v = caches.validity.stats();
-            out.validity.hits += v.hits;
-            out.validity.misses += v.misses;
-            out.validity.negative_hits += v.negative_hits;
-            out.validity.entries += v.entries;
-            out.validity.interned_nodes += v.interned_nodes;
-            out.validity.entries_evicted += v.entries_evicted;
-            out.validity.terms_interned += v.terms_interned;
-            out.validity.terms_evicted += v.terms_evicted;
-            out.validity.epoch = out.validity.epoch.max(v.epoch);
-            out.enumeration.merge(&caches.enumeration.stats());
-            out.lemmas.merge(&caches.lemmas.stats());
-            out.mus.merge(&caches.mus.stats());
+        SessionStats {
+            validity: self.caches.validity.stats(),
+            enumeration: self.caches.enumeration.stats(),
+            lemmas: self.caches.lemmas.stats(),
+            mus: self.caches.mus.stats(),
         }
-        out
     }
 
-    /// Serializes the durable cache layers (validity verdicts and
-    /// lemmas, per namespace) into the versioned snapshot text format.
-    /// Enumeration sets are deliberately not persisted: they reference
-    /// in-memory programs and types, and rebuilding them is cheap next
-    /// to re-proving validity queries. Neither are MUS enumerations: a
-    /// new line kind would make v1 readers load the snapshot cold, and
-    /// the memo refills within the first batch after a warm start.
+    /// Serializes the durable cache layers (validity verdicts, then
+    /// lemmas) into the versioned snapshot text format. Enumeration sets
+    /// are deliberately not persisted: they reference in-memory programs
+    /// and types, and rebuilding them is cheap next to re-proving
+    /// validity queries. Neither are MUS enumerations: a new line kind
+    /// would make older readers load the snapshot cold, and the memo
+    /// refills within the first batch after a warm start.
     pub fn serialize(&self) -> String {
-        let state = self.inner.lock().expect("session poisoned");
         let mut out = String::new();
         out.push_str(SNAPSHOT_HEADER);
         out.push('\n');
-        for (fingerprint, caches) in &state.namespaces {
-            out.push_str(&format!("namespace {fingerprint}\n"));
-            for (antecedent, consequent, result) in caches.validity.export_entries() {
-                let a = encode_term(&antecedent);
-                let c = encode_term(&consequent);
-                let verdict = match result {
-                    SmtResult::Sat => "sat",
-                    SmtResult::Unsat => "unsat",
-                    SmtResult::Unknown => continue, // not exported anyway
-                };
-                // The term encoding embeds whitespace only if an
-                // identifier contains it, which the spec grammar never
-                // produces; skip such entries rather than corrupt the
-                // line format.
-                if a.contains(char::is_whitespace) || c.contains(char::is_whitespace) {
-                    continue;
-                }
-                out.push_str(&format!("validity {a} {c} {verdict}\n"));
+        for (antecedent, consequent, result) in self.caches.validity.export_entries() {
+            let a = encode_term(&antecedent);
+            let c = encode_term(&consequent);
+            let verdict = match result {
+                SmtResult::Sat => "sat",
+                SmtResult::Unsat => "unsat",
+                SmtResult::Unknown => continue, // not exported anyway
+            };
+            // The term encoding embeds whitespace only if an identifier
+            // contains it, which the spec grammar never produces; skip
+            // such entries rather than corrupt the line format.
+            if a.contains(char::is_whitespace) || c.contains(char::is_whitespace) {
+                continue;
             }
-            for lemma in caches.lemmas.sorted_keys() {
-                out.push_str("lemma");
-                for (key, value) in &lemma {
-                    // Atom keys routinely contain whitespace (pretty-
-                    // printed terms, `Rational` debug output), so they
-                    // are percent-escaped to fit the space-separated
-                    // line format.
-                    out.push_str(&format!(
-                        " {} {}",
-                        escape_key(key),
-                        if *value { 1 } else { 0 }
-                    ));
-                }
-                out.push('\n');
+            out.push_str(&format!("validity {a} {c} {verdict}\n"));
+        }
+        for lemma in self.caches.lemmas.sorted_keys() {
+            out.push_str("lemma");
+            for (key, value) in &lemma {
+                // Atom keys routinely contain whitespace (pretty-printed
+                // terms, `Rational` debug output), so they are
+                // percent-escaped to fit the space-separated line format.
+                out.push_str(&format!(
+                    " {} {}",
+                    escape_key(key),
+                    if *value { 1 } else { 0 }
+                ));
             }
+            out.push('\n');
         }
         out
     }
@@ -401,36 +244,24 @@ impl SynthesisSession {
     /// any version mismatch or malformed content makes the whole load a
     /// no-op cold start ([`WarmStart::cold`]) rather than an error —
     /// and never a partial one, so a truncated snapshot cannot seed a
-    /// half-restored namespace.
+    /// half-restored session.
     pub fn warm_start(&self, snapshot: &str) -> WarmStart {
+        let cold = WarmStart {
+            cold: true,
+            ..WarmStart::default()
+        };
         // Parse fully before touching any cache.
         let mut lines = snapshot.lines();
         if lines.next() != Some(SNAPSHOT_HEADER) {
-            return WarmStart {
-                cold: true,
-                ..WarmStart::default()
-            };
+            return cold;
         }
-        type Verdicts = Vec<(synquid_logic::Term, synquid_logic::Term, SmtResult)>;
-        type Lemmas = Vec<synquid_solver::Lemma>;
-        let mut parsed: Vec<(LibraryFingerprint, Verdicts, Lemmas)> = Vec::new();
+        let mut verdicts: Vec<(Term, Term, SmtResult)> = Vec::new();
+        let mut lemmas: Vec<Lemma> = Vec::new();
         for line in lines {
             if line.is_empty() {
                 continue;
             }
-            let cold = WarmStart {
-                cold: true,
-                ..WarmStart::default()
-            };
-            if let Some(hex) = line.strip_prefix("namespace ") {
-                match LibraryFingerprint::from_hex(hex) {
-                    Some(fp) => parsed.push((fp, Vec::new(), Vec::new())),
-                    None => return cold,
-                }
-            } else if let Some(rest) = line.strip_prefix("validity ") {
-                let Some((_, verdicts, _)) = parsed.last_mut() else {
-                    return cold;
-                };
+            if let Some(rest) = line.strip_prefix("validity ") {
                 let fields: Vec<&str> = rest.split(' ').collect();
                 let [a, c, verdict] = fields.as_slice() else {
                     return cold;
@@ -445,14 +276,11 @@ impl SynthesisSession {
                     _ => return cold,
                 }
             } else if let Some(rest) = line.strip_prefix("lemma ") {
-                let Some((_, _, lemmas)) = parsed.last_mut() else {
-                    return cold;
-                };
                 let fields: Vec<&str> = rest.split(' ').collect();
                 if fields.is_empty() || !fields.len().is_multiple_of(2) {
                     return cold;
                 }
-                let mut lemma: synquid_solver::Lemma = Vec::with_capacity(fields.len() / 2);
+                let mut lemma: Lemma = Vec::with_capacity(fields.len() / 2);
                 for pair in fields.chunks(2) {
                     let value = match pair[1] {
                         "0" => false,
@@ -470,18 +298,16 @@ impl SynthesisSession {
             }
         }
         // Apply.
-        let mut report = WarmStart::default();
-        for (fingerprint, verdicts, lemmas) in parsed {
-            let caches = self.caches_for(fingerprint);
-            report.namespaces += 1;
-            for (a, c, result) in verdicts {
-                caches.validity.preload(a, c, result);
-                report.validity_entries += 1;
-            }
-            for lemma in lemmas {
-                caches.lemmas.insert(lemma, ());
-                report.lemmas += 1;
-            }
+        let report = WarmStart {
+            validity_entries: verdicts.len(),
+            lemmas: lemmas.len(),
+            cold: false,
+        };
+        for (a, c, result) in verdicts {
+            self.caches.validity.preload(a, c, result);
+        }
+        for lemma in lemmas {
+            self.caches.lemmas.insert(lemma, ());
         }
         report
     }
@@ -490,70 +316,12 @@ impl SynthesisSession {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synquid_logic::{Qualifier, Sort, Term};
-    use synquid_types::{RType, Schema};
-
-    fn library(extra_component: bool) -> Environment {
-        let mut env = Environment::new();
-        env.add_qualifiers(Qualifier::standard(Sort::Int));
-        env.add_var("zero", Schema::monotype(RType::int()));
-        if extra_component {
-            env.add_var(
-                "inc",
-                Schema::monotype(RType::fun("n", RType::int(), RType::int())),
-            );
-        }
-        env
-    }
-
-    #[test]
-    fn same_library_shares_a_namespace_different_libraries_do_not() {
-        let session = SynthesisSession::new();
-        let a = session.caches_for_env(&library(false));
-        let b = session.caches_for_env(&library(false));
-        let c = session.caches_for_env(&library(true));
-        a.validity.insert(&Term::tt(), &Term::ff(), SmtResult::Sat);
-        assert_eq!(
-            b.validity.lookup(&Term::tt(), &Term::ff()),
-            Some(SmtResult::Sat),
-            "equal fingerprints share one cache"
-        );
-        assert_eq!(
-            c.validity.lookup(&Term::tt(), &Term::ff()),
-            None,
-            "different fingerprints are isolated"
-        );
-        assert_eq!(session.stats().namespaces, 2);
-    }
-
-    #[test]
-    fn fingerprints_are_stable_and_sensitive() {
-        let f1 = LibraryFingerprint::of_env(&library(false));
-        let f2 = LibraryFingerprint::of_env(&library(false));
-        let f3 = LibraryFingerprint::of_env(&library(true));
-        assert_eq!(f1, f2);
-        assert_ne!(f1, f3);
-        // Hex round trip (the snapshot format).
-        assert_eq!(LibraryFingerprint::from_hex(&f1.to_string()), Some(f1));
-    }
-
-    #[test]
-    fn qualifier_and_datatype_changes_change_the_fingerprint() {
-        let plain = library(false);
-        let mut more_qualifiers = library(false);
-        more_qualifiers
-            .add_qualifiers([Qualifier::new(Term::value_var(Sort::Int).ge(Term::int(0)))]);
-        let mut with_datatype = library(false);
-        with_datatype.add_datatype(synquid_types::list_datatype());
-        let fp = LibraryFingerprint::of_env;
-        assert_ne!(fp(&plain), fp(&more_qualifiers));
-        assert_ne!(fp(&plain), fp(&with_datatype));
-    }
+    use synquid_logic::Sort;
 
     #[test]
     fn snapshot_round_trips_validity_and_lemmas() {
         let session = SynthesisSession::new();
-        let caches = session.caches_for_env(&library(false));
+        let caches = session.caches();
         let x = Term::var("x", Sort::Int);
         caches
             .validity
@@ -575,8 +343,7 @@ mod tests {
         assert!(!report.cold);
         assert_eq!(report.validity_entries, 1);
         assert_eq!(report.lemmas, 1);
-        assert_eq!(report.namespaces, 1);
-        let caches = restored.caches_for_env(&library(false));
+        let caches = restored.caches();
         let x = Term::var("x", Sort::Int);
         assert_eq!(
             caches.validity.lookup(&x.le(Term::int(3)), &Term::ff()),
@@ -591,33 +358,45 @@ mod tests {
             ]],
             "escaped atom keys must round-trip byte-exactly"
         );
-        assert_eq!(restored.stats().namespaces, 1);
     }
 
     #[test]
     fn corrupt_or_stale_snapshots_warm_start_as_cold() {
+        // A well-formed body: one verdict and one lemma.
+        let body = "validity i1. i2. sat\nlemma a 1\n";
+        let session = SynthesisSession::new();
+        let loaded = session.warm_start(&format!("{SNAPSHOT_HEADER}\n{body}"));
+        assert_eq!(
+            (loaded.cold, loaded.validity_entries, loaded.lemmas),
+            (false, 1, 1)
+        );
+        let stats = session.stats();
+        assert_eq!((stats.validity.entries, stats.lemmas.entries), (1, 1));
+        // Each bad snapshot carries that body before its fault, so a
+        // partial restore would leave entries behind.
         for bad in [
-            "",
-            "synquid-session v0\nnamespace 00\n",
-            "garbage",
-            "synquid-session v1\nvalidity i1. i2. sat\n", // entry before namespace
-            "synquid-session v1\nnamespace zz-not-hex\n",
-            "synquid-session v1\nnamespace 0\nvalidity i1. sat\n", // missing field
-            "synquid-session v1\nnamespace 0\nvalidity i1. i2. maybe\n",
-            "synquid-session v1\nnamespace 0\nlemma a\n", // odd fields
-            "synquid-session v1\nnamespace 0\nlemma a 2\n", // bad bool
-            "synquid-session v1\nnamespace 0\nlemma a%ZZ 1\n", // bad escape
-            "synquid-session v1\nnamespace 0\nvalidity qq i2. sat\n", // bad term
-            "synquid-session v1\nnamespace 0\nwhatisthis\n",
+            String::new(),
+            "garbage".to_string(),
+            format!("synquid-session v0\n{body}"),
+            format!("synquid-session v1\nnamespace 0\n{body}"), // stale: v1
+            format!("{SNAPSHOT_HEADER}\n{body}namespace 0\n"),  // a v1 line
+            format!("{SNAPSHOT_HEADER}\n{body}validity i1. sat\n"), // missing field
+            format!("{SNAPSHOT_HEADER}\n{body}validity i1. i2. maybe\n"),
+            format!("{SNAPSHOT_HEADER}\n{body}lemma a\n"), // odd fields
+            format!("{SNAPSHOT_HEADER}\n{body}lemma a 2\n"), // bad bool
+            format!("{SNAPSHOT_HEADER}\n{body}lemma a%ZZ 1\n"), // bad escape
+            format!("{SNAPSHOT_HEADER}\n{body}validity qq i2. sat\n"), // bad term
+            format!("{SNAPSHOT_HEADER}\n{body}whatisthis\n"),
         ] {
             let session = SynthesisSession::new();
-            let report = session.warm_start(bad);
+            let report = session.warm_start(&bad);
             assert!(report.cold, "{bad:?} must fall back to cold");
             assert_eq!(report.validity_entries + report.lemmas, 0);
+            let stats = session.stats();
             assert_eq!(
-                session.stats().namespaces,
-                0,
-                "cold start must not leave partial namespaces: {bad:?}"
+                (stats.validity.entries, stats.lemmas.entries),
+                (0, 0),
+                "cold start must not restore part of {bad:?}"
             );
         }
     }
@@ -625,15 +404,14 @@ mod tests {
     #[test]
     fn epoch_advance_reaches_every_layer() {
         let session = SynthesisSession::new();
-        let caches = session.caches_for_env(&library(false));
-        caches
+        session
+            .caches()
             .validity
             .insert(&Term::tt(), &Term::ff(), SmtResult::Sat);
         session.advance_epoch();
         session.advance_epoch();
         session.advance_epoch();
         let stats = session.stats();
-        assert_eq!(stats.epochs, 3);
         assert_eq!(stats.validity.entries, 0, "cold entries evicted");
         assert_eq!(stats.validity.epoch, 3);
         assert_eq!(stats.enumeration.epoch, 3);

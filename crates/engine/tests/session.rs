@@ -1,16 +1,19 @@
-//! Resident-session behaviour through the whole engine stack: fingerprint
-//! namespacing, warm-equals-cold determinism, eviction under tiny
-//! bounds, and snapshot round trips — everything ISSUE 10 promises about
-//! `SynthesisSession` as observed from the outside.
+//! Resident-session behaviour through the whole engine stack: one
+//! bundle shared across libraries, warm-equals-cold determinism,
+//! eviction under tiny bounds, and snapshot round trips — the
+//! `SynthesisSession` contract as observed from the outside.
 
 use std::time::Duration;
-use synquid_engine::{BatchReport, Engine, EngineConfig, GoalJob, SessionLimits, SynthesisSession};
+use synquid_core::{EnumerationCache, SessionCaches};
+use synquid_engine::{BatchReport, Engine, EngineConfig, GoalJob, SynthesisSession};
 use synquid_lang::spec::load_corpus_file;
 use synquid_logic::{Qualifier, Sort, Term};
+use synquid_solver::{MusMemo, SharedLemmaStore, SharedValidityCache};
 use synquid_types::{BaseType, Environment, RType, Schema};
 
 /// The debug-fast subset of the corpus (same set as `determinism.rs`):
-/// goals that solve in well under a second even unoptimized.
+/// goals that solve in well under a second even unoptimized, over two
+/// datatype libraries (`List` and `Heap`).
 fn fast_corpus() -> Vec<GoalJob> {
     let mut batch = Vec::new();
     for stem in ["is_empty", "reverse", "heap_singleton"] {
@@ -104,46 +107,22 @@ fn warm_replay_is_byte_identical_to_cold_and_reuses_verdicts() {
     );
     assert!(warm.session.mus.hits > 0, "{:?}", warm.session);
     assert_eq!(warm.session.mus.misses, 0, "{:?}", warm.session);
-    assert_eq!(session.stats().epochs, 2, "one GC epoch per batch");
+    assert_eq!(session.stats().validity.epoch, 2, "one GC epoch per batch");
 }
 
 #[test]
-fn different_libraries_get_isolated_namespaces() {
-    let session = SynthesisSession::new();
-    // `is_empty` (List library) and `heap_singleton` (Heap library)
-    // come from spec files with different datatypes/components, so they
-    // must land in different namespaces; re-running one of them must
-    // reuse its own namespace.
-    let a: Vec<GoalJob> = load_corpus_file("is_empty")
-        .expect("specs/is_empty.sq loads")
-        .goals
+fn one_session_across_libraries_matches_fresh_sessions() {
+    // The fast subset spans two datatype libraries. Run as one batch,
+    // all its goals share the session's one bundle; each must still
+    // come out as it does alone on a fresh session.
+    let shared = SynthesisSession::new();
+    let together = engine().run_batch(fast_corpus(), &shared);
+    assert!(together.all_solved(), "fast subset must synthesize");
+    let alone: Vec<Outcome> = fast_corpus()
         .into_iter()
-        .map(|g| GoalJob::new("is_empty", g))
+        .flat_map(|job| outcomes(&engine().run_batch(vec![job], &SynthesisSession::new())))
         .collect();
-    let b: Vec<GoalJob> = load_corpus_file("heap_singleton")
-        .expect("specs/heap_singleton.sq loads")
-        .goals
-        .into_iter()
-        .map(|g| GoalJob::new("heap_singleton", g))
-        .collect();
-    engine().run_batch(a.clone(), &session);
-    assert_eq!(session.stats().namespaces, 1);
-    engine().run_batch(b, &session);
-    assert_eq!(
-        session.stats().namespaces,
-        2,
-        "a different component library must not share a cache namespace"
-    );
-    let warm = engine().run_batch(a, &session);
-    assert_eq!(
-        session.stats().namespaces,
-        2,
-        "re-running a known library reuses its namespace"
-    );
-    assert!(
-        warm.session.validity.hits > 0,
-        "the reused namespace still carries the first run's verdicts"
-    );
+    assert_eq!(outcomes(&together), alone);
 }
 
 #[test]
@@ -152,37 +131,37 @@ fn tiny_cache_bounds_still_synthesize_correctly() {
     // memo, 2-lemma store, 2-entry MUS memo. Constant eviction must cost
     // time only — the outcomes have to match an unbounded session's
     // exactly.
-    let tiny = SynthesisSession::with_limits(SessionLimits {
-        validity_entries: 4,
-        enumeration_entries: 2,
-        lemmas: 2,
-        mus_entries: 2,
+    let tiny = SynthesisSession::with_caches(SessionCaches {
+        validity: SharedValidityCache::with_max_entries(4),
+        enumeration: EnumerationCache::with_max_entries(2),
+        lemmas: SharedLemmaStore::with_max_entries(2),
+        mus: MusMemo::with_max_entries(2),
     });
     let roomy = SynthesisSession::new();
     let starved = engine().run_batch(fast_corpus(), &tiny);
     let reference = engine().run_batch(fast_corpus(), &roomy);
     assert!(starved.all_solved(), "eviction must never lose solutions");
     assert_eq!(outcomes(&starved), outcomes(&reference));
-    // Every bound is actually enforced: the stats sum over namespaces, so
-    // each cap applies per library namespace the batch touched.
+    // Every bound is actually enforced, by the one bundle the batch's
+    // two libraries share.
     assert!(
-        starved.session.validity.entries <= 4 * starved.session.namespaces,
-        "validity cache exceeded its per-namespace bound: {:?}",
+        starved.session.validity.entries <= 4,
+        "validity cache exceeded its bound: {:?}",
         starved.session
     );
     assert!(
-        starved.session.enumeration.entries <= 2 * starved.session.namespaces,
-        "enumeration memo exceeded its per-namespace bound: {:?}",
+        starved.session.enumeration.entries <= 2,
+        "enumeration memo exceeded its bound: {:?}",
         starved.session
     );
     assert!(
-        starved.session.lemmas.entries <= 2 * starved.session.namespaces,
-        "lemma store exceeded its per-namespace bound: {:?}",
+        starved.session.lemmas.entries <= 2,
+        "lemma store exceeded its bound: {:?}",
         starved.session
     );
     assert!(
-        starved.session.mus.entries <= 2 * starved.session.namespaces,
-        "MUS memo exceeded its per-namespace bound: {:?}",
+        starved.session.mus.entries <= 2,
+        "MUS memo exceeded its bound: {:?}",
         starved.session
     );
     // And a second starved run still reproduces the same results.
@@ -218,16 +197,25 @@ fn snapshot_round_trip_warm_starts_a_fresh_process() {
 #[test]
 fn corrupt_and_stale_snapshots_fall_back_to_cold_without_error() {
     let jobs = vec![GoalJob::new("id", identity_goal("id"))];
+    // A well-formed body (one verdict, one lemma) ahead of each fault,
+    // so a partial restore would leave entries behind.
+    let body = "validity i1. i2. sat\nlemma a 1\n";
     for bad in [
-        "",                                    // empty file
-        "synquid-session v0\n",                // stale version
-        "synquid-session v1\ngarbage line\n",  // corrupt body
-        "{\"not\": \"a session snapshot\"}\n", // wrong format entirely
+        String::new(),                                       // empty file
+        format!("synquid-session v0\n{body}"),               // stale version
+        format!("synquid-session v1\nnamespace 0\n{body}"),  // stale: v1
+        format!("synquid-session v2\n{body}garbage line\n"), // corrupt body
+        "{\"not\": \"a session snapshot\"}\n".to_string(),   // wrong format entirely
     ] {
         let session = SynthesisSession::new();
-        let report = session.warm_start(bad);
+        let report = session.warm_start(&bad);
         assert!(report.cold, "{bad:?} must report a cold start");
-        assert_eq!(session.stats().namespaces, 0, "no partial restore");
+        let stats = session.stats();
+        assert_eq!(
+            (stats.validity.entries, stats.lemmas.entries),
+            (0, 0),
+            "no partial restore of {bad:?}"
+        );
         // The session is still fully usable afterwards.
         let run = engine().run_batch(jobs.clone(), &session);
         assert!(run.all_solved(), "cold fallback must still synthesize");

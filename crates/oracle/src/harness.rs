@@ -9,10 +9,11 @@
 //! interpreter. Violations are shrunk to minimal witnesses.
 //!
 //! Differential mode re-synthesizes each goal under solver ablations
-//! (memoization off, incremental SMT off, budget shaping off) and replays
-//! the *same* seeded corpus, asserting that the oracle verdict sequence
-//! is identical: the optimizations may change how fast a solution is
-//! found, never whether the found solution is sound.
+//! (memoization off, incremental SMT off, incremental LIA off, budget
+//! shaping off) and replays the *same* seeded corpus, asserting that the
+//! oracle verdict sequence is identical: the optimizations may change
+//! how fast a solution is found, never whether the found solution is
+//! sound.
 
 use crate::check::Checker;
 use crate::cval::CVal;

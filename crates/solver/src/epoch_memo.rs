@@ -1,12 +1,14 @@
 //! A bounded, epoch-collected memo table shared between threads.
 //!
 //! Resident sessions keep memo tables alive across batch runs, so each
-//! must bound itself. [`EpochMemo`] is that policy for every session
-//! layer: the tables whose values are pure functions of their keys (the
-//! validity verdicts of [`crate::cache`], keyed by interned term ids;
-//! the E-term enumeration memo of `synquid-core`; the MUS memo of
-//! [`crate::mus`]) and the set of learned theory lemmas
-//! ([`crate::lemmas`], a table with `()` values):
+//! must bound itself. A session holds one table per layer, shared by
+//! every goal it runs, so a table's bound is the whole session's.
+//! [`EpochMemo`] is that policy for every session layer: the tables
+//! whose values are pure functions of their keys (the validity verdicts
+//! of [`crate::cache`], keyed by interned term ids; the E-term
+//! enumeration memo of `synquid-core`; the MUS memo of [`crate::mus`])
+//! and the set of learned theory lemmas ([`crate::lemmas`], a table
+//! with `()` values):
 //!
 //! - every lookup hit or insert stamps its entry with the current epoch;
 //! - [`EpochMemo::advance_epoch`] (called at batch boundaries) drops
@@ -63,18 +65,6 @@ impl MemoStats {
             evicted: self.evicted - earlier.evicted,
             epoch: self.epoch,
         }
-    }
-
-    /// Folds another memo's counters into these, as when summing a
-    /// layer over session namespaces: counts and entries add up, the
-    /// epoch is the later of the two.
-    pub fn merge(&mut self, other: &MemoStats) {
-        self.hits += other.hits;
-        self.misses += other.misses;
-        self.entries += other.entries;
-        self.absorbed += other.absorbed;
-        self.evicted += other.evicted;
-        self.epoch = self.epoch.max(other.epoch);
     }
 }
 

@@ -27,9 +27,9 @@ use std::sync::Arc;
 pub type Lemma = Vec<(String, bool)>;
 
 /// Bound on the lemmas one solver learns and, by default, on a
-/// session namespace's store: enough for the longest synthesis runs
-/// observed (a few thousand distinct conflicts), small enough that
-/// applicability probing stays cheap.
+/// session's store: enough for the longest synthesis runs observed (a
+/// few thousand distinct conflicts), small enough that applicability
+/// probing stays cheap.
 pub const MAX_LEMMAS: usize = 8_192;
 
 /// Lemmas with an index from each lemma's first (smallest) key to its
@@ -45,7 +45,8 @@ pub struct LemmaIndex {
 /// solver of the batch.
 pub type LemmaSeed = Arc<LemmaIndex>;
 
-/// The resident lemma pool of one session cache namespace. Solvers
+/// The resident lemma pool of a session, shared by every goal it runs
+/// (a lemma only replays in queries that contain all its atoms). Solvers
 /// store fresh conflicts and touch the seeded lemmas they replay; a
 /// batch reads it only through [`SharedLemmaStore::seed`].
 pub type SharedLemmaStore = EpochMemo<Lemma, ()>;

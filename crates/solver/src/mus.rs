@@ -14,9 +14,9 @@
 //! (blocking all subsets).
 //!
 //! Decided enumerations are memoized in a [`MusMemo`]: a standalone
-//! [`Smt`] owns one, and a resident session hands every solver of a
-//! library namespace the same one, so an enumeration outlives the rung,
-//! batch and warm replay that computed it.
+//! [`Smt`] owns one, and a resident session hands all its solvers the
+//! same one, so an enumeration outlives the rung, goal, batch and warm
+//! replay that computed it.
 
 use crate::encode::{Encoder, Skeleton};
 use crate::epoch_memo::EpochMemo;

@@ -12,7 +12,8 @@
 //!    literals is added and the loop repeats.
 //!
 //! This plays the role that Z3 plays for the original Synquid
-//! implementation (see DESIGN.md for the substitution rationale).
+//! implementation (see the `crates/solver` section of
+//! `docs/ARCHITECTURE.md` for the substitution rationale).
 
 use crate::cache::SharedValidityCache;
 use crate::cancel::CancellationToken;

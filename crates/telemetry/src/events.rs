@@ -38,14 +38,17 @@ use crate::json::{self, Json};
 /// * 3 — the `session_epoch` kind (resident-session GC boundaries, with
 ///   per-layer eviction counts);
 /// * 4 — `mus_entries` and `mus_evicted` on `session_epoch` (the MUS
-///   memo layer).
+///   memo layer);
+/// * 5 — `namespaces` leaves `session_epoch` (a session holds one cache
+///   bundle).
 ///
 /// Versioning rules (see `docs/ARCHITECTURE.md`): *adding* a field to an
 /// existing kind or adding a new kind bumps this constant but keeps old
 /// consumers working (consumers must tolerate unknown fields); renaming
-/// or removing a field or kind is a breaking change and additionally
-/// renames the event kind.
-pub const EVENT_SCHEMA_VERSION: u64 = 4;
+/// or removing a field or kind is a breaking change that bumps this
+/// constant and migrates every consumer of the field or kind in the same
+/// change.
+pub const EVENT_SCHEMA_VERSION: u64 = 5;
 
 const MODE_OFF: u8 = 0;
 const MODE_JSON: u8 = 1;

@@ -11,7 +11,7 @@
 //! non-negative. (The paper uses the full lexicographic order over all
 //! measured arguments; single-argument descent is sufficient for the
 //! benchmark families reproduced here and the difference is documented in
-//! DESIGN.md.)
+//! the `crates/types` section of `docs/ARCHITECTURE.md`.)
 
 use crate::env::Environment;
 use crate::ty::{BaseType, RType, Schema};

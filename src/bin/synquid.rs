@@ -41,7 +41,8 @@
 //! the measure interpreter. Violations are shrunk to minimal witnesses
 //! and reported together with the winning derivation. `--differential`
 //! re-synthesizes under solver ablations (memoization off, incremental
-//! SMT off, budget shaping off) and asserts the oracle verdicts agree.
+//! SMT off, incremental LIA off, budget shaping off) and asserts the
+//! oracle verdicts agree.
 //! With no spec files, the whole `specs/` corpus is fuzzed. The run is
 //! bit-reproducible for a given `--seed`.
 //!
@@ -415,7 +416,9 @@ fn fuzz_main(args: &[String]) -> ExitCode {
                 "--cases" => {
                     cfg_cases = value("--cases")?
                         .parse()
-                        .map_err(|_| "--cases needs a positive integer".to_string())?;
+                        .ok()
+                        .filter(|&cases| cases > 0)
+                        .ok_or("--cases needs a positive integer")?;
                     Ok(true)
                 }
                 "--seed" => {
@@ -747,8 +750,8 @@ fn main() -> ExitCode {
                     eprintln!("note: session snapshot {path} is stale or corrupt; starting cold");
                 } else if opts.stats {
                     eprintln!(
-                        "session warm start from {path}: {} validity entries, {} lemma(s), {} namespace(s)",
-                        warm.validity_entries, warm.lemmas, warm.namespaces
+                        "session warm start from {path}: {} validity entries, {} lemma(s)",
+                        warm.validity_entries, warm.lemmas
                     );
                 }
             }
@@ -798,8 +801,7 @@ fn main() -> ExitCode {
         );
         let s = &report.session;
         println!(
-            "session: {} namespace(s), enumeration {} hits / {} misses ({:.1}% hit rate), MUS {} hits / {} misses ({:.1}% hit rate), {} lemma(s) resident ({} absorbed this run)",
-            s.namespaces,
+            "session: enumeration {} hits / {} misses ({:.1}% hit rate), MUS {} hits / {} misses ({:.1}% hit rate), {} lemma(s) resident ({} absorbed this run)",
             s.enumeration.hits,
             s.enumeration.misses,
             100.0 * s.enumeration.hit_rate(),

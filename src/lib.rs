@@ -22,8 +22,8 @@
 //! * [`engine`] — the parallel execution layer: multi-goal scheduler,
 //!   portfolio search over deepening rungs, and the resident
 //!   [`SynthesisSession`](engine::SynthesisSession) owning all
-//!   cross-goal caches (validity, enumeration, lemmas) keyed by
-//!   component-library fingerprint;
+//!   cross-goal caches (validity, enumeration, lemmas, MUS
+//!   enumerations) in one bundle;
 //! * [`trace`] — search forensics over `--trace-out` JSONL streams:
 //!   derivation-tree reconstruction, per-goal timeout attribution, and
 //!   Chrome trace-event export;
