@@ -369,6 +369,8 @@ fn run_json(warm: bool, run: &BatchReport) -> Json {
         ("enum_evicted", s.enumeration.evicted.into()),
         ("lemmas_absorbed", s.lemmas.absorbed.into()),
         ("lemmas_resident", s.lemmas.entries.into()),
+        ("lemmas_evicted", s.lemmas.evicted.into()),
+        ("lemmas_refused", s.lemmas.refused.into()),
     ])
 }
 
@@ -1097,6 +1099,8 @@ mod tests {
         session.enumeration.evicted = 2;
         session.lemmas.absorbed = 12;
         session.lemmas.entries = 40;
+        session.lemmas.evicted = 6;
+        session.lemmas.refused = 2;
         let cold = BatchReport {
             outcomes: vec![
                 outcome("take", "specs/take.sq", true, Some(with_phases)),
@@ -1121,7 +1125,8 @@ mod tests {
 
     /// [`fixed_runs`] as the hand-rolled writer the shared codec
     /// replaced rendered it, before it was deleted, less the
-    /// `namespaces` member that runs no longer carry.
+    /// `namespaces` member that runs no longer carry, plus the
+    /// `lemmas_evicted` and `lemmas_refused` members added since.
     const FIXED_RUNS_BEFORE_THE_CODEC: &str = r#"{
   "report": "BENCH_pr10",
   "schema_version": 3,
@@ -1135,8 +1140,8 @@ mod tests {
     "cold_wall_secs": 184.511,
     "warm_min_wall_secs": 157.115,
     "runs": [
-      {"warm": false, "wall_secs": 184.511, "solved": 1, "validity_hits": 23565, "validity_misses": 21623, "validity_hit_rate": 0.5215, "validity_entries": 19333, "validity_evicted": 4, "terms_interned": 99, "terms_evicted": 1, "enum_hits": 10, "enum_misses": 30, "enum_hit_rate": 0.2500, "enum_evicted": 2, "lemmas_absorbed": 12, "lemmas_resident": 40},
-      {"warm": true, "wall_secs": 157.115, "solved": 1, "validity_hits": 45000, "validity_misses": 12, "validity_hit_rate": 0.9997, "validity_entries": 19333, "validity_evicted": 4, "terms_interned": 99, "terms_evicted": 1, "enum_hits": 10, "enum_misses": 30, "enum_hit_rate": 0.2500, "enum_evicted": 2, "lemmas_absorbed": 12, "lemmas_resident": 40}
+      {"warm": false, "wall_secs": 184.511, "solved": 1, "validity_hits": 23565, "validity_misses": 21623, "validity_hit_rate": 0.5215, "validity_entries": 19333, "validity_evicted": 4, "terms_interned": 99, "terms_evicted": 1, "enum_hits": 10, "enum_misses": 30, "enum_hit_rate": 0.2500, "enum_evicted": 2, "lemmas_absorbed": 12, "lemmas_resident": 40, "lemmas_evicted": 6, "lemmas_refused": 2},
+      {"warm": true, "wall_secs": 157.115, "solved": 1, "validity_hits": 45000, "validity_misses": 12, "validity_hit_rate": 0.9997, "validity_entries": 19333, "validity_evicted": 4, "terms_interned": 99, "terms_evicted": 1, "enum_hits": 10, "enum_misses": 30, "enum_hit_rate": 0.2500, "enum_evicted": 2, "lemmas_absorbed": 12, "lemmas_resident": 40, "lemmas_evicted": 6, "lemmas_refused": 2}
     ]
   },
   "goals": [

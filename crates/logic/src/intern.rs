@@ -17,6 +17,7 @@
 use crate::sort::Sort;
 use crate::term::{BinOp, Term, UnOp, UnknownId};
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Identifier of an interned term. Ids are dense (`0..len`) and stable
 /// until the next [`Interner::compact`], which renumbers survivors and
@@ -279,14 +280,14 @@ impl Interner {
                     .map(|(k, v)| (k.clone(), self.resolve(*v)))
                     .collect(),
             ),
-            Node::Unary(op, t) => Term::Unary(*op, Box::new(self.resolve(*t))),
+            Node::Unary(op, t) => Term::Unary(*op, Arc::new(self.resolve(*t))),
             Node::Binary(op, a, b) => {
-                Term::Binary(*op, Box::new(self.resolve(*a)), Box::new(self.resolve(*b)))
+                Term::Binary(*op, Arc::new(self.resolve(*a)), Arc::new(self.resolve(*b)))
             }
             Node::Ite(c, t, e) => Term::Ite(
-                Box::new(self.resolve(*c)),
-                Box::new(self.resolve(*t)),
-                Box::new(self.resolve(*e)),
+                Arc::new(self.resolve(*c)),
+                Arc::new(self.resolve(*t)),
+                Arc::new(self.resolve(*e)),
             ),
             Node::App(name, args, sort) => Term::App(
                 name.clone(),

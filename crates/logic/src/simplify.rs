@@ -6,6 +6,7 @@
 //! conjunctions of atomic formulas).
 
 use crate::term::{BinOp, Term, UnOp};
+use std::sync::Arc;
 
 /// Splits a formula into its top-level conjuncts, dropping `true`.
 pub fn conjuncts(t: &Term) -> Vec<Term> {
@@ -34,7 +35,7 @@ pub fn fold_constants(t: &Term) -> Term {
             match (op, &inner) {
                 (UnOp::Not, Term::BoolLit(b)) => Term::BoolLit(!b),
                 (UnOp::Neg, Term::IntLit(n)) => Term::IntLit(-n),
-                _ => Term::Unary(*op, Box::new(inner)),
+                _ => Term::Unary(*op, Arc::new(inner)),
             }
         }
         Term::Binary(op, a, b) => {
@@ -69,7 +70,7 @@ pub fn fold_constants(t: &Term) -> Term {
                 BinOp::And => a.and(b),
                 BinOp::Or => a.or(b),
                 BinOp::Implies => a.implies(b),
-                _ => Term::Binary(*op, Box::new(a), Box::new(b)),
+                _ => Term::Binary(*op, Arc::new(a), Arc::new(b)),
             }
         }
         Term::Ite(c, th, el) => {
@@ -78,9 +79,9 @@ pub fn fold_constants(t: &Term) -> Term {
                 Term::BoolLit(true) => fold_constants(th),
                 Term::BoolLit(false) => fold_constants(el),
                 c => Term::Ite(
-                    Box::new(c),
-                    Box::new(fold_constants(th)),
-                    Box::new(fold_constants(el)),
+                    Arc::new(c),
+                    Arc::new(fold_constants(th)),
+                    Arc::new(fold_constants(el)),
                 ),
             }
         }
@@ -142,7 +143,7 @@ fn nnf_neg(t: &Term) -> Term {
         Term::Binary(BinOp::Le, a, b) => Term::Binary(BinOp::Gt, a.clone(), b.clone()),
         Term::Binary(BinOp::Gt, a, b) => Term::Binary(BinOp::Le, a.clone(), b.clone()),
         Term::Binary(BinOp::Ge, a, b) => Term::Binary(BinOp::Lt, a.clone(), b.clone()),
-        other => Term::Unary(UnOp::Not, Box::new(other.clone())),
+        other => Term::Unary(UnOp::Not, Arc::new(other.clone())),
     }
 }
 
@@ -156,7 +157,7 @@ fn nnf_neg(t: &Term) -> Term {
 pub fn eliminate_ite(t: &Term) -> Term {
     match t {
         Term::Binary(op, a, b) if op.is_boolean_connective() => {
-            Term::Binary(*op, Box::new(eliminate_ite(a)), Box::new(eliminate_ite(b)))
+            Term::Binary(*op, Arc::new(eliminate_ite(a)), Arc::new(eliminate_ite(b)))
         }
         Term::Unary(UnOp::Not, inner) => eliminate_ite(inner).not(),
         Term::Ite(c, th, el) if th.sort() == crate::Sort::Bool => {
@@ -194,16 +195,16 @@ fn split_first_ite(t: &Term) -> Option<(Term, Term, Term)> {
             return with.clone();
         }
         match t {
-            Term::Unary(op, inner) => Term::Unary(*op, Box::new(replace(inner, target, with))),
+            Term::Unary(op, inner) => Term::Unary(*op, Arc::new(replace(inner, target, with))),
             Term::Binary(op, a, b) => Term::Binary(
                 *op,
-                Box::new(replace(a, target, with)),
-                Box::new(replace(b, target, with)),
+                Arc::new(replace(a, target, with)),
+                Arc::new(replace(b, target, with)),
             ),
             Term::Ite(c, a, b) => Term::Ite(
-                Box::new(replace(c, target, with)),
-                Box::new(replace(a, target, with)),
-                Box::new(replace(b, target, with)),
+                Arc::new(replace(c, target, with)),
+                Arc::new(replace(a, target, with)),
+                Arc::new(replace(b, target, with)),
             ),
             Term::App(n, args, s) => Term::App(
                 n.clone(),

@@ -18,6 +18,7 @@
 use crate::sort::Sort;
 use crate::term::{BinOp, Term, UnOp};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 /// Encodes a term as a single whitespace-free token string.
 pub fn encode_term(term: &Term) -> String {
@@ -257,21 +258,21 @@ impl Cursor<'_> {
                     '!' => UnOp::Not,
                     c => return Err(format!("unknown unary op tag {c:?}")),
                 };
-                Ok(Term::Unary(op, Box::new(self.term()?)))
+                Ok(Term::Unary(op, Arc::new(self.term()?)))
             }
             '2' => {
                 let tag = self.byte()?;
                 let op = bin_of_tag(tag).ok_or_else(|| format!("unknown binary op tag {tag:?}"))?;
                 Ok(Term::Binary(
                     op,
-                    Box::new(self.term()?),
-                    Box::new(self.term()?),
+                    Arc::new(self.term()?),
+                    Arc::new(self.term()?),
                 ))
             }
             '?' => Ok(Term::Ite(
-                Box::new(self.term()?),
-                Box::new(self.term()?),
-                Box::new(self.term()?),
+                Arc::new(self.term()?),
+                Arc::new(self.term()?),
+                Arc::new(self.term()?),
             )),
             'a' => {
                 let name = self.string()?;
@@ -368,7 +369,7 @@ mod tests {
             BinOp::Member,
             BinOp::Subset,
         ] {
-            let term = Term::Binary(op, Box::new(x()), Box::new(x()));
+            let term = Term::Binary(op, Arc::new(x()), Arc::new(x()));
             assert_eq!(decode_term(&encode_term(&term)), Ok(term));
         }
     }

@@ -8,6 +8,7 @@
 //! such as `elems` and `keys`.
 
 use std::fmt;
+use std::sync::Arc;
 
 /// The sort of a refinement term.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -19,7 +20,7 @@ pub enum Sort {
     /// Finite sets of elements of the given sort (models measures such as
     /// `elems`, `keys`; the paper uses the array theory for the same
     /// purpose).
-    Set(Box<Sort>),
+    Set(Arc<Sort>),
     /// An uninterpreted datatype sort, e.g. `List a` or `BST Int`.
     Data(String, Vec<Sort>),
     /// An uninterpreted sort corresponding to a type variable `α`.
@@ -32,7 +33,7 @@ pub enum Sort {
 impl Sort {
     /// Convenience constructor for a set sort.
     pub fn set(elem: Sort) -> Sort {
-        Sort::Set(Box::new(elem))
+        Sort::Set(Arc::new(elem))
     }
 
     /// Convenience constructor for a datatype sort.

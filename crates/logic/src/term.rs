@@ -8,6 +8,7 @@
 use crate::sort::Sort;
 use crate::Substitution;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 /// The name of the distinguished value variable `ν`.
 pub const VALUE_VAR: &str = "ν";
@@ -103,11 +104,11 @@ pub enum Term {
     /// applied once a valuation is known.
     Unknown(UnknownId, Substitution),
     /// Unary operator application.
-    Unary(UnOp, Box<Term>),
+    Unary(UnOp, Arc<Term>),
     /// Binary operator application.
-    Binary(BinOp, Box<Term>, Box<Term>),
+    Binary(BinOp, Arc<Term>, Arc<Term>),
     /// If-then-else at any sort.
-    Ite(Box<Term>, Box<Term>, Box<Term>),
+    Ite(Arc<Term>, Arc<Term>, Arc<Term>),
     /// Application of an uninterpreted function (a *measure* such as
     /// `len`, `elems`, `keys`) with the given result sort.
     App(String, Vec<Term>, Sort),
@@ -164,7 +165,7 @@ impl Term {
     }
 
     fn bin(op: BinOp, a: Term, b: Term) -> Term {
-        Term::Binary(op, Box::new(a), Box::new(b))
+        Term::Binary(op, Arc::new(a), Arc::new(b))
     }
 
     /// `self + other`.
@@ -252,8 +253,8 @@ impl Term {
     pub fn not(self) -> Term {
         match self {
             Term::BoolLit(b) => Term::BoolLit(!b),
-            Term::Unary(UnOp::Not, inner) => *inner,
-            t => Term::Unary(UnOp::Not, Box::new(t)),
+            Term::Unary(UnOp::Not, inner) => Arc::unwrap_or_clone(inner),
+            t => Term::Unary(UnOp::Not, Arc::new(t)),
         }
     }
 
@@ -262,7 +263,7 @@ impl Term {
     pub fn neg(self) -> Term {
         match self {
             Term::IntLit(n) => Term::IntLit(-n),
-            t => Term::Unary(UnOp::Neg, Box::new(t)),
+            t => Term::Unary(UnOp::Neg, Arc::new(t)),
         }
     }
 
@@ -293,7 +294,7 @@ impl Term {
 
     /// If-then-else.
     pub fn ite(cond: Term, then: Term, els: Term) -> Term {
-        Term::Ite(Box::new(cond), Box::new(then), Box::new(els))
+        Term::Ite(Arc::new(cond), Arc::new(then), Arc::new(els))
     }
 
     /// Conjunction of an iterator of terms (`true` if empty).
@@ -466,13 +467,24 @@ impl Term {
     /// Applies a substitution of terms for variables. Substitution into a
     /// predicate unknown composes with its pending substitution (the new
     /// bindings are applied to the pending right-hand sides, and bindings
-    /// for variables not yet mentioned are recorded).
+    /// for variables not yet mentioned are recorded). Subtrees that
+    /// mention no substituted variable are shared with `self`, not
+    /// rebuilt.
     pub fn substitute(&self, subst: &Substitution) -> Term {
         if subst.is_empty() {
             return self.clone();
         }
+        self.rewrite(subst).unwrap_or_else(|| self.clone())
+    }
+
+    /// `self` under a non-empty `subst`, or `None` if the substitution
+    /// leaves it unchanged.
+    fn rewrite(&self, subst: &Substitution) -> Option<Term> {
+        // A child's new subtree, or the old one shared.
+        let child =
+            |old: &Arc<Term>, new: Option<Term>| new.map_or_else(|| Arc::clone(old), Arc::new);
         match self {
-            Term::Var(name, _) => subst.get(name).cloned().unwrap_or_else(|| self.clone()),
+            Term::Var(name, _) => subst.get(name).cloned(),
             Term::Unknown(id, pending) => {
                 let mut new_pending: Substitution = pending
                     .iter()
@@ -481,29 +493,24 @@ impl Term {
                 for (k, v) in subst {
                     new_pending.entry(k.clone()).or_insert_with(|| v.clone());
                 }
-                Term::Unknown(*id, new_pending)
+                Some(Term::Unknown(*id, new_pending))
             }
-            Term::Unary(op, t) => Term::Unary(*op, Box::new(t.substitute(subst))),
-            Term::Binary(op, a, b) => Term::Binary(
-                *op,
-                Box::new(a.substitute(subst)),
-                Box::new(b.substitute(subst)),
-            ),
-            Term::Ite(c, t, e) => Term::Ite(
-                Box::new(c.substitute(subst)),
-                Box::new(t.substitute(subst)),
-                Box::new(e.substitute(subst)),
-            ),
-            Term::App(name, args, s) => Term::App(
+            Term::Unary(op, t) => Some(Term::Unary(*op, Arc::new(t.rewrite(subst)?))),
+            Term::Binary(op, a, b) => match (a.rewrite(subst), b.rewrite(subst)) {
+                (None, None) => None,
+                (na, nb) => Some(Term::Binary(*op, child(a, na), child(b, nb))),
+            },
+            Term::Ite(c, t, e) => match (c.rewrite(subst), t.rewrite(subst), e.rewrite(subst)) {
+                (None, None, None) => None,
+                (nc, nt, ne) => Some(Term::Ite(child(c, nc), child(t, nt), child(e, ne))),
+            },
+            Term::App(name, args, s) => Some(Term::App(
                 name.clone(),
-                args.iter().map(|a| a.substitute(subst)).collect(),
+                rewrite_all(args, subst)?,
                 s.clone(),
-            ),
-            Term::SetLit(s, elems) => Term::SetLit(
-                s.clone(),
-                elems.iter().map(|e| e.substitute(subst)).collect(),
-            ),
-            Term::IntLit(_) | Term::BoolLit(_) => self.clone(),
+            )),
+            Term::SetLit(s, elems) => Some(Term::SetLit(s.clone(), rewrite_all(elems, subst)?)),
+            Term::IntLit(_) | Term::BoolLit(_) => None,
         }
     }
 
@@ -535,16 +542,16 @@ impl Term {
                     .map(|(k, v)| (k.clone(), v.substitute_sorts(map)))
                     .collect(),
             ),
-            Term::Unary(op, t) => Term::Unary(*op, Box::new(t.substitute_sorts(map))),
+            Term::Unary(op, t) => Term::Unary(*op, Arc::new(t.substitute_sorts(map))),
             Term::Binary(op, a, b) => Term::Binary(
                 *op,
-                Box::new(a.substitute_sorts(map)),
-                Box::new(b.substitute_sorts(map)),
+                Arc::new(a.substitute_sorts(map)),
+                Arc::new(b.substitute_sorts(map)),
             ),
             Term::Ite(c, t, e) => Term::Ite(
-                Box::new(c.substitute_sorts(map)),
-                Box::new(t.substitute_sorts(map)),
-                Box::new(e.substitute_sorts(map)),
+                Arc::new(c.substitute_sorts(map)),
+                Arc::new(t.substitute_sorts(map)),
+                Arc::new(e.substitute_sorts(map)),
             ),
             Term::App(n, args, s) => Term::App(
                 n.clone(),
@@ -560,16 +567,16 @@ impl Term {
     pub fn apply_unknowns(&self, f: &impl Fn(UnknownId, &Substitution) -> Term) -> Term {
         match self {
             Term::Unknown(id, pending) => f(*id, pending),
-            Term::Unary(op, t) => Term::Unary(*op, Box::new(t.apply_unknowns(f))),
+            Term::Unary(op, t) => Term::Unary(*op, Arc::new(t.apply_unknowns(f))),
             Term::Binary(op, a, b) => Term::Binary(
                 *op,
-                Box::new(a.apply_unknowns(f)),
-                Box::new(b.apply_unknowns(f)),
+                Arc::new(a.apply_unknowns(f)),
+                Arc::new(b.apply_unknowns(f)),
             ),
             Term::Ite(c, t, e) => Term::Ite(
-                Box::new(c.apply_unknowns(f)),
-                Box::new(t.apply_unknowns(f)),
-                Box::new(e.apply_unknowns(f)),
+                Arc::new(c.apply_unknowns(f)),
+                Arc::new(t.apply_unknowns(f)),
+                Arc::new(e.apply_unknowns(f)),
             ),
             Term::App(n, args, s) => Term::App(
                 n.clone(),
@@ -583,6 +590,22 @@ impl Term {
             _ => self.clone(),
         }
     }
+}
+
+/// `terms` under `subst`, or `None` if the substitution changes none
+/// of them.
+fn rewrite_all(terms: &[Term], subst: &Substitution) -> Option<Vec<Term>> {
+    let new: Vec<Option<Term>> = terms.iter().map(|t| t.rewrite(subst)).collect();
+    if new.iter().all(Option::is_none) {
+        return None;
+    }
+    Some(
+        terms
+            .iter()
+            .zip(new)
+            .map(|(old, new)| new.unwrap_or_else(|| old.clone()))
+            .collect(),
+    )
 }
 
 #[cfg(test)]
@@ -669,6 +692,64 @@ mod tests {
         let t = Term::unknown(1).and(Term::unknown(2)).implies(x().le(y()));
         let ids = t.unknowns();
         assert_eq!(ids.into_iter().collect::<Vec<_>>(), vec![1, 2]);
+    }
+
+    /// The two children of a `Binary` term.
+    fn children(t: &Term) -> (&Arc<Term>, &Arc<Term>) {
+        match t {
+            Term::Binary(_, a, b) => (a, b),
+            other => panic!("expected a binary term, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_clone_shares_its_children() {
+        let t = x().plus(y()).le(x());
+        let copy = t.clone();
+        let ((a, b), (ca, cb)) = (children(&t), children(&copy));
+        assert!(Arc::ptr_eq(a, ca) && Arc::ptr_eq(b, cb));
+    }
+
+    #[test]
+    fn equality_hashing_and_order_ignore_sharing() {
+        use std::cmp::Ordering;
+        use std::hash::{BuildHasher, RandomState};
+        let shared = Arc::new(x().plus(y()));
+        let t = Term::Binary(BinOp::Le, Arc::clone(&shared), shared);
+        let separate = x().plus(y()).le(x().plus(y()));
+        let (a, b) = children(&t);
+        assert!(Arc::ptr_eq(a, b));
+        assert!(!Arc::ptr_eq(children(&separate).0, children(&separate).1));
+        assert_eq!(t, separate);
+        assert_eq!(t.cmp(&separate), Ordering::Equal);
+        let hasher = RandomState::new();
+        assert_eq!(hasher.hash_one(&t), hasher.hash_one(&separate));
+    }
+
+    #[test]
+    fn not_of_a_shared_negation_returns_the_inner_term_uncopied() {
+        let negation = x().le(y()).not();
+        let shared = negation.clone();
+        let Term::Unary(UnOp::Not, inner) = &negation else {
+            panic!("expected a negation, got {negation:?}");
+        };
+        let back = shared.not();
+        assert_eq!(&back, &**inner);
+        let ((a, b), (ia, ib)) = (children(&back), children(inner));
+        assert!(Arc::ptr_eq(a, ia) && Arc::ptr_eq(b, ib));
+    }
+
+    #[test]
+    fn substitution_shares_the_subtrees_it_leaves_unchanged() {
+        let untouched = x().plus(y());
+        let t = untouched.clone().le(Term::value_var(Sort::Int));
+        let t2 = t.substitute_value(&Term::int(5));
+        assert_eq!(t2, untouched.le(Term::int(5)));
+        assert!(Arc::ptr_eq(children(&t).0, children(&t2).0));
+        // A substitution that changes nothing rebuilds nothing.
+        let same = t.substitute_var("z", &Term::int(1));
+        let ((a, b), (sa, sb)) = (children(&t), children(&same));
+        assert!(Arc::ptr_eq(a, sa) && Arc::ptr_eq(b, sb));
     }
 
     #[test]

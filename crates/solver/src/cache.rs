@@ -62,6 +62,9 @@ pub struct ValidityCacheStats {
     pub interned_nodes: usize,
     /// Query pairs evicted by epoch GC or overflow sweeps (monotone).
     pub entries_evicted: usize,
+    /// Inserts refused because the memo was full even after its sweep
+    /// (monotone).
+    pub entries_refused: usize,
     /// Term nodes ever interned behind the keys (monotone).
     pub terms_interned: usize,
     /// Term nodes dropped by interner compaction (monotone).
@@ -93,6 +96,7 @@ impl ValidityCacheStats {
             entries: self.entries,
             interned_nodes: self.interned_nodes,
             entries_evicted: self.entries_evicted - earlier.entries_evicted,
+            entries_refused: self.entries_refused - earlier.entries_refused,
             terms_interned: self.terms_interned - earlier.terms_interned,
             terms_evicted: self.terms_evicted - earlier.terms_evicted,
             epoch: self.epoch,
@@ -274,6 +278,7 @@ impl SharedValidityCache {
             entries: memo.entries,
             interned_nodes: interner.len(),
             entries_evicted: memo.evicted,
+            entries_refused: memo.refused,
             terms_interned: interner.total_interned(),
             terms_evicted: interner.total_evicted(),
             epoch: memo.epoch,
@@ -410,6 +415,7 @@ mod tests {
         );
         let after = cache.stats();
         assert_eq!(after.entries, 2, "the insert was refused");
+        assert_eq!(after.since(&full).entries_refused, 1);
         assert_eq!(after.interned_nodes, full.interned_nodes);
         assert_eq!(after.terms_interned, full.terms_interned);
     }

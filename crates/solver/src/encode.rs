@@ -26,6 +26,7 @@
 use crate::lia::{Constraint, LinExpr, VarId};
 use crate::rational::Rational;
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 use synquid_logic::simplify::{eliminate_ite, fold_constants, nnf};
 use synquid_logic::{BinOp, Sort, Term, UnOp};
 
@@ -112,6 +113,10 @@ pub struct Encoded {
     /// all — goes through these names instead (see
     /// [`Encoded::portable_atom_key`]).
     pub arith_names: Vec<String>,
+    /// The LIA constraint of each atom asserted false and true, built on
+    /// first use, so the theory checks of a DPLL(T) loop build each one
+    /// at most once.
+    constraints: Vec<[OnceLock<Constraint>; 2]>,
 }
 
 impl Encoded {
@@ -143,33 +148,41 @@ impl Encoded {
         Some(format!("{tag}:{:?}:{}", diff.constant, parts.join("+")))
     }
 
-    /// Converts a comparison atom (with the given truth value) into a LIA
-    /// constraint. Opaque atoms yield `None`.
-    pub fn atom_constraint(&self, atom: usize, positive: bool) -> Option<Constraint> {
-        match &self.atoms[atom] {
-            TheoryAtom::Opaque(_) => None,
-            TheoryAtom::Compare(op, lhs, rhs) => {
-                let (op, lhs, rhs) = if positive {
-                    (*op, lhs.clone(), rhs.clone())
-                } else {
-                    // Negate the comparison over the integers.
-                    match op {
-                        BinOp::Le => (BinOp::Gt, lhs.clone(), rhs.clone()),
-                        BinOp::Lt => (BinOp::Ge, lhs.clone(), rhs.clone()),
-                        BinOp::Ge => (BinOp::Lt, lhs.clone(), rhs.clone()),
-                        BinOp::Gt => (BinOp::Le, lhs.clone(), rhs.clone()),
-                        _ => unreachable!("comparison atoms are only ≤ < ≥ >"),
-                    }
-                };
-                Some(match op {
-                    BinOp::Le => Constraint::le(lhs, rhs),
-                    BinOp::Lt => Constraint::lt_int(lhs, rhs),
-                    BinOp::Ge => Constraint::ge(lhs, rhs),
-                    BinOp::Gt => Constraint::gt_int(lhs, rhs),
-                    _ => unreachable!(),
-                })
-            }
+    /// The LIA constraint of a comparison atom with the given truth
+    /// value. Opaque atoms yield `None`.
+    pub fn atom_constraint(&self, atom: usize, positive: bool) -> Option<&Constraint> {
+        let TheoryAtom::Compare(op, lhs, rhs) = &self.atoms[atom] else {
+            return None;
+        };
+        Some(
+            self.constraints[atom][usize::from(positive)]
+                .get_or_init(|| compare_constraint(*op, lhs, rhs, positive)),
+        )
+    }
+}
+
+/// Converts a comparison atom (with the given truth value) into a LIA
+/// constraint.
+fn compare_constraint(op: BinOp, lhs: &LinExpr, rhs: &LinExpr, positive: bool) -> Constraint {
+    let op = if positive {
+        op
+    } else {
+        // Negate the comparison over the integers.
+        match op {
+            BinOp::Le => BinOp::Gt,
+            BinOp::Lt => BinOp::Ge,
+            BinOp::Ge => BinOp::Lt,
+            BinOp::Gt => BinOp::Le,
+            _ => unreachable!("comparison atoms are only ≤ < ≥ >"),
         }
+    };
+    let (lhs, rhs) = (lhs.clone(), rhs.clone());
+    match op {
+        BinOp::Le => Constraint::le(lhs, rhs),
+        BinOp::Lt => Constraint::lt_int(lhs, rhs),
+        BinOp::Ge => Constraint::ge(lhs, rhs),
+        BinOp::Gt => Constraint::gt_int(lhs, rhs),
+        _ => unreachable!(),
     }
 }
 
@@ -231,6 +244,7 @@ impl Encoder {
             atoms: self.atoms.clone(),
             num_arith_vars: self.arith_vars.len(),
             arith_names,
+            constraints: self.atoms.iter().map(|_| Default::default()).collect(),
         }
     }
 
@@ -396,7 +410,7 @@ impl Encoder {
             Term::Ite(c, a, b) => {
                 let ma = self.membership(e, a);
                 let mb = self.membership(e, b);
-                (*c.clone()).and(ma).or(c.clone().not().and(mb))
+                (**c).clone().and(ma).or((**c).clone().not().and(mb))
             }
             base => {
                 let key = format!("$in[{base}]");
@@ -654,14 +668,14 @@ fn bool_eq_to_iff(t: &Term) -> Term {
         }
         Term::Binary(op, a, b) => Term::Binary(
             *op,
-            Box::new(bool_eq_to_iff(a)),
-            Box::new(bool_eq_to_iff(b)),
+            Arc::new(bool_eq_to_iff(a)),
+            Arc::new(bool_eq_to_iff(b)),
         ),
-        Term::Unary(op, a) => Term::Unary(*op, Box::new(bool_eq_to_iff(a))),
+        Term::Unary(op, a) => Term::Unary(*op, Arc::new(bool_eq_to_iff(a))),
         Term::Ite(c, a, b) => Term::Ite(
-            Box::new(bool_eq_to_iff(c)),
-            Box::new(bool_eq_to_iff(a)),
-            Box::new(bool_eq_to_iff(b)),
+            Arc::new(bool_eq_to_iff(c)),
+            Arc::new(bool_eq_to_iff(a)),
+            Arc::new(bool_eq_to_iff(b)),
         ),
         _ => t.clone(),
     }
@@ -700,7 +714,7 @@ fn is_int_modelled(sort: &Sort) -> bool {
 fn set_operand_elem_sort(atom: &Term) -> Option<Sort> {
     if let Term::Binary(_, a, _) = atom {
         if let Sort::Set(e) = a.sort() {
-            return Some(*e);
+            return Some(Arc::unwrap_or_clone(e));
         }
     }
     None

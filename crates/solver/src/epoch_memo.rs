@@ -38,6 +38,9 @@ pub struct MemoStats {
     pub absorbed: usize,
     /// Entries dropped by epoch GC or overflow sweeps (monotone).
     pub evicted: usize,
+    /// Inserts of new keys dropped because the table was full even
+    /// after its once-per-epoch sweep (monotone).
+    pub refused: usize,
     /// GC epochs advanced since the memo was created.
     pub epoch: usize,
 }
@@ -63,6 +66,7 @@ impl MemoStats {
             entries: self.entries,
             absorbed: self.absorbed - earlier.absorbed,
             evicted: self.evicted - earlier.evicted,
+            refused: self.refused - earlier.refused,
             epoch: self.epoch,
         }
     }
@@ -80,21 +84,26 @@ struct Table<K, V> {
     misses: usize,
     absorbed: usize,
     evicted: usize,
+    refused: usize,
 }
 
 impl<K: Eq + Hash, V> Table<K, V> {
     /// Makes room in a full table by sweeping out the entries not
     /// touched this epoch, at most once per epoch so a full warm table
-    /// cannot thrash; true if that left room for a new key.
+    /// cannot thrash; true if that left room for a new key. A new key
+    /// that still finds no room is counted as refused.
     fn sweep(&mut self) -> bool {
-        if self.swept_epoch == Some(self.epoch) {
-            return false;
+        if self.swept_epoch != Some(self.epoch) {
+            self.swept_epoch = Some(self.epoch);
+            let (epoch, before) = (self.epoch, self.map.len());
+            self.map.retain(|_, (_, stamp)| *stamp >= epoch);
+            self.evicted += before - self.map.len();
         }
-        self.swept_epoch = Some(self.epoch);
-        let (epoch, before) = (self.epoch, self.map.len());
-        self.map.retain(|_, (_, stamp)| *stamp >= epoch);
-        self.evicted += before - self.map.len();
-        self.map.len() < self.max_entries
+        let room = self.map.len() < self.max_entries;
+        if !room {
+            self.refused += 1;
+        }
+        room
     }
 }
 
@@ -126,6 +135,7 @@ impl<K: Eq + Hash, V: Clone> EpochMemo<K, V> {
                 misses: 0,
                 absorbed: 0,
                 evicted: 0,
+                refused: 0,
             })),
         }
     }
@@ -153,7 +163,8 @@ impl<K: Eq + Hash, V: Clone> EpochMemo<K, V> {
     /// Stores a value. Callers must store only complete results — a
     /// value cut short by a deadline is not a function of its key. At
     /// the size bound, one sweep per epoch evicts entries not touched
-    /// this epoch; if the table is still full the insert is dropped.
+    /// this epoch; if the table is still full the insert is dropped and
+    /// counted as refused.
     pub fn insert(&self, key: K, value: V) {
         let mut table = self.lock();
         if table.map.len() >= table.max_entries && !table.map.contains_key(&key) && !table.sweep() {
@@ -243,6 +254,7 @@ impl<K: Eq + Hash, V: Clone> EpochMemo<K, V> {
             entries: table.map.len(),
             absorbed: table.absorbed,
             evicted: table.evicted,
+            refused: table.refused,
             epoch: table.epoch as usize,
         }
     }
@@ -255,5 +267,27 @@ impl<K: Eq + Hash, V: Clone> EpochMemo<K, V> {
         let mut keys: Vec<K> = self.lock().map.keys().cloned().collect();
         keys.sort_unstable();
         keys
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_full_table_counts_the_insert_it_refuses() {
+        let memo: EpochMemo<u32, ()> = EpochMemo::with_max_entries(2);
+        memo.insert(1, ());
+        memo.insert(2, ());
+        let full = memo.stats();
+        // Every entry was stored this epoch, so the sweep frees nothing.
+        memo.insert(3, ());
+        let stats = memo.stats();
+        assert_eq!((stats.entries, stats.refused), (2, 1));
+        assert_eq!(stats.since(&full).refused, 1);
+        assert_eq!(memo.lookup(&3), None);
+        // Storing a resident key again needs no room.
+        memo.insert(2, ());
+        assert_eq!(memo.stats().refused, 1);
     }
 }

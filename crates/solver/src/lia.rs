@@ -9,6 +9,7 @@
 //! `x ≤ c − 1`) and a rational relaxation is refined by branch-and-bound.
 
 use crate::rational::Rational;
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 /// Identifier of an arithmetic variable.
@@ -599,7 +600,7 @@ impl IncrementalLia {
     /// verdict; its rows, basis and assignment persist (that is the
     /// warmth). Sound for any sequence of checks because no bound
     /// outlives its check's frame.
-    pub fn check(&mut self, constraints: &[Constraint]) -> LiaResult {
+    pub fn check<C: Borrow<Constraint>>(&mut self, constraints: &[C]) -> LiaResult {
         if self.poisoned {
             self.rebuild();
         }
@@ -631,14 +632,15 @@ impl IncrementalLia {
         self.deadline.is_some_and(|d| std::time::Instant::now() > d)
     }
 
-    fn check_in_frame(&mut self, constraints: &[Constraint]) -> LiaResult {
+    fn check_in_frame<C: Borrow<Constraint>>(&mut self, constraints: &[C]) -> LiaResult {
+        let constraints = || constraints.iter().map(Borrow::borrow);
         let empty = BTreeMap::new();
-        for c in constraints {
+        for c in constraints() {
             if c.expr.is_constant() && !c.holds(&empty) {
                 return LiaResult::Unsat;
             }
         }
-        for c in constraints.iter().filter(|c| !c.expr.is_constant()) {
+        for c in constraints().filter(|c| !c.expr.is_constant()) {
             let s = self.slack_for(&c.expr.coeffs);
             // expr ⋈ 0  ⟺  Σ aᵢxᵢ ⋈ -constant
             let bound = -c.expr.constant;
@@ -655,7 +657,7 @@ impl IncrementalLia {
         let result = self.solve_rec(&mut budget);
         if let LiaResult::Sat(model) = &result {
             debug_assert!(
-                constraints.iter().all(|c| c.holds(model)),
+                constraints().all(|c| c.holds(model)),
                 "warm tableau produced a non-model"
             );
         }
@@ -736,7 +738,7 @@ impl LiaSolver {
     /// One-shot: builds a fresh [`IncrementalLia`] and discards it. The
     /// from-scratch baseline the `without_incremental_lia` ablation runs
     /// against, and the entry point for callers without a warm tableau.
-    pub fn check(&self, num_vars: usize, constraints: &[Constraint]) -> LiaResult {
+    pub fn check<C: Borrow<Constraint>>(&self, num_vars: usize, constraints: &[C]) -> LiaResult {
         let mut inc = IncrementalLia::new(num_vars);
         inc.branch_budget = self.branch_budget;
         inc.deadline = self.deadline;
@@ -759,7 +761,10 @@ mod tests {
     #[test]
     fn trivial_sat_and_unsat() {
         let solver = LiaSolver::new();
-        assert!(matches!(solver.check(0, &[]), LiaResult::Sat(_)));
+        assert!(matches!(
+            solver.check::<Constraint>(0, &[]),
+            LiaResult::Sat(_)
+        ));
         let c = Constraint::le(num(1), num(0));
         assert_eq!(solver.check(0, &[c]), LiaResult::Unsat);
     }

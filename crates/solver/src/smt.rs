@@ -19,7 +19,7 @@ use crate::cache::SharedValidityCache;
 use crate::cancel::CancellationToken;
 use crate::encode::{Encoded, Encoder, Skeleton, TheoryAtom};
 use crate::lemmas::{Lemma, LemmaIndex, LemmaSeed, SharedLemmaStore};
-use crate::lia::{IncrementalLia, LiaResult, LiaSolver};
+use crate::lia::{Constraint, IncrementalLia, LiaResult, LiaSolver};
 use crate::mus::MusMemo;
 use crate::rational::Rational;
 use crate::sat::{Lit, SatResult, SatSolver};
@@ -385,6 +385,7 @@ impl Smt {
         if self.interrupted {
             return result;
         }
+        let _cache_span = synquid_telemetry::span(Phase::CacheLookup);
         if self.cache.len() < 200_000 {
             self.cache.insert(formula, result);
         }
@@ -427,6 +428,9 @@ impl Smt {
         problem: &Encoded,
         roots: &[Skeleton],
     ) -> EncodedSession {
+        // Session set-up is part of turning a formula into CNF: Tseitin
+        // clauses, bound axioms and lemma replay are charged to `Encode`.
+        let _encode_span = synquid_telemetry::span(Phase::Encode);
         let mut sat = SatSolver::new();
         // One SAT variable per theory atom, allocated up front so atom index
         // and SAT variable coincide.
@@ -538,7 +542,7 @@ impl Smt {
         &self,
         session: &mut EncodedSession,
         num_arith_vars: usize,
-        constraints: &[crate::lia::Constraint],
+        constraints: &[&Constraint],
     ) -> LiaResult {
         match &mut session.lia {
             Some(inc) => {
@@ -597,24 +601,24 @@ impl Smt {
                     SatResult::Sat(model) => model,
                 }
             };
-            // Collect the arithmetic literals implied by the boolean model.
-            let mut literals: Vec<(usize, bool, crate::lia::Constraint)> = Vec::new();
-            for (idx, atom) in problem.atoms.iter().enumerate() {
-                let value = model.get(idx).copied().unwrap_or(false);
-                if let TheoryAtom::Compare(_, _, _) = atom {
+            self.stats.theory_calls += 1;
+            let (literals, verdict) = {
+                // The `Lia` phase counts the literal collection and the
+                // first theory check of each DPLL(T) iteration; theory
+                // checks issued while shrinking a conflict are
+                // attributed to `CoreShrink` below.
+                let _lia_span = synquid_telemetry::span(Phase::Lia);
+                // Collect the arithmetic literals implied by the boolean model.
+                let mut literals: Vec<(usize, bool, &Constraint)> = Vec::new();
+                for idx in 0..problem.atoms.len() {
+                    let value = model.get(idx).copied().unwrap_or(false);
                     if let Some(c) = problem.atom_constraint(idx, value) {
                         literals.push((idx, value, c));
                     }
                 }
-            }
-            self.stats.theory_calls += 1;
-            let constraints: Vec<_> = literals.iter().map(|(_, _, c)| c.clone()).collect();
-            let verdict = {
-                // The `Lia` phase counts only these first checks of the
-                // DPLL(T) loop; theory checks issued while shrinking a
-                // conflict are attributed to `CoreShrink` below.
-                let _lia_span = synquid_telemetry::span(Phase::Lia);
-                self.theory_check(session, problem.num_arith_vars, &constraints)
+                let constraints: Vec<&Constraint> = literals.iter().map(|&(_, _, c)| c).collect();
+                let verdict = self.theory_check(session, problem.num_arith_vars, &constraints);
+                (literals, verdict)
             };
             match verdict {
                 LiaResult::Sat(_) => return SmtResult::Sat,
@@ -666,7 +670,8 @@ impl Smt {
                             let end = (i + block).min(core.len());
                             let mut candidate = core.clone();
                             candidate.drain(i..end);
-                            let cs: Vec<_> = candidate.iter().map(|(_, _, c)| c.clone()).collect();
+                            let cs: Vec<&Constraint> =
+                                candidate.iter().map(|&(_, _, c)| c).collect();
                             self.stats.theory_calls += 1;
                             if matches!(
                                 self.theory_check(session, problem.num_arith_vars, &cs),

@@ -67,18 +67,21 @@ pub enum Phase {
     Subtyping,
     /// Horn strengthening — the liquid-abduction fixpoint step.
     Abduction,
-    /// Formula → CNF encoding (Tseitin + theory-atom extraction).
+    /// Formula → CNF encoding: theory-atom extraction, then the solver
+    /// session's Tseitin clauses, bound axioms and lemma replay.
     Encode,
     /// CDCL SAT search inside the DPLL(T) loop.
     Sat,
-    /// LIA (simplex + branch&bound) checks of the main DPLL(T) loop.
+    /// The main DPLL(T) loop's theory step: collecting a boolean
+    /// model's arithmetic literals and their LIA (simplex +
+    /// branch&bound) check.
     Lia,
     /// Unsat-core shrinking and MUS enumeration (chunked deletion, MARCO).
     /// This phase is attributed *inclusively* of the theory checks issued
     /// while shrinking — matching how the solver's cost was historically
     /// profiled — so `Lia` counts only main-loop first checks.
     CoreShrink,
-    /// Validity-cache probes (local memo + shared cache).
+    /// Validity-cache probes and inserts (local memo + shared cache).
     CacheLookup,
 }
 

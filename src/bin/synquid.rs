@@ -801,7 +801,7 @@ fn main() -> ExitCode {
         );
         let s = &report.session;
         println!(
-            "session: enumeration {} hits / {} misses ({:.1}% hit rate), MUS {} hits / {} misses ({:.1}% hit rate), {} lemma(s) resident ({} absorbed this run)",
+            "session: enumeration {} hits / {} misses ({:.1}% hit rate), MUS {} hits / {} misses ({:.1}% hit rate), {} lemma(s) resident ({} absorbed, {} evicted, {} refused this run)",
             s.enumeration.hits,
             s.enumeration.misses,
             100.0 * s.enumeration.hit_rate(),
@@ -810,6 +810,8 @@ fn main() -> ExitCode {
             100.0 * s.mus.hit_rate(),
             s.lemmas.entries,
             s.lemmas.absorbed,
+            s.lemmas.evicted,
+            s.lemmas.refused,
         );
         // Aggregate phase split: the main thread's parse/desugar time
         // plus every goal's synthesis-side profile.
