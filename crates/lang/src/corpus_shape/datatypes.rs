@@ -22,6 +22,31 @@ mod tests {
         assert_eq!(t.termination().unwrap().name, "tsize");
     }
 
+    /// The refinement of the element type of each datatype-typed argument
+    /// of `ctor`, in argument order.
+    fn element_bounds(dt: &Datatype, ctor: &str) -> Vec<String> {
+        let (args, _) = dt.constructor(ctor).unwrap().schema.ty.uncurry();
+        args.iter()
+            .filter_map(|(_, arg)| match arg.base_type() {
+                Some(BaseType::Data(_, params)) => Some(params[0].refinement().to_string()),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn bst_node_encodes_ordering_in_argument_types() {
+        let bst = datatype("bst_insert.sq", "bst_insert", "BST");
+        assert_eq!(bst.constructor("Node").unwrap().arity(), 3);
+        assert_eq!(element_bounds(&bst, "Node"), ["ν < x", "x < ν"]);
+    }
+
+    #[test]
+    fn increasing_list_tail_requires_ordering() {
+        let ilist = datatype("insert_sorted.sq", "insert_sorted", "IList");
+        assert_eq!(element_bounds(&ilist, "ICons"), ["x <= ν"]);
+    }
+
     #[test]
     fn heap_subtrees_are_bounded_below_by_the_root() {
         let h = datatype("heap_singleton.sq", "heap_singleton", "Heap");

@@ -119,16 +119,8 @@ impl<'a> Checker<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus_datatypes as dts;
     use synquid_logic::Sort;
-    use synquid_types::{bst_datatype, increasing_list_datatype, list_datatype};
-
-    fn dts() -> Datatypes {
-        let mut dts = Datatypes::new();
-        for dt in [list_datatype(), bst_datatype(), increasing_list_datatype()] {
-            dts.insert(dt.name.clone(), dt);
-        }
-        dts
-    }
 
     fn node(key: i64, l: CVal, r: CVal) -> CVal {
         CVal::Ctor("Node".into(), vec![CVal::Int(key), l, r])

@@ -533,14 +533,8 @@ fn goal_summary(r: &GoalFuzzReport) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use synquid_types::{BaseType, Datatypes};
-
-    fn list_dts() -> Datatypes {
-        let mut dts = Datatypes::new();
-        let dt = synquid_types::list_datatype();
-        dts.insert(dt.name.clone(), dt);
-        dts
-    }
+    use crate::corpus_datatypes as dts;
+    use synquid_types::BaseType;
 
     fn list_ty() -> RType {
         RType::base(BaseType::Data("List".into(), vec![RType::int()]))
@@ -552,7 +546,7 @@ mod tests {
     #[test]
     fn the_oracle_catches_an_injected_wrong_solution() {
         use synquid_logic::{Sort, Term};
-        let dts = list_dts();
+        let dts = dts();
         let checker = Checker::new(&dts);
         let generator = Generator::new(&dts);
         let identity = Program::Abs("xs".into(), Box::new(Program::var("xs")));
@@ -595,7 +589,7 @@ mod tests {
     #[test]
     fn replay_is_bit_reproducible_per_seed() {
         use synquid_logic::{Sort, Term};
-        let dts = list_dts();
+        let dts = dts();
         let checker = Checker::new(&dts);
         let generator = Generator::new(&dts);
         let identity = Program::Abs("xs".into(), Box::new(Program::var("xs")));

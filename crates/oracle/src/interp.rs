@@ -395,16 +395,8 @@ pub fn nu_env(value: &CVal) -> LogicEnv {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::corpus_datatypes as dts;
     use synquid_logic::Sort;
-    use synquid_types::{bst_datatype, increasing_list_datatype, list_datatype};
-
-    fn dts() -> Datatypes {
-        let mut dts = Datatypes::new();
-        for dt in [list_datatype(), bst_datatype(), increasing_list_datatype()] {
-            dts.insert(dt.name.clone(), dt);
-        }
-        dts
-    }
 
     fn list(items: &[i64]) -> CVal {
         items

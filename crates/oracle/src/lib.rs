@@ -43,3 +43,20 @@ pub use harness::{
 };
 pub use interp::{conjuncts, nu_env, LogicEnv, LogicVal, MeasureInterp, OracleError};
 pub use synquid_logic::Rng;
+
+/// The unit tests' datatype registry, read from the corpus: `List` and
+/// `IList` from `specs/insert_sorted.sq`, `BST` from `specs/bst_insert.sq`.
+#[cfg(test)]
+fn corpus_datatypes() -> synquid_types::Datatypes {
+    [
+        ("insert_sorted.sq", "insert_sorted"),
+        ("bst_insert.sq", "bst_insert"),
+    ]
+    .into_iter()
+    .flat_map(|(file, goal)| {
+        let goal = synquid_lang::spec::load_goal(file, goal)
+            .unwrap_or_else(|e| panic!("specs/{file}: {e}"));
+        goal.env.datatypes().clone()
+    })
+    .collect()
+}

@@ -7,16 +7,22 @@
 
 use synquid_logic::{Sort, Term};
 use synquid_oracle::{CVal, Checker, GenStats, Generator, LogicEnv, Rng};
-use synquid_types::{
-    bst_datatype, increasing_list_datatype, list_datatype, BaseType, Datatypes, RType,
-};
+use synquid_types::{BaseType, Datatypes, RType};
 
+/// `List` and `IList` from `specs/insert_sorted.sq`, `BST` from
+/// `specs/bst_insert.sq`.
 fn registry() -> Datatypes {
-    let mut dts = Datatypes::new();
-    for dt in [list_datatype(), bst_datatype(), increasing_list_datatype()] {
-        dts.insert(dt.name.clone(), dt);
-    }
-    dts
+    [
+        ("insert_sorted.sq", "insert_sorted"),
+        ("bst_insert.sq", "bst_insert"),
+    ]
+    .into_iter()
+    .flat_map(|(file, goal)| {
+        let goal = synquid_lang::spec::load_goal(file, goal)
+            .unwrap_or_else(|e| panic!("specs/{file}: {e}"));
+        goal.env.datatypes().clone()
+    })
+    .collect()
 }
 
 /// Every scalar type the corpus goals can ask the generator for.

@@ -17,8 +17,8 @@
 //! [`TermId`]s of the constant-folded sides; plain satisfiability checks
 //! are the degenerate pair with consequent `false` (`sat(f)` is the
 //! complement of `valid(f ⇒ false)`). Cached values are the raw
-//! [`SmtResult`] of the underlying satisfiability check, so `Unknown`
-//! answers are reused as conservatively as fresh ones.
+//! [`SmtResult`] of the underlying satisfiability check; [`Smt`](crate::Smt)
+//! publishes only `Sat` and `Unsat` verdicts here.
 //!
 //! # Residency
 //!

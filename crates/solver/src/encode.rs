@@ -23,7 +23,7 @@
 //! index into a table of [`TheoryAtom`]s, ready for the DPLL(T) loop in
 //! [`crate::smt`].
 
-use crate::lia::{Constraint, LinExpr, VarId};
+use crate::lia::{Constraint, LinExpr, Rel, VarId};
 use crate::rational::Rational;
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -84,12 +84,54 @@ impl Skeleton {
 /// A theory atom referenced from the skeleton.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TheoryAtom {
-    /// A linear comparison `lhs ⋈ rhs` with `⋈ ∈ {≤, <, ≥, >}` over the
-    /// integer-modelled arithmetic variables.
-    Compare(BinOp, LinExpr, LinExpr),
+    /// A linear comparison over the integer-modelled arithmetic variables.
+    Compare(Comparison),
     /// An opaque boolean atom (a boolean variable or a purified boolean
     /// application such as a set-membership predicate).
-    Opaque(String),
+    Opaque,
+}
+
+/// A comparison `lhs ⋈ rhs`, `⋈ ∈ {≤, <, ≥, >}`, in the one form that the
+/// LIA constraints, the bound axioms and the lemma keys read: `diff ⋈ 0`
+/// with `diff = lhs − rhs`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Comparison {
+    /// `lhs − rhs`.
+    pub(crate) diff: LinExpr,
+    /// `≤` or `<` when true, `≥` or `>` when false.
+    pub(crate) upper: bool,
+    /// `<` or `>` when true.
+    pub(crate) strict: bool,
+}
+
+impl Comparison {
+    fn new(op: BinOp, lhs: &LinExpr, rhs: &LinExpr) -> Comparison {
+        let (upper, strict) = match op {
+            BinOp::Le => (true, false),
+            BinOp::Lt => (true, true),
+            BinOp::Ge => (false, false),
+            BinOp::Gt => (false, true),
+            _ => unreachable!("comparison atoms are only ≤ < ≥ >"),
+        };
+        Comparison {
+            diff: lhs.minus(rhs),
+            upper,
+            strict,
+        }
+    }
+
+    /// The LIA constraint of the comparison or, unless `positive`, of its
+    /// negation: `¬(d ≤ 0)` is `d > 0`, which over the integers is
+    /// `d − 1 ≥ 0`.
+    fn constraint(&self, positive: bool) -> Constraint {
+        let (upper, strict) = (self.upper == positive, self.strict == positive);
+        let mut expr = self.diff.clone();
+        if strict {
+            expr.constant = expr.constant + Rational::from_int(if upper { 1 } else { -1 });
+        }
+        let rel = if upper { Rel::Le } else { Rel::Ge };
+        Constraint { expr, rel }
+    }
 }
 
 /// The encoded problem.
@@ -128,61 +170,29 @@ impl Encoded {
     /// their [`VarId`]s differ. Opaque atoms have no arithmetic content
     /// and never participate in theory conflicts, so they yield `None`.
     pub fn portable_atom_key(&self, atom: usize) -> Option<String> {
-        let TheoryAtom::Compare(op, lhs, rhs) = &self.atoms[atom] else {
+        let TheoryAtom::Compare(c) = &self.atoms[atom] else {
             return None;
         };
-        let diff = lhs.minus(rhs);
-        let (tag, diff) = match op {
-            BinOp::Le => ("le", diff),
-            BinOp::Lt => ("lt", diff),
-            BinOp::Ge => ("le", diff.scaled(-Rational::ONE)),
-            BinOp::Gt => ("lt", diff.scaled(-Rational::ONE)),
-            _ => return None,
-        };
-        let mut parts: Vec<String> = diff
+        let sign = Rational::from_int(if c.upper { 1 } else { -1 });
+        let mut parts: Vec<String> = c
+            .diff
             .coeffs
             .iter()
-            .map(|(v, c)| format!("{c:?}*[{}]", self.arith_names[*v]))
+            .map(|(v, k)| format!("{:?}*[{}]", *k * sign, self.arith_names[*v]))
             .collect();
         parts.sort();
-        Some(format!("{tag}:{:?}:{}", diff.constant, parts.join("+")))
+        let tag = if c.strict { "lt" } else { "le" };
+        let constant = c.diff.constant * sign;
+        Some(format!("{tag}:{constant:?}:{}", parts.join("+")))
     }
 
     /// The LIA constraint of a comparison atom with the given truth
     /// value. Opaque atoms yield `None`.
     pub fn atom_constraint(&self, atom: usize, positive: bool) -> Option<&Constraint> {
-        let TheoryAtom::Compare(op, lhs, rhs) = &self.atoms[atom] else {
+        let TheoryAtom::Compare(c) = &self.atoms[atom] else {
             return None;
         };
-        Some(
-            self.constraints[atom][usize::from(positive)]
-                .get_or_init(|| compare_constraint(*op, lhs, rhs, positive)),
-        )
-    }
-}
-
-/// Converts a comparison atom (with the given truth value) into a LIA
-/// constraint.
-fn compare_constraint(op: BinOp, lhs: &LinExpr, rhs: &LinExpr, positive: bool) -> Constraint {
-    let op = if positive {
-        op
-    } else {
-        // Negate the comparison over the integers.
-        match op {
-            BinOp::Le => BinOp::Gt,
-            BinOp::Lt => BinOp::Ge,
-            BinOp::Ge => BinOp::Lt,
-            BinOp::Gt => BinOp::Le,
-            _ => unreachable!("comparison atoms are only ≤ < ≥ >"),
-        }
-    };
-    let (lhs, rhs) = (lhs.clone(), rhs.clone());
-    match op {
-        BinOp::Le => Constraint::le(lhs, rhs),
-        BinOp::Lt => Constraint::lt_int(lhs, rhs),
-        BinOp::Ge => Constraint::ge(lhs, rhs),
-        BinOp::Gt => Constraint::gt_int(lhs, rhs),
-        _ => unreachable!(),
+        Some(self.constraints[atom][usize::from(positive)].get_or_init(|| c.constraint(positive)))
     }
 }
 
@@ -232,19 +242,19 @@ impl Encoder {
 
     /// Finishes encoding: adds Ackermann functional-consistency
     /// constraints and returns the full problem for the given skeleton.
-    pub fn finish(&mut self, skeleton: Skeleton) -> Encoded {
+    pub fn finish(mut self, skeleton: Skeleton) -> Encoded {
         self.add_congruence_conditions();
         let mut arith_names = vec![String::new(); self.arith_vars.len()];
-        for (name, id) in &self.arith_vars {
-            arith_names[*id] = name.clone();
+        for (name, id) in self.arith_vars {
+            arith_names[id] = name;
         }
         Encoded {
             skeleton,
-            side_conditions: self.side_conditions.clone(),
-            atoms: self.atoms.clone(),
-            num_arith_vars: self.arith_vars.len(),
+            side_conditions: self.side_conditions,
+            num_arith_vars: arith_names.len(),
             arith_names,
             constraints: self.atoms.iter().map(|_| Default::default()).collect(),
+            atoms: self.atoms,
         }
     }
 
@@ -455,34 +465,33 @@ impl Encoder {
         } else {
             atom.to_string()
         };
-        if let Some(&idx) = self.atom_index.get(&key) {
-            return idx;
-        }
-        let theory_atom = match atom {
+        self.atom(key, |enc| match atom {
             Term::Binary(op @ (BinOp::Le | BinOp::Lt | BinOp::Ge | BinOp::Gt), a, b) => {
-                let lhs = self.linearize(a);
-                let rhs = self.linearize(b);
-                TheoryAtom::Compare(*op, lhs, rhs)
+                let (lhs, rhs) = (enc.linearize(a), enc.linearize(b));
+                TheoryAtom::Compare(Comparison::new(*op, &lhs, &rhs))
             }
-            Term::Binary(BinOp::Eq | BinOp::Neq, _, _) => {
-                // Equalities over integer-modelled sorts were atomized away;
-                // any residual equality (e.g. over an unknown sort) is opaque.
-                TheoryAtom::Opaque(key.clone())
-            }
-            Term::Var(name, Sort::Bool) => TheoryAtom::Opaque(name.clone()),
             Term::App(_, _, _) => {
                 // A boolean-valued application: purify it so that
                 // congruence clauses relate applications with equal
                 // arguments.
-                let var_key = self.purify_app(atom);
-                TheoryAtom::Opaque(var_key)
+                enc.purify_app(atom);
+                TheoryAtom::Opaque
             }
-            _ => TheoryAtom::Opaque(key.clone()),
-        };
-        let idx = self.atoms.len();
-        self.atoms.push(theory_atom);
-        self.atom_index.insert(key, idx);
-        idx
+            // A boolean variable, or an equality over a sort that is not
+            // integer-modelled (the others were atomized away).
+            _ => TheoryAtom::Opaque,
+        })
+    }
+
+    /// The index of the atom keyed `key`, built by `make` on first use.
+    fn atom(&mut self, key: String, make: impl FnOnce(&mut Encoder) -> TheoryAtom) -> usize {
+        if let Some(&idx) = self.atom_index.get(&key) {
+            return idx;
+        }
+        let atom = make(self);
+        self.atoms.push(atom);
+        self.atom_index.insert(key, self.atoms.len() - 1);
+        self.atoms.len() - 1
     }
 
     /// Converts an integer-modelled term into a linear expression,
@@ -542,10 +551,10 @@ impl Encoder {
     /// for every pair of applications `f(a⃗)` and `f(b⃗)`,
     /// `a⃗ = b⃗ ⇒ f(a⃗) = f(b⃗)`.
     fn add_congruence_conditions(&mut self) {
-        let apps = self.apps.clone();
-        for (name, instances) in &apps {
+        let apps = std::mem::take(&mut self.apps);
+        for instances in apps.values() {
             for i in 0..instances.len() {
-                for j in (i + 1)..instances.len() {
+                'pairs: for j in (i + 1)..instances.len() {
                     let (args_i, key_i, result_sort) = &instances[i];
                     let (args_j, key_j, _) = &instances[j];
                     if args_i.len() != args_j.len() {
@@ -570,25 +579,12 @@ impl Encoder {
                             // Boolean argument equality is not expressible
                             // as a linear atom; skip this pair (sound:
                             // fewer consequences).
-                            antecedent.clear();
-                            break;
+                            continue 'pairs;
                         }
-                        let la = self.linearize(a);
-                        let lb = self.linearize(b);
-                        let le = self.compare_atom(BinOp::Le, la.clone(), lb.clone());
-                        let ge = self.compare_atom(BinOp::Ge, la, lb);
-                        antecedent.push(Skeleton::Lit(le, true));
-                        antecedent.push(Skeleton::Lit(ge, true));
-                    }
-                    if args_i
-                        .iter()
-                        .zip(args_j.iter())
-                        .any(|(a, b)| a != b && a.sort() == Sort::Bool)
-                    {
-                        continue;
+                        let (la, lb) = (self.linearize(a), self.linearize(b));
+                        antecedent.extend(self.equality_atoms(&la, &lb));
                     }
                     let consequent = self.result_equality(result_sort, key_i, key_j);
-                    let _ = name;
                     let mut clause: Vec<Skeleton> =
                         antecedent.into_iter().map(negate_skeleton).collect();
                     clause.push(consequent);
@@ -598,33 +594,22 @@ impl Encoder {
         }
     }
 
-    fn compare_atom(&mut self, op: BinOp, lhs: LinExpr, rhs: LinExpr) -> usize {
-        let key = format!("cmp:{op:?}:{lhs:?}:{rhs:?}");
-        if let Some(&idx) = self.atom_index.get(&key) {
-            return idx;
-        }
-        let idx = self.atoms.len();
-        self.atoms.push(TheoryAtom::Compare(op, lhs, rhs));
-        self.atom_index.insert(key, idx);
-        idx
-    }
-
-    fn opaque_atom(&mut self, key: &str) -> usize {
-        if let Some(&idx) = self.atom_index.get(key) {
-            return idx;
-        }
-        let idx = self.atoms.len();
-        self.atoms.push(TheoryAtom::Opaque(key.to_string()));
-        self.atom_index.insert(key.to_string(), idx);
-        idx
+    /// The literals `lhs ≤ rhs` and `lhs ≥ rhs`, which together say
+    /// `lhs = rhs`.
+    fn equality_atoms(&mut self, lhs: &LinExpr, rhs: &LinExpr) -> [Skeleton; 2] {
+        [BinOp::Le, BinOp::Ge].map(|op| {
+            let key = format!("cmp:{op:?}:{lhs:?}:{rhs:?}");
+            let atom = self.atom(key, |_| TheoryAtom::Compare(Comparison::new(op, lhs, rhs)));
+            Skeleton::Lit(atom, true)
+        })
     }
 
     fn result_equality(&mut self, result_sort: &Sort, key_i: &str, key_j: &str) -> Skeleton {
         // Boolean-valued applications (membership predicates, boolean
         // measures) need an iff; integer-valued ones an arithmetic equality.
         if *result_sort == Sort::Bool {
-            let bi = self.opaque_atom(key_i);
-            let bj = self.opaque_atom(key_j);
+            let [bi, bj] =
+                [key_i, key_j].map(|key| self.atom(key.to_string(), |_| TheoryAtom::Opaque));
             // bi ⇔ bj  ≡  (¬bi ∨ bj) ∧ (bi ∨ ¬bj)
             Skeleton::and(vec![
                 Skeleton::or(vec![Skeleton::Lit(bi, false), Skeleton::Lit(bj, true)]),
@@ -633,9 +618,7 @@ impl Encoder {
         } else {
             let vi = LinExpr::variable(self.arith_var(key_i));
             let vj = LinExpr::variable(self.arith_var(key_j));
-            let le = self.compare_atom(BinOp::Le, vi.clone(), vj.clone());
-            let ge = self.compare_atom(BinOp::Ge, vi, vj);
-            Skeleton::and(vec![Skeleton::Lit(le, true), Skeleton::Lit(ge, true)])
+            Skeleton::and(self.equality_atoms(&vi, &vj).into())
         }
     }
 }
@@ -783,8 +766,41 @@ mod tests {
         assert!(matches!(sk, Skeleton::Lit(0, true)));
         assert!(matches!(
             problem.atoms[0],
-            TheoryAtom::Compare(BinOp::Le, _, _)
+            TheoryAtom::Compare(Comparison {
+                upper: true,
+                strict: false,
+                ..
+            })
         ));
+    }
+
+    #[test]
+    fn comparison_atoms_negate_over_the_integers() {
+        type Build = fn(LinExpr, LinExpr) -> Constraint;
+        let table: [(Term, Build, Build); 4] = [
+            (x().le(y()), Constraint::le, Constraint::gt_int),
+            (x().lt(y()), Constraint::lt_int, Constraint::ge),
+            (x().ge(y()), Constraint::ge, Constraint::lt_int),
+            (x().gt(y()), Constraint::gt_int, Constraint::le),
+        ];
+        let (vx, vy) = (LinExpr::variable(0), LinExpr::variable(1));
+        for (atom, positive, negative) in table {
+            let mut enc = Encoder::new();
+            let sk = enc.encode(&atom);
+            assert_eq!(sk, Skeleton::Lit(0, true), "{atom}");
+            let problem = enc.finish(sk);
+            let expected = |build: Build| Some(build(vx.clone(), vy.clone()));
+            assert_eq!(
+                problem.atom_constraint(0, true).cloned(),
+                expected(positive),
+                "{atom}"
+            );
+            assert_eq!(
+                problem.atom_constraint(0, false).cloned(),
+                expected(negative),
+                "not {atom}"
+            );
+        }
     }
 
     #[test]
@@ -838,7 +854,7 @@ mod tests {
         let opaque: Vec<_> = problem
             .atoms
             .iter()
-            .filter(|a| matches!(a, TheoryAtom::Opaque(_)))
+            .filter(|a| matches!(a, TheoryAtom::Opaque))
             .collect();
         assert!(
             opaque.len() >= 2,

@@ -89,7 +89,7 @@ pub fn enumerate_mus(
         }
         // Find an unexplored seed.
         let model = match map.solve() {
-            SatResult::Unsat(_) => break,
+            SatResult::Unsat => break,
             SatResult::Sat(model) => model,
         };
         let mut seed: BTreeSet<usize> = (0..n)

@@ -65,9 +65,8 @@ impl Lit {
 pub enum SatResult {
     /// Satisfiable; the model maps every variable to a boolean.
     Sat(Vec<bool>),
-    /// Unsatisfiable. When solving under assumptions, contains the subset
-    /// of assumption literals involved in the refutation (a "core").
-    Unsat(Vec<Lit>),
+    /// Unsatisfiable (under the assumptions, when solving under some).
+    Unsat,
 }
 
 impl SatResult {
@@ -398,12 +397,10 @@ impl SatSolver {
         self.solve_with_assumptions(&[])
     }
 
-    /// Solves under the given assumption literals. If the result is
-    /// unsatisfiable, the returned core is a subset of the assumptions that
-    /// suffices for unsatisfiability (not necessarily minimal).
+    /// Solves under the given assumption literals.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
         if self.has_empty_clause {
-            return SatResult::Unsat(vec![]);
+            return SatResult::Unsat;
         }
         for l in assumptions {
             self.reserve_vars(l.var() + 1);
@@ -424,21 +421,17 @@ impl SatSolver {
         self.propagate_head = 0;
 
         if self.propagate().is_some() {
-            return SatResult::Unsat(vec![]);
+            return SatResult::Unsat;
         }
 
-        let mut conflicts = 0usize;
         loop {
             // Apply assumptions as pseudo-decisions first.
             let mut all_assumed = true;
             for &a in assumptions {
                 match self.value(a) {
                     Value::True => continue,
-                    Value::False => {
-                        // Conflict with assumptions: collect involved assumptions.
-                        let core = self.assumption_core(a, assumptions);
-                        return SatResult::Unsat(core);
-                    }
+                    // The assumptions contradict each other or the clauses.
+                    Value::False => return SatResult::Unsat,
                     Value::Unassigned => {
                         self.trail_lim.push(self.trail.len());
                         self.enqueue(a, None);
@@ -449,18 +442,15 @@ impl SatSolver {
             }
             if !all_assumed {
                 if let Some(conflict) = self.propagate() {
+                    // A conflict with no free decision on the trail.
                     if self.decision_level() <= assumptions.len() {
-                        // Conflict among assumptions.
-                        let core = self.conflict_assumptions(conflict, assumptions);
-                        return SatResult::Unsat(core);
+                        return SatResult::Unsat;
                     }
-                    conflicts += 1;
                     let (learned, bt) = self.analyze(conflict);
                     self.backtrack(bt);
                     let unit = learned[0];
                     self.add_clause_runtime(learned);
                     self.enqueue_learned(unit);
-                    let _ = conflicts;
                 }
                 continue;
             }
@@ -481,14 +471,10 @@ impl SatSolver {
             }
 
             while let Some(conflict) = self.propagate() {
-                if self.decision_level() == 0 {
-                    return SatResult::Unsat(assumptions.to_vec());
-                }
+                // A conflict with no free decision on the trail.
                 if self.decision_level() <= assumptions.len() {
-                    let core = self.conflict_assumptions(conflict, assumptions);
-                    return SatResult::Unsat(core);
+                    return SatResult::Unsat;
                 }
-                conflicts += 1;
                 self.var_inc *= 1.05;
                 let (learned, bt) = self.analyze(conflict);
                 self.backtrack(bt.max(assumptions.len().min(self.decision_level())));
@@ -519,23 +505,6 @@ impl SatSolver {
             let cid = self.clauses.len() - 1;
             self.enqueue(unit, Some(cid));
         }
-    }
-
-    fn assumption_core(&self, _failed: Lit, assumptions: &[Lit]) -> Vec<Lit> {
-        // Conservative core: all assumptions assigned so far.
-        assumptions
-            .iter()
-            .copied()
-            .filter(|a| !matches!(self.value(*a), Value::Unassigned))
-            .collect()
-    }
-
-    fn conflict_assumptions(&self, _conflict: usize, assumptions: &[Lit]) -> Vec<Lit> {
-        assumptions
-            .iter()
-            .copied()
-            .filter(|a| !matches!(self.value(*a), Value::Unassigned))
-            .collect()
     }
 }
 

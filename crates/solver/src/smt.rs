@@ -597,7 +597,7 @@ impl Smt {
             let model = {
                 let _sat_span = synquid_telemetry::span(Phase::Sat);
                 match session.sat.solve_with_assumptions(assumptions) {
-                    SatResult::Unsat(_) => return SmtResult::Unsat,
+                    SatResult::Unsat => return SmtResult::Unsat,
                     SatResult::Sat(model) => model,
                 }
             };
@@ -781,44 +781,6 @@ struct NormAtom {
     bound: Rational,
 }
 
-/// Normalizes one comparison atom; `None` for non-comparisons and for
-/// ground (variable-free) comparisons, which the encoder already folds.
-fn normalize_atom(
-    idx: usize,
-    op: synquid_logic::BinOp,
-    lhs: &crate::lia::LinExpr,
-    rhs: &crate::lia::LinExpr,
-) -> Option<(Vec<(crate::lia::VarId, Rational)>, NormAtom)> {
-    use synquid_logic::BinOp;
-    let diff = lhs.minus(rhs);
-    let (mut upper, strict) = match op {
-        BinOp::Le => (true, false),
-        BinOp::Lt => (true, true),
-        BinOp::Ge => (false, false),
-        BinOp::Gt => (false, true),
-        _ => return None,
-    };
-    // `diff ⋈ 0` is `Σ cᵢxᵢ ⋈ -k`. Dividing by the leading coefficient
-    // makes it 1; a negative leading coefficient flips the direction.
-    let lead = *diff.coeffs.values().next()?;
-    let scale = lead.recip();
-    if lead.is_negative() {
-        upper = !upper;
-    }
-    let combo: Vec<(crate::lia::VarId, Rational)> =
-        diff.coeffs.iter().map(|(v, c)| (*v, *c * scale)).collect();
-    let bound = -diff.constant * scale;
-    Some((
-        combo,
-        NormAtom {
-            idx,
-            upper,
-            strict,
-            bound,
-        },
-    ))
-}
-
 /// True when normalized atom `a` implies normalized atom `b`, both bounds
 /// in the *same* direction over the same combination: a tighter (or
 /// equally tight, no-weaker-strictness) bound implies a looser one. The
@@ -849,11 +811,28 @@ fn bound_axioms(problem: &Encoded) -> (Vec<Vec<Lit>>, usize) {
     let mut groups: std::collections::BTreeMap<Vec<(crate::lia::VarId, Rational)>, Vec<NormAtom>> =
         std::collections::BTreeMap::new();
     for (idx, atom) in problem.atoms.iter().enumerate() {
-        if let TheoryAtom::Compare(op, lhs, rhs) = atom {
-            if let Some((combo, norm)) = normalize_atom(idx, *op, lhs, rhs) {
-                groups.entry(combo).or_default().push(norm);
-            }
-        }
+        let TheoryAtom::Compare(c) = atom else {
+            continue;
+        };
+        // Ground comparisons have no combination; the encoder folds them.
+        let Some(&lead) = c.diff.coeffs.values().next() else {
+            continue;
+        };
+        // `diff ⋈ 0` is `Σ cᵢxᵢ ⋈ -k`. Dividing by the leading coefficient
+        // makes it 1; a negative leading coefficient flips the direction.
+        let scale = lead.recip();
+        let combo = c
+            .diff
+            .coeffs
+            .iter()
+            .map(|(v, k)| (*v, *k * scale))
+            .collect();
+        groups.entry(combo).or_default().push(NormAtom {
+            idx,
+            upper: c.upper != lead.is_negative(),
+            strict: c.strict,
+            bound: -c.diff.constant * scale,
+        });
     }
     let mut clauses: Vec<Vec<Lit>> = Vec::new();
     let mut cross_bound = 0usize;

@@ -64,7 +64,7 @@ fn cdcl_agrees_with_brute_force() {
                     );
                 }
             }
-            SatResult::Unsat(_) => {
+            SatResult::Unsat => {
                 assert!(
                     !expected,
                     "seed {seed}: solver said UNSAT on a SAT instance"

@@ -107,6 +107,10 @@ impl Datatype {
 ///   Cons :: x: β → xs: List β →
 ///           {List β | len ν = len xs + 1 ∧ elems ν = elems xs + [x]}
 /// ```
+///
+/// The corpus declares every datatype in `.sq`; this builder serves the
+/// crates below the parser, and the desugarer's tests pin it to the
+/// `.sq` `List`.
 pub fn list_datatype() -> Datatype {
     let beta = "b".to_string();
     let list_base = BaseType::Data("List".into(), vec![RType::tyvar(beta.clone())]);
@@ -174,163 +178,6 @@ pub fn list_datatype() -> Datatype {
     }
 }
 
-/// Builds the binary-search-tree datatype of Sec. 2 (Example 2), with the
-/// `size` termination measure and the `keys` set measure. The BST ordering
-/// invariant is encoded in the constructor argument types.
-pub fn bst_datatype() -> Datatype {
-    let alpha = "a".to_string();
-    let elem_sort = Sort::var(alpha.clone());
-    let bst_base = BaseType::Data("BST".into(), vec![RType::tyvar(alpha.clone())]);
-    let bst_sort = bst_base.sort();
-    let size = |t: Term| Term::app("size", vec![t], Sort::Int);
-    let keys = |t: Term| Term::app("keys", vec![t], Sort::set(elem_sort.clone()));
-    let nu = || Term::value_var(bst_sort.clone());
-
-    let empty_refinement = size(nu())
-        .eq(Term::int(0))
-        .and(keys(nu()).eq(Term::empty_set(elem_sort.clone())));
-    let empty = Constructor {
-        name: "Empty".into(),
-        schema: Schema::forall(
-            vec![alpha.clone()],
-            RType::refined(bst_base.clone(), empty_refinement),
-        ),
-    };
-
-    let x = Term::var("x", elem_sort.clone());
-    let l = Term::var("l", bst_sort.clone());
-    let r = Term::var("r", bst_sort.clone());
-    // l : BST {α | ν < x}, r : BST {α | x < ν}
-    let left_elem = RType::refined(
-        BaseType::TypeVar(alpha.clone()),
-        Term::value_var(elem_sort.clone()).lt(x.clone()),
-    );
-    let right_elem = RType::refined(
-        BaseType::TypeVar(alpha.clone()),
-        x.clone().lt(Term::value_var(elem_sort.clone())),
-    );
-    let node_refinement = size(nu())
-        .eq(size(l.clone()).plus(size(r.clone())).plus(Term::int(1)))
-        .and(
-            keys(nu()).eq(keys(l)
-                .union(keys(r))
-                .union(Term::singleton(elem_sort.clone(), x))),
-        );
-    let node = Constructor {
-        name: "Node".into(),
-        schema: Schema::forall(
-            vec![alpha.clone()],
-            RType::fun_n(
-                vec![
-                    ("x".to_string(), RType::tyvar(alpha.clone())),
-                    (
-                        "l".to_string(),
-                        RType::base(BaseType::Data("BST".into(), vec![left_elem])),
-                    ),
-                    (
-                        "r".to_string(),
-                        RType::base(BaseType::Data("BST".into(), vec![right_elem])),
-                    ),
-                ],
-                RType::refined(bst_base.clone(), node_refinement),
-            ),
-        ),
-    };
-
-    Datatype {
-        name: "BST".into(),
-        type_params: vec![alpha],
-        constructors: vec![empty, node],
-        measures: vec![
-            Measure {
-                name: "size".into(),
-                datatype: "BST".into(),
-                result: Sort::Int,
-                non_negative: true,
-            },
-            Measure {
-                name: "keys".into(),
-                datatype: "BST".into(),
-                result: Sort::set(elem_sort),
-                non_negative: false,
-            },
-        ],
-        termination_measure: Some("size".into()),
-    }
-}
-
-/// Builds an increasing-list datatype (`IList` in the paper's Example 4):
-/// the `Cons` constructor requires the head to be no greater than every
-/// element of the tail, expressed through the element type of the tail.
-pub fn increasing_list_datatype() -> Datatype {
-    let alpha = "a".to_string();
-    let elem_sort = Sort::var(alpha.clone());
-    let ilist_base = BaseType::Data("IList".into(), vec![RType::tyvar(alpha.clone())]);
-    let ilist_sort = ilist_base.sort();
-    let ilen = |t: Term| Term::app("ilen", vec![t], Sort::Int);
-    let ielems = |t: Term| Term::app("ielems", vec![t], Sort::set(elem_sort.clone()));
-    let nu = || Term::value_var(ilist_sort.clone());
-
-    let nil_refinement = ilen(nu())
-        .eq(Term::int(0))
-        .and(ielems(nu()).eq(Term::empty_set(elem_sort.clone())));
-    let inil = Constructor {
-        name: "INil".into(),
-        schema: Schema::forall(
-            vec![alpha.clone()],
-            RType::refined(ilist_base.clone(), nil_refinement),
-        ),
-    };
-
-    let x = Term::var("x", elem_sort.clone());
-    let xs = Term::var("xs", ilist_sort.clone());
-    // xs : IList {α | x ≤ ν}
-    let tail_elem = RType::refined(
-        BaseType::TypeVar(alpha.clone()),
-        x.clone().le(Term::value_var(elem_sort.clone())),
-    );
-    let cons_refinement = ilen(nu())
-        .eq(ilen(xs.clone()).plus(Term::int(1)))
-        .and(ielems(nu()).eq(ielems(xs).union(Term::singleton(elem_sort.clone(), x))));
-    let icons = Constructor {
-        name: "ICons".into(),
-        schema: Schema::forall(
-            vec![alpha.clone()],
-            RType::fun_n(
-                vec![
-                    ("x".to_string(), RType::tyvar(alpha.clone())),
-                    (
-                        "xs".to_string(),
-                        RType::base(BaseType::Data("IList".into(), vec![tail_elem])),
-                    ),
-                ],
-                RType::refined(ilist_base.clone(), cons_refinement),
-            ),
-        ),
-    };
-
-    Datatype {
-        name: "IList".into(),
-        type_params: vec![alpha],
-        constructors: vec![inil, icons],
-        measures: vec![
-            Measure {
-                name: "ilen".into(),
-                datatype: "IList".into(),
-                result: Sort::Int,
-                non_negative: true,
-            },
-            Measure {
-                name: "ielems".into(),
-                datatype: "IList".into(),
-                result: Sort::set(elem_sort),
-                non_negative: false,
-            },
-        ],
-        termination_measure: Some("ilen".into()),
-    }
-}
-
 /// A registry of datatype declarations keyed by name.
 pub type Datatypes = BTreeMap<String, Datatype>;
 
@@ -349,40 +196,11 @@ mod tests {
     }
 
     #[test]
-    fn bst_node_encodes_ordering_in_argument_types() {
-        let bst = bst_datatype();
-        let node = bst.constructor("Node").unwrap();
-        let (args, _) = node.schema.ty.uncurry();
-        assert_eq!(args.len(), 3);
-        // The left subtree's element type is refined with ν < x.
-        let left = &args[1].1;
-        match left.base_type().unwrap() {
-            BaseType::Data(_, params) => {
-                assert!(params[0].refinement().to_string().contains("<"));
-            }
-            _ => panic!("expected datatype"),
-        }
-    }
-
-    #[test]
     fn measure_application_builds_terms() {
         let list = list_datatype();
         let len = list.measure("len").unwrap();
         let t = len.apply(Term::var("xs", Sort::data("List", vec![Sort::Int])));
         assert_eq!(t.to_string(), "len xs");
         assert!(len.non_negative);
-    }
-
-    #[test]
-    fn increasing_list_tail_requires_ordering() {
-        let ilist = increasing_list_datatype();
-        let icons = ilist.constructor("ICons").unwrap();
-        let (args, _) = icons.schema.ty.uncurry();
-        match args[1].1.base_type().unwrap() {
-            BaseType::Data(_, params) => {
-                assert!(params[0].refinement().to_string().contains("<="));
-            }
-            _ => panic!("expected datatype"),
-        }
     }
 }

@@ -29,10 +29,7 @@ pub mod solve;
 pub mod termination;
 pub mod ty;
 
-pub use data::{
-    bst_datatype, increasing_list_datatype, list_datatype, Constructor, Datatype, Datatypes,
-    Measure,
-};
+pub use data::{list_datatype, Constructor, Datatype, Datatypes, Measure};
 pub use env::Environment;
 pub use solve::{ConstraintSolver, TypeError};
 pub use termination::{terminating_argument, termination_metric, weaken_for_recursion};

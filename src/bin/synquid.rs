@@ -31,8 +31,9 @@
 //!
 //! Every entry point — the batch runner, `explain`, and `fuzz` — borrows
 //! its solver state (interner, validity cache, enumeration memo, lemma
-//! store) from one [`SynthesisSession`] rather than constructing caches
-//! of its own; see `synquid_engine::session` for the residency rules.
+//! store, MUS memo) from one [`SynthesisSession`] rather than
+//! constructing caches of its own; see `synquid_engine::session` for the
+//! residency rules.
 //!
 //! `synquid fuzz` is the runtime soundness oracle: it synthesizes each
 //! selected goal through the full pipeline, runs the result on seeded
