@@ -56,7 +56,8 @@ pub struct SolverContext {
     /// The lemmas of `caches.lemmas`, frozen when the context was built,
     /// so every run of the context replays the same seed.
     pub lemma_seed: LemmaSeed,
-    /// Cooperative cancellation observed by deadline checks.
+    /// Cooperative cancellation, part of the [`Budget`](synquid_solver::Budget)
+    /// of every run on this context.
     pub cancel: CancellationToken,
 }
 

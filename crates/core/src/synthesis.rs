@@ -17,7 +17,7 @@
 //!   recurses into the branches.
 
 use crate::ast::{Case, Program};
-use crate::context::{CancellationToken, SolverContext};
+use crate::context::SolverContext;
 use crate::memo::{shape_key, EnumerationCache, GenerationEntry, ShapedCandidate};
 use crate::options::SynthesisConfig;
 use std::collections::{BTreeMap, HashSet};
@@ -25,7 +25,7 @@ use std::sync::Arc;
 use std::time::Instant;
 use synquid_horn::StrengthenBackend;
 use synquid_logic::{Sort, Substitution, Term};
-use synquid_solver::Smt;
+use synquid_solver::{Budget, Smt};
 use synquid_telemetry::{events, events::Event, json::Json, Phase, PhaseProfile};
 use synquid_types::{
     is_free_type_var, weaken_for_recursion, BaseType, ConstraintSolver, Environment, RType, Schema,
@@ -191,8 +191,9 @@ pub struct Synthesizer {
     config: SynthesisConfig,
     /// The shared SMT solver (statistics survive backtracking).
     pub smt: Smt,
-    cancel: CancellationToken,
-    deadline: Instant,
+    /// The context's cancellation token, plus the deadline of the current
+    /// [`Synthesizer::synthesize`] call.
+    budget: Budget,
     stats: SynthesisStats,
     /// The E-term generation memo (shared through the [`SolverContext`]
     /// with sibling rungs and goals).
@@ -223,7 +224,6 @@ impl Synthesizer {
     /// backend feeds (and is fed by) the context's caches, and the run
     /// stops early when the context's token is cancelled.
     pub fn with_context(config: SynthesisConfig, context: &SolverContext) -> Synthesizer {
-        let deadline = Instant::now() + config.timeout;
         let caches = &context.caches;
         let mut smt = Smt::with_session(
             caches.validity.clone(),
@@ -231,19 +231,12 @@ impl Synthesizer {
             context.lemma_seed.clone(),
             caches.lemmas.clone(),
         );
-        // Budget enforcement reaches the DPLL(T) loop itself: a single
-        // liquid-abduction round can spend the whole budget inside one
-        // fixpoint strengthening, so deadline checks between candidates
-        // alone would overshoot by minutes.
         smt.set_incremental(config.incremental_smt);
         smt.set_incremental_lia(config.incremental_lia);
-        smt.set_deadline(Some(deadline));
-        smt.set_cancellation(Some(context.cancel.clone()));
         Synthesizer {
             config,
             smt,
-            cancel: context.cancel.clone(),
-            deadline,
+            budget: Budget::from(context.cancel.clone()),
             stats: SynthesisStats::default(),
             memo: caches.enumeration.clone(),
             goal_name: String::new(),
@@ -286,8 +279,8 @@ impl Synthesizer {
         format!("__{prefix}{n}")
     }
 
-    fn check_deadline(&self) -> Result<(), SynthesisError> {
-        if Instant::now() > self.deadline || self.cancel.is_cancelled() {
+    fn check_budget(&self) -> Result<(), SynthesisError> {
+        if self.budget.exhausted() {
             Err(SynthesisError::Timeout(self.goal_name.clone()))
         } else {
             Ok(())
@@ -297,6 +290,12 @@ impl Synthesizer {
     /// Synthesizes a program for the goal.
     pub fn synthesize(&mut self, goal: &Goal) -> Result<Synthesized, SynthesisError> {
         let start = Instant::now();
+        // Budget enforcement reaches the DPLL(T) loop and the simplex: a
+        // single liquid-abduction round can spend the whole budget inside
+        // one fixpoint strengthening, so checks between candidates alone
+        // would overshoot by minutes.
+        self.budget = self.budget.until(start + self.config.timeout);
+        self.smt.set_budget(self.budget.clone());
         self.node_counter = 0;
         self.current_node = 0;
         // One synthesis run stays on one thread, so the run's phase
@@ -304,16 +303,13 @@ impl Synthesizer {
         // cross-worker bleed).
         let profile = synquid_telemetry::window();
         let mut result = self.synthesize_goal(goal, start);
-        // A search that exhausted its candidates *after* the deadline
-        // passed (or cancellation fired) may have done so only because
-        // interrupted SMT queries answered `Unknown`: its `NoSolution`
-        // reflects the budget, not the search space, and must not be
-        // reported as a genuine exhaustion (the portfolio ledger treats
-        // genuine failures as evidence that equivalent deeper rungs can
-        // be skipped).
-        if matches!(result, Err(SynthesisError::NoSolution(_)))
-            && (Instant::now() > self.deadline || self.cancel.is_cancelled())
-        {
+        // A search that exhausted its candidates *after* the budget ran
+        // out may have done so only because interrupted SMT queries
+        // answered `Unknown`: its `NoSolution` reflects the budget, not
+        // the search space, and must not be reported as a genuine
+        // exhaustion (the portfolio ledger treats genuine failures as
+        // evidence that equivalent deeper rungs can be skipped).
+        if matches!(result, Err(SynthesisError::NoSolution(_))) && self.budget.exhausted() {
             result = Err(SynthesisError::Timeout(self.goal_name.clone()));
         }
         // Record wall time on failures too: [`Synthesizer::stats`] (and
@@ -335,8 +331,6 @@ impl Synthesizer {
         goal: &Goal,
         start: Instant,
     ) -> Result<Synthesized, SynthesisError> {
-        self.deadline = start + self.config.timeout;
-        self.smt.set_deadline(Some(self.deadline));
         self.goal_name = goal.name.clone();
         let mut env = goal.env.clone();
         env.add_qualifiers_from_type(&goal.schema.ty);
@@ -462,7 +456,7 @@ impl Synthesizer {
         branch_depth: usize,
         match_depth: usize,
     ) -> Result<Program, SynthesisError> {
-        self.check_deadline()?;
+        self.check_budget()?;
 
         // Function goals: introduce lambdas (rule ABS).
         if goal.is_function() {
@@ -497,7 +491,7 @@ impl Synthesizer {
                     .uint("n", candidates.len() as u64)
             });
             for (program, condition) in candidates {
-                self.check_deadline()?;
+                self.check_budget()?;
                 if condition.is_true() {
                     return Ok(program);
                 }
@@ -651,7 +645,7 @@ impl Synthesizer {
         cand: &ShapedCandidate,
         base_solver: &ConstraintSolver,
     ) -> Result<Option<(Program, ConstraintSolver)>, SynthesisError> {
-        self.check_deadline()?;
+        self.check_budget()?;
         self.stats.eterms_checked += 1;
         let label = cand.program.to_string();
         let mut s = base_solver.clone();
@@ -800,7 +794,7 @@ impl Synthesizer {
         shape: &RType,
         depth: usize,
     ) -> Result<Arc<Vec<ShapedCandidate>>, SynthesisError> {
-        self.check_deadline()?;
+        self.check_budget()?;
         // Recursive calls nest `Generation` spans; self-time attribution
         // charges each level only for its own work, so the phase total
         // stays additive however deep the enumeration recurses.
@@ -989,7 +983,7 @@ impl Synthesizer {
 
         let names: Vec<String> = env.var_names().to_vec();
         for head in &names {
-            self.check_deadline()?;
+            self.check_budget()?;
             let Some(schema) = env.lookup(head).cloned() else {
                 continue;
             };
@@ -1026,7 +1020,7 @@ impl Synthesizer {
             for (i, (formal, arg_ty)) in fargs.iter().enumerate() {
                 let mut next = Vec::new();
                 for partial in partials {
-                    self.check_deadline()?;
+                    self.check_budget()?;
                     let expected = arg_ty.substitute(&partial.subst);
                     let resolved = partial.solver.resolve(&expected);
                     if resolved.is_function() {
@@ -1253,7 +1247,7 @@ impl Synthesizer {
             }
         }
         'scrutinee: for (scrut, dt_name, targs) in scrutinees {
-            self.check_deadline()?;
+            self.check_budget()?;
             let Some(dt) = env.datatype(&dt_name).cloned() else {
                 continue;
             };

@@ -135,14 +135,6 @@ impl Assignment {
     pub fn apply(&self, registry: &UnknownRegistry, term: &Term) -> Term {
         term.apply_unknowns(&|id, pending| self.valuation_term(registry, id, pending))
     }
-
-    /// True if `other` assigns a superset of atoms to every unknown.
-    pub fn is_stronger_or_equal(&self, other: &Assignment) -> bool {
-        other.valuations.iter().all(|(id, atoms)| {
-            let mine = self.valuation(*id);
-            atoms.is_subset(&mine)
-        })
-    }
 }
 
 #[cfg(test)]
@@ -203,17 +195,5 @@ mod tests {
         let t = l.apply(&reg, &occurrence);
         assert_eq!(t, Term::var("x", Sort::Int).ge(Term::int(0)));
         let _ = VALUE_VAR;
-    }
-
-    #[test]
-    fn strength_ordering() {
-        let (_, id) = simple_registry();
-        let mut weak = Assignment::top();
-        let mut strong = Assignment::top();
-        strong.strengthen(id, [0]);
-        assert!(strong.is_stronger_or_equal(&weak));
-        assert!(!weak.is_stronger_or_equal(&strong));
-        weak.strengthen(id, [0, 1]);
-        assert!(weak.is_stronger_or_equal(&strong));
     }
 }

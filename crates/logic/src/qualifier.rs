@@ -8,7 +8,7 @@
 //! available to a predicate unknown is its [`QSpace`].
 
 use crate::sort::Sort;
-use crate::term::{Term, VALUE_VAR};
+use crate::term::Term;
 use crate::Substitution;
 use std::collections::BTreeSet;
 
@@ -188,18 +188,6 @@ impl QSpace {
     }
 }
 
-/// Candidate terms for qualifier instantiation: the value variable at the
-/// given sort plus the supplied environment variables.
-pub fn candidates_with_value(value_sort: Sort, env_vars: &[(String, Sort)]) -> Vec<Term> {
-    let mut out = vec![Term::value_var(value_sort)];
-    for (name, sort) in env_vars {
-        if name != VALUE_VAR {
-            out.push(Term::var(name.clone(), sort.clone()));
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,12 +258,5 @@ mod tests {
                 .and(Term::var("x", Sort::Int).le(Term::int(5)))
         );
         assert!(space.conjunction_of(&BTreeSet::new()).is_true());
-    }
-
-    #[test]
-    fn candidates_with_value_prepends_nu() {
-        let cands = candidates_with_value(Sort::Int, &[("x".to_string(), Sort::Int)]);
-        assert_eq!(cands[0], Term::value_var(Sort::Int));
-        assert_eq!(cands.len(), 2);
     }
 }

@@ -54,13 +54,6 @@ impl Sort {
         }
     }
 
-    /// True if this sort admits a linear order in the refinement logic
-    /// (integers, and uninterpreted sorts, which are modelled as integers
-    /// by the solver so that generic comparisons on `α` are meaningful).
-    pub fn is_ordered(&self) -> bool {
-        matches!(self, Sort::Int | Sort::Var(_))
-    }
-
     /// True if two sorts can be considered equal for the purpose of
     /// well-sortedness checking, treating [`Sort::Unknown`] as a wildcard.
     pub fn compatible(&self, other: &Sort) -> bool {
@@ -150,13 +143,5 @@ mod tests {
             s.substitute(&map),
             Sort::data("List", vec![Sort::Int, Sort::var("b")])
         );
-    }
-
-    #[test]
-    fn ordered_sorts() {
-        assert!(Sort::Int.is_ordered());
-        assert!(Sort::var("a").is_ordered());
-        assert!(!Sort::Bool.is_ordered());
-        assert!(!Sort::set(Sort::Int).is_ordered());
     }
 }

@@ -25,7 +25,7 @@
 
 use crate::lia::{Constraint, LinExpr, Rel, VarId};
 use crate::rational::Rational;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 use synquid_logic::simplify::{eliminate_ite, fold_constants, nnf};
 use synquid_logic::{BinOp, Sort, Term, UnOp};
@@ -204,6 +204,8 @@ impl Encoded {
 pub struct Encoder {
     atoms: Vec<TheoryAtom>,
     atom_index: BTreeMap<String, usize>,
+    /// The congruence pass's `≤`/`≥` atoms, keyed by their operands.
+    equality_index: HashMap<(BinOp, LinExpr, LinExpr), usize>,
     arith_vars: BTreeMap<String, VarId>,
     side_conditions: Vec<Skeleton>,
     /// Purified applications: function name -> list of
@@ -598,8 +600,12 @@ impl Encoder {
     /// `lhs = rhs`.
     fn equality_atoms(&mut self, lhs: &LinExpr, rhs: &LinExpr) -> [Skeleton; 2] {
         [BinOp::Le, BinOp::Ge].map(|op| {
-            let key = format!("cmp:{op:?}:{lhs:?}:{rhs:?}");
-            let atom = self.atom(key, |_| TheoryAtom::Compare(Comparison::new(op, lhs, rhs)));
+            let key = (op, lhs.clone(), rhs.clone());
+            let atoms = &mut self.atoms;
+            let atom = *self.equality_index.entry(key).or_insert_with(|| {
+                atoms.push(TheoryAtom::Compare(Comparison::new(op, lhs, rhs)));
+                atoms.len() - 1
+            });
             Skeleton::Lit(atom, true)
         })
     }
@@ -889,5 +895,29 @@ mod tests {
             !problem.side_conditions.is_empty(),
             "expected Ackermann side conditions"
         );
+    }
+
+    /// One query's terms can carry the same variable at two sort
+    /// annotations: in `insert_sorted` at rung (1,1) the encoder sees
+    /// `ilen ν` with `ν: IList 't2` and with `ν: IList a`, and `zero > ν`
+    /// with `ν: Int` and with `ν: a`. Atoms and variables are keyed by
+    /// their printed text, which omits sorts, so each pair is one atom or
+    /// variable. Keys that kept the sorts would split them and answer Sat.
+    #[test]
+    fn sort_annotations_do_not_split_atoms_or_variables() {
+        use crate::smt::{Smt, SmtResult};
+        let ilist = |elem: &str| Sort::data("IList", vec![Sort::var(elem)]);
+        let ilen = |list: Sort| Term::app("ilen", vec![Term::value_var(list)], Sort::Int);
+        let zero = || Term::var("zero", Sort::Int);
+        let lengths = ilen(ilist("a"))
+            .ge(Term::int(1))
+            .and(ilen(ilist("'t2")).le(Term::int(0)));
+        let order = zero()
+            .gt(Term::value_var(Sort::Int))
+            .and(zero().le(Term::value_var(Sort::var("a"))));
+        let mut smt = Smt::new();
+        for query in [lengths, order] {
+            assert_eq!(smt.check_sat(&query), SmtResult::Unsat, "{query}");
+        }
     }
 }

@@ -8,15 +8,20 @@
 //! integers), so strict inequalities are normalised away (`x < c` becomes
 //! `x ≤ c − 1`) and a rational relaxation is refined by branch-and-bound.
 
+use crate::cancel::Budget;
 use crate::rational::Rational;
 use std::borrow::Borrow;
 use std::collections::BTreeMap;
+
+/// Maximum number of branch-and-bound nodes explored per check; a check
+/// that needs more answers [`LiaResult::Unknown`].
+const MAX_BRANCH_NODES: usize = 200;
 
 /// Identifier of an arithmetic variable.
 pub type VarId = usize;
 
 /// A linear expression `Σ aᵢ·xᵢ + c`.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct LinExpr {
     /// Coefficients per variable (no zero entries).
     pub coeffs: BTreeMap<VarId, Rational>,
@@ -167,8 +172,9 @@ pub enum LiaResult {
     Sat(BTreeMap<VarId, Rational>),
     /// Unsatisfiable.
     Unsat,
-    /// The branch-and-bound budget was exhausted; treated as "possibly
-    /// satisfiable" by callers (conservative for validity checking).
+    /// The branch-and-bound node limit or the run's [`Budget`] was
+    /// exhausted; treated as "possibly satisfiable" by callers
+    /// (conservative for validity checking).
     Unknown,
 }
 
@@ -427,9 +433,10 @@ struct BoundUndo {
 /// An incremental LIA solver whose simplex tableau stays *warm* across
 /// the theory checks of one DPLL(T) query.
 ///
-/// The from-scratch [`LiaSolver`] rebuilds a tableau (and re-substitutes
-/// every slack row) per check and clones the whole constraint vector per
-/// branch-and-bound node. This solver instead keeps the tableau alive:
+/// Rather than rebuilding a tableau (and re-substituting every slack row)
+/// per check, this solver keeps the tableau alive; a solver used for one
+/// check only is the from-scratch baseline of the
+/// `without_incremental_lia` ablation:
 ///
 /// * **slack rows persist** — each distinct linear combination gets one
 ///   slack variable, registered on first use and reused by every later
@@ -446,11 +453,12 @@ struct BoundUndo {
 ///   one bound on the fractional variable inside a fresh frame and
 ///   recurses; no constraint cloning, no re-substitution.
 ///
-/// A check truncated by the wall-clock deadline **poisons** the tableau:
-/// the next check rebuilds from scratch (the incremental analogue of the
-/// "deadline-`Unknown`s are never cached" rule — a truncated search's
-/// verdict reflects the budget, and its tableau state is not trusted
-/// either).
+/// The run's [`Budget`] is polled once per branch-and-bound node. A
+/// check it truncates answers [`LiaResult::Unknown`] and **poisons** the
+/// tableau: the next check rebuilds from scratch (the incremental
+/// analogue of the "deadline-`Unknown`s are never cached" rule — a
+/// truncated search's verdict reflects the budget, and its tableau state
+/// is not trusted either).
 #[derive(Debug, Clone)]
 pub struct IncrementalLia {
     num_problem_vars: usize,
@@ -461,11 +469,7 @@ pub struct IncrementalLia {
     trail: Vec<BoundUndo>,
     /// Open frames: trail length at each push.
     frames: Vec<usize>,
-    /// Maximum number of branch-and-bound nodes explored per check.
-    pub branch_budget: usize,
-    /// Wall-clock deadline, polled once per branch-and-bound node.
-    /// Crossing it returns [`LiaResult::Unknown`] and poisons the tableau.
-    pub deadline: Option<std::time::Instant>,
+    budget: Budget,
     poisoned: bool,
     /// Checks served since the last (re)build; the first check after a
     /// build is "cold", every later one is a warm start.
@@ -480,16 +484,16 @@ pub struct IncrementalLia {
 
 impl IncrementalLia {
     /// Creates a warm solver for problems over `num_problem_vars`
-    /// arithmetic variables (ids `0..num_problem_vars`).
-    pub fn new(num_problem_vars: usize) -> IncrementalLia {
+    /// arithmetic variables (ids `0..num_problem_vars`) whose checks stop
+    /// once `budget` is exhausted.
+    pub fn new(num_problem_vars: usize, budget: Budget) -> IncrementalLia {
         IncrementalLia {
             num_problem_vars,
             simplex: Simplex::new(num_problem_vars),
             slacks: BTreeMap::new(),
             trail: Vec::new(),
             frames: Vec::new(),
-            branch_budget: 200,
-            deadline: None,
+            budget,
             poisoned: false,
             checks_since_build: 0,
             warm_checks: 0,
@@ -518,8 +522,8 @@ impl IncrementalLia {
         self.pivots_saved
     }
 
-    /// True when the last check was truncated by the deadline and the
-    /// next check will rebuild the tableau.
+    /// True when the last check was truncated by the budget and the next
+    /// check will rebuild the tableau.
     pub fn is_poisoned(&self) -> bool {
         self.poisoned
     }
@@ -613,10 +617,10 @@ impl IncrementalLia {
         self.push();
         let result = self.check_in_frame(constraints);
         self.pop_to(depth);
-        if matches!(result, LiaResult::Unknown) && self.deadline_passed() {
-            // Deadline-truncated: the verdict reflects the budget, and
-            // the tableau is not trusted either (the incremental
-            // extension of "deadline-Unknowns are never cached").
+        if matches!(result, LiaResult::Unknown) && self.budget.exhausted() {
+            // Budget-truncated: the verdict reflects the budget, and the
+            // tableau is not trusted either (the incremental extension of
+            // "deadline-Unknowns are never cached").
             self.poisoned = true;
         }
         let spent = self.simplex.pivots - pivots_before;
@@ -626,10 +630,6 @@ impl IncrementalLia {
             self.pivots_saved += self.cold_pivots.saturating_sub(spent);
         }
         result
-    }
-
-    fn deadline_passed(&self) -> bool {
-        self.deadline.is_some_and(|d| std::time::Instant::now() > d)
     }
 
     fn check_in_frame<C: Borrow<Constraint>>(&mut self, constraints: &[C]) -> LiaResult {
@@ -653,8 +653,8 @@ impl IncrementalLia {
                 return LiaResult::Unsat;
             }
         }
-        let mut budget = self.branch_budget;
-        let result = self.solve_rec(&mut budget);
+        let mut nodes = MAX_BRANCH_NODES;
+        let result = self.solve_rec(&mut nodes);
         if let LiaResult::Sat(model) = &result {
             debug_assert!(
                 constraints().all(|c| c.holds(model)),
@@ -664,9 +664,10 @@ impl IncrementalLia {
         result
     }
 
-    /// Feasibility plus branch-and-bound over the current bound frame.
-    fn solve_rec(&mut self, budget: &mut usize) -> LiaResult {
-        if self.deadline_passed() {
+    /// Feasibility plus branch-and-bound over the current bound frame;
+    /// `nodes` counts down the branch nodes this check may still open.
+    fn solve_rec(&mut self, nodes: &mut usize) -> LiaResult {
+        if self.budget.exhausted() {
             return LiaResult::Unknown;
         }
         if !self.simplex.check() {
@@ -677,15 +678,15 @@ impl IncrementalLia {
         let Some((&v, &val)) = fractional else {
             return LiaResult::Sat(model);
         };
-        if *budget == 0 {
+        if *nodes == 0 {
             return LiaResult::Unknown;
         }
-        *budget -= 1;
+        *nodes -= 1;
         // Left branch: v ≤ floor(val), on the same tableau.
         self.push();
         let floor = Rational::new(val.floor(), 1);
         let left = if self.assert_upper(v, floor) {
-            self.solve_rec(budget)
+            self.solve_rec(nodes)
         } else {
             LiaResult::Unsat
         };
@@ -699,50 +700,12 @@ impl IncrementalLia {
         self.push();
         let ceil = Rational::new(val.ceil(), 1);
         let right = if self.assert_lower(v, ceil) {
-            self.solve_rec(budget)
+            self.solve_rec(nodes)
         } else {
             LiaResult::Unsat
         };
         self.pop();
         right
-    }
-}
-
-/// Decides satisfiability of a conjunction of linear constraints over the
-/// integers.
-#[derive(Debug, Clone, Default)]
-pub struct LiaSolver {
-    /// Maximum number of branch-and-bound nodes explored before giving up.
-    pub branch_budget: usize,
-    /// Wall-clock deadline: checked once per branch-and-bound node (each
-    /// node is one simplex solve, the natural polling granularity), so a
-    /// single `check` call can overshoot a synthesis budget by at most
-    /// one simplex solve instead of a whole 200-node search tree.
-    /// Crossing it returns [`LiaResult::Unknown`]; the caller must treat
-    /// that as budget exhaustion (and never cache it as a verdict).
-    pub deadline: Option<std::time::Instant>,
-}
-
-impl LiaSolver {
-    /// Creates a solver with the default branch-and-bound budget.
-    pub fn new() -> LiaSolver {
-        LiaSolver {
-            branch_budget: 200,
-            deadline: None,
-        }
-    }
-
-    /// Checks a conjunction of constraints; `num_vars` is the number of
-    /// problem variables (ids `0..num_vars`).
-    ///
-    /// One-shot: builds a fresh [`IncrementalLia`] and discards it. The
-    /// from-scratch baseline the `without_incremental_lia` ablation runs
-    /// against, and the entry point for callers without a warm tableau.
-    pub fn check<C: Borrow<Constraint>>(&self, num_vars: usize, constraints: &[C]) -> LiaResult {
-        let mut inc = IncrementalLia::new(num_vars);
-        inc.branch_budget = self.branch_budget;
-        inc.deadline = self.deadline;
-        inc.check(constraints)
     }
 }
 
@@ -758,26 +721,26 @@ mod tests {
         LinExpr::constant(Rational::from_int(n))
     }
 
+    /// One check on a fresh tableau: the from-scratch solver.
+    fn check<C: Borrow<Constraint>>(num_vars: usize, constraints: &[C]) -> LiaResult {
+        IncrementalLia::new(num_vars, Budget::default()).check(constraints)
+    }
+
     #[test]
     fn trivial_sat_and_unsat() {
-        let solver = LiaSolver::new();
-        assert!(matches!(
-            solver.check::<Constraint>(0, &[]),
-            LiaResult::Sat(_)
-        ));
+        assert!(matches!(check::<Constraint>(0, &[]), LiaResult::Sat(_)));
         let c = Constraint::le(num(1), num(0));
-        assert_eq!(solver.check(0, &[c]), LiaResult::Unsat);
+        assert_eq!(check(0, &[c]), LiaResult::Unsat);
     }
 
     #[test]
     fn simple_bounds() {
-        let solver = LiaSolver::new();
         // x >= 1 ∧ x <= 3
         let cs = vec![
             Constraint::ge(var(0), num(1)),
             Constraint::le(var(0), num(3)),
         ];
-        match solver.check(1, &cs) {
+        match check(1, &cs) {
             LiaResult::Sat(m) => {
                 let x = m[&0];
                 assert!(x >= Rational::from_int(1) && x <= Rational::from_int(3));
@@ -790,60 +753,56 @@ mod tests {
             Constraint::ge(var(0), num(4)),
             Constraint::le(var(0), num(3)),
         ];
-        assert_eq!(solver.check(1, &cs), LiaResult::Unsat);
+        assert_eq!(check(1, &cs), LiaResult::Unsat);
     }
 
     #[test]
     fn combination_of_constraints() {
-        let solver = LiaSolver::new();
         // x + y <= 5 ∧ x >= 3 ∧ y >= 3 is unsat
         let cs = vec![
             Constraint::le(var(0).plus(&var(1)), num(5)),
             Constraint::ge(var(0), num(3)),
             Constraint::ge(var(1), num(3)),
         ];
-        assert_eq!(solver.check(2, &cs), LiaResult::Unsat);
+        assert_eq!(check(2, &cs), LiaResult::Unsat);
         // x + y <= 5 ∧ x >= 3 ∧ y >= 2 is sat
         let cs = vec![
             Constraint::le(var(0).plus(&var(1)), num(5)),
             Constraint::ge(var(0), num(3)),
             Constraint::ge(var(1), num(2)),
         ];
-        assert!(matches!(solver.check(2, &cs), LiaResult::Sat(_)));
+        assert!(matches!(check(2, &cs), LiaResult::Sat(_)));
     }
 
     #[test]
     fn equalities_chain() {
-        let solver = LiaSolver::new();
         // len = n ∧ n = 0 ∧ len >= 1  — the replicate-style contradiction
         let cs = vec![
             Constraint::eq(var(0), var(1)),
             Constraint::eq(var(1), num(0)),
             Constraint::ge(var(0), num(1)),
         ];
-        assert_eq!(solver.check(2, &cs), LiaResult::Unsat);
+        assert_eq!(check(2, &cs), LiaResult::Unsat);
     }
 
     #[test]
     fn integrality_matters() {
-        let solver = LiaSolver::new();
         // 2x = 1 has a rational solution but no integer one.
         let cs = vec![Constraint::eq(var(0).scaled(Rational::from_int(2)), num(1))];
-        assert_eq!(solver.check(1, &cs), LiaResult::Unsat);
+        assert_eq!(check(1, &cs), LiaResult::Unsat);
         // 2x = 4 is fine.
         let cs = vec![Constraint::eq(var(0).scaled(Rational::from_int(2)), num(4))];
-        assert!(matches!(solver.check(1, &cs), LiaResult::Sat(_)));
+        assert!(matches!(check(1, &cs), LiaResult::Sat(_)));
     }
 
     #[test]
     fn strict_inequalities_over_integers() {
-        let solver = LiaSolver::new();
         // x < y ∧ y < x + 2  ⇒  y = x + 1 (sat)
         let cs = vec![
             Constraint::lt_int(var(0), var(1)),
             Constraint::lt_int(var(1), var(0).plus(&num(2))),
         ];
-        match solver.check(2, &cs) {
+        match check(2, &cs) {
             LiaResult::Sat(m) => {
                 assert_eq!(m[&1], m[&0] + Rational::ONE);
             }
@@ -854,19 +813,17 @@ mod tests {
             Constraint::lt_int(var(0), var(1)),
             Constraint::lt_int(var(1), var(0).plus(&num(1))),
         ];
-        assert_eq!(solver.check(2, &cs), LiaResult::Unsat);
+        assert_eq!(check(2, &cs), LiaResult::Unsat);
     }
 
     #[test]
     fn unbounded_problems_are_sat() {
-        let solver = LiaSolver::new();
         let cs = vec![Constraint::ge(var(0).minus(&var(1)), num(10))];
-        assert!(matches!(solver.check(2, &cs), LiaResult::Sat(_)));
+        assert!(matches!(check(2, &cs), LiaResult::Sat(_)));
     }
 
     #[test]
     fn larger_system_with_pivoting() {
-        let solver = LiaSolver::new();
         // x + y + z = 10, x - y >= 2, z >= 3, y >= 1  → sat
         let cs = vec![
             Constraint::eq(var(0).plus(&var(1)).plus(&var(2)), num(10)),
@@ -874,7 +831,7 @@ mod tests {
             Constraint::ge(var(2), num(3)),
             Constraint::ge(var(1), num(1)),
         ];
-        match solver.check(3, &cs) {
+        match check(3, &cs) {
             LiaResult::Sat(m) => {
                 for c in &cs {
                     assert!(c.holds(&m), "violated {c:?} by {m:?}");
@@ -889,15 +846,14 @@ mod tests {
             Constraint::ge(var(2), num(6)),
             Constraint::ge(var(1), num(2)),
         ];
-        assert_eq!(solver.check(3, &cs), LiaResult::Unsat);
+        assert_eq!(check(3, &cs), LiaResult::Unsat);
     }
 
     #[test]
     fn warm_tableau_answers_a_sequence_of_checks() {
         // The DPLL(T) usage pattern: many near-identical checks over the
         // same atoms against one tableau, verdicts matching from-scratch.
-        let mut inc = IncrementalLia::new(2);
-        let scratch = LiaSolver::new();
+        let mut inc = IncrementalLia::new(2, Budget::default());
         let families: Vec<Vec<Constraint>> = vec![
             vec![
                 Constraint::le(var(0).plus(&var(1)), num(5)),
@@ -922,7 +878,7 @@ mod tests {
         ];
         for cs in &families {
             let warm = inc.check(cs);
-            let cold = scratch.check(2, cs);
+            let cold = check(2, cs);
             assert_eq!(
                 matches!(warm, LiaResult::Unsat),
                 matches!(cold, LiaResult::Unsat),
@@ -945,7 +901,7 @@ mod tests {
 
     #[test]
     fn popped_bounds_never_leak_into_the_next_check() {
-        let mut inc = IncrementalLia::new(1);
+        let mut inc = IncrementalLia::new(1, Budget::default());
         // x ≤ 3 is sat…
         assert!(matches!(
             inc.check(&[Constraint::le(var(0), num(3))]),
@@ -972,7 +928,7 @@ mod tests {
 
     #[test]
     fn warm_branch_and_bound_restores_branch_bounds() {
-        let mut inc = IncrementalLia::new(1);
+        let mut inc = IncrementalLia::new(1, Budget::default());
         // 2x = 1: rational-feasible, integer-infeasible — both branches
         // of the branch-and-bound run and both must unwind cleanly.
         let cs = vec![Constraint::eq(var(0).scaled(Rational::from_int(2)), num(1))];
@@ -985,27 +941,25 @@ mod tests {
         }
     }
 
-    #[test]
-    fn deadline_truncated_check_poisons_the_warm_tableau() {
-        let mut inc = IncrementalLia::new(1);
+    /// A check under an `exhausted` budget answers Unknown and marks the
+    /// tableau untrusted (the "deadline-Unknowns are never cached" rule
+    /// extends to tableau state); the next check under a live budget
+    /// rebuilds and answers correctly, in both directions.
+    fn truncated_check_poisons_then_rebuilds(exhausted: Budget) {
+        let mut inc = IncrementalLia::new(1, Budget::default());
         // Warm the tableau with a normal check.
         assert!(matches!(
             inc.check(&[Constraint::ge(var(0), num(1))]),
             LiaResult::Sat(_)
         ));
         assert!(!inc.is_poisoned());
-        // A check that crosses the deadline must answer Unknown and mark
-        // the tableau untrusted (the regression PR 5's "deadline-Unknowns
-        // are never cached" rule extends to tableau state).
-        inc.deadline = Some(std::time::Instant::now() - std::time::Duration::from_secs(1));
+        inc.budget = exhausted;
         assert_eq!(
             inc.check(&[Constraint::ge(var(0), num(1))]),
             LiaResult::Unknown
         );
         assert!(inc.is_poisoned());
-        // With the deadline lifted, the next check rebuilds and answers
-        // correctly — in both directions.
-        inc.deadline = None;
+        inc.budget = Budget::default();
         assert_eq!(
             inc.check(&[
                 Constraint::ge(var(0), num(4)),
@@ -1019,5 +973,18 @@ mod tests {
             inc.check(&[Constraint::le(var(0), num(0))]),
             LiaResult::Sat(_)
         ));
+    }
+
+    #[test]
+    fn deadline_truncated_check_poisons_the_warm_tableau() {
+        let past = std::time::Instant::now() - std::time::Duration::from_secs(1);
+        truncated_check_poisons_then_rebuilds(Budget::default().until(past));
+    }
+
+    #[test]
+    fn cancelled_check_poisons_the_warm_tableau() {
+        let token = crate::cancel::CancellationToken::new();
+        token.cancel();
+        truncated_check_poisons_then_rebuilds(Budget::from(token));
     }
 }

@@ -49,7 +49,7 @@ pub mod sat;
 pub mod smt;
 
 pub use cache::{NormalizedQuery, SharedValidityCache, ValidityCacheStats};
-pub use cancel::CancellationToken;
+pub use cancel::{Budget, CancellationToken};
 pub use epoch_memo::{EpochMemo, MemoStats};
 pub use lemmas::{Lemma, LemmaIndex, LemmaSeed, SharedLemmaStore, MAX_LEMMAS};
 pub use mus::{enumerate_mus, enumerate_mus_smt, MusKey, MusMemo};

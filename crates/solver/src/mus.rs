@@ -182,10 +182,10 @@ pub fn enumerate_mus(
 /// strengthening problem for every candidate that shares a VC skeleton,
 /// and, across rungs and batches, for every rerun of the same search. An
 /// enumeration is stored only if every subset check was decided. A check
-/// cut by the deadline reflects the budget, and a budget `Unknown` (the
-/// DPLL(T)-iteration or LIA-branch limit) depends on the solver's lemma
-/// state; either would make the stored MUSes depend on the solver that
-/// computed them.
+/// cut by the run's [`Budget`](crate::Budget) reflects the budget, and a
+/// budget `Unknown` (the DPLL(T)-iteration or LIA-branch limit) depends
+/// on the solver's lemma state; either would make the stored MUSes
+/// depend on the solver that computed them.
 pub fn enumerate_mus_smt(
     smt: &mut Smt,
     background: &Term,
@@ -239,7 +239,7 @@ pub fn enumerate_mus_smt(
         .map(|s| session.add_selectable(s))
         .collect();
     smt.note_mus_shared_encoding();
-    // A deadline cut answers `Unknown` too, so "every check decided"
+    // A budget cut answers `Unknown` too, so "every check decided"
     // also rules out interrupted enumerations.
     let mut decided = true;
     let muses = enumerate_mus(soft.len(), required, |subset| {
@@ -257,6 +257,7 @@ pub fn enumerate_mus_smt(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::Budget;
     use synquid_logic::{Sort, Term};
 
     fn set(items: &[usize]) -> BTreeSet<usize> {
@@ -332,16 +333,15 @@ mod tests {
     fn enumerations_cut_by_the_deadline_are_not_stored() {
         let problem = replicate_nil_problem();
         let mut smt = Smt::new();
-        smt.set_deadline(Some(
-            std::time::Instant::now() - std::time::Duration::from_millis(1),
-        ));
+        let past = std::time::Instant::now() - std::time::Duration::from_millis(1);
+        smt.set_budget(Budget::default().until(past));
         assert!(enumerate(&mut smt, &problem).is_empty());
         assert_eq!(
             memo_counts(&smt),
             (0, 1, 0),
             "a cut enumeration is not stored"
         );
-        smt.set_deadline(None);
+        smt.set_budget(Budget::default());
         let full = enumerate(&mut smt, &problem);
         assert!(full.contains(&set(&[0])), "rerun computes the full answer");
         assert_eq!(memo_counts(&smt), (0, 2, 1));
@@ -351,11 +351,19 @@ mod tests {
 
     #[test]
     fn enumerations_with_budget_unknowns_are_not_stored() {
-        let problem = replicate_nil_problem();
+        // `2x = 2y + 1` has rational but no integer solutions, and the
+        // softs bound `x` and `y` from below only, so branch-and-bound
+        // never closes the gap: every subset check exhausts the LIA's
+        // branch-node limit and is a budget `Unknown`, which the
+        // enumerator reads as "satisfiable".
+        let x = Term::var("x", Sort::Int);
+        let y = Term::var("y", Sort::Int);
+        let two = || Term::int(2);
+        let background = two()
+            .times(x.clone())
+            .eq(two().times(y.clone()).plus(Term::int(1)));
+        let problem = (background, vec![x.ge(Term::int(0)), y.ge(Term::int(1))]);
         let mut smt = Smt::new();
-        // No DPLL(T) iteration allowed: every subset check is a budget
-        // `Unknown`, which the enumerator reads as "satisfiable".
-        smt.max_iterations = 0;
         assert!(enumerate(&mut smt, &problem).is_empty());
         assert!(enumerate(&mut smt, &problem).is_empty());
         assert_eq!(memo_counts(&smt), (0, 2, 0));

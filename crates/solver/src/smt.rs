@@ -16,10 +16,10 @@
 //! `docs/ARCHITECTURE.md` for the substitution rationale).
 
 use crate::cache::SharedValidityCache;
-use crate::cancel::CancellationToken;
+use crate::cancel::Budget;
 use crate::encode::{Encoded, Encoder, Skeleton, TheoryAtom};
 use crate::lemmas::{Lemma, LemmaIndex, LemmaSeed, SharedLemmaStore};
-use crate::lia::{Constraint, IncrementalLia, LiaResult, LiaSolver};
+use crate::lia::{Constraint, IncrementalLia, LiaResult};
 use crate::mus::MusMemo;
 use crate::rational::Rational;
 use crate::sat::{Lit, SatResult, SatSolver};
@@ -27,6 +27,10 @@ use std::collections::HashMap;
 use std::time::Instant;
 use synquid_logic::Term;
 use synquid_telemetry::{events, events::Event, Phase};
+
+/// Maximum number of DPLL(T) iterations per query; a query that needs
+/// more answers [`SmtResult::Unknown`].
+const MAX_DPLL_ITERATIONS: usize = 2_000;
 
 /// Result of an SMT query.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -108,21 +112,18 @@ pub struct SmtStats {
 #[derive(Debug)]
 pub struct Smt {
     stats: SmtStats,
-    /// Maximum number of DPLL(T) iterations per query.
-    pub max_iterations: usize,
     cache: std::collections::HashMap<Term, SmtResult>,
     /// The session's validity cache (see [`SharedValidityCache`]):
     /// consulted after the local memo, keyed by normalized
     /// `(antecedent, consequent)` pairs. `None` for a bare solver.
     shared: Option<SharedValidityCache>,
-    /// Wall-clock deadline; solving loops poll it and abort with
-    /// [`SmtResult::Unknown`] once it passes.
-    deadline: Option<Instant>,
-    /// Cooperative cancellation, polled alongside the deadline.
-    cancel: Option<CancellationToken>,
-    /// True when the *last* query aborted on deadline/cancellation — its
-    /// `Unknown` reflects the budget, not the formula, and must never be
-    /// cached.
+    /// Polled at every DPLL(T) step and, through the LIA, at every
+    /// branch-and-bound node; once exhausted, queries answer
+    /// [`SmtResult::Unknown`].
+    budget: Budget,
+    /// True when the *last* query aborted because the budget ran out —
+    /// its `Unknown` reflects the budget, not the formula, and must never
+    /// be cached.
     interrupted: bool,
     /// The incremental DPLL(T) state persisted across `check_query`
     /// calls: theory conflicts learned in one query, replayed into every
@@ -133,8 +134,8 @@ pub struct Smt {
     /// When true (the default), each DPLL(T) query keeps one warm
     /// [`IncrementalLia`] tableau across all of its theory checks
     /// (including core shrinking and MUS subset oracles). When false,
-    /// every theory check builds a fresh from-scratch [`LiaSolver`] —
-    /// the `without_incremental_lia` ablation baseline.
+    /// every theory check builds a fresh tableau — the
+    /// `without_incremental_lia` ablation baseline.
     incremental_lia: bool,
     /// Memoized MUS enumerations (see [`crate::mus::enumerate_mus_smt`]):
     /// the liquid-abduction loop re-derives the *same* strengthening
@@ -166,16 +167,14 @@ impl Default for Smt {
 }
 
 impl Smt {
-    /// Creates a bare solver with default budgets: private lemmas and
-    /// MUS memo, no validity cache.
+    /// Creates a bare solver: private lemmas and MUS memo, no validity
+    /// cache, and a [`Budget`] that never runs out.
     pub fn new() -> Smt {
         Smt {
             stats: SmtStats::default(),
-            max_iterations: 2_000,
             cache: std::collections::HashMap::new(),
             shared: None,
-            deadline: None,
-            cancel: None,
+            budget: Budget::default(),
             interrupted: false,
             lemmas: Some(Lemmas::default()),
             incremental_lia: true,
@@ -213,17 +212,12 @@ impl Smt {
         self.mus_memo.as_ref()
     }
 
-    /// Sets (or clears) the wall-clock deadline polled inside the solving
-    /// loops. A query running when the deadline passes aborts with
-    /// [`SmtResult::Unknown`]; callers treat that as "possibly sat",
-    /// which can only make proofs fail, never succeed spuriously.
-    pub fn set_deadline(&mut self, deadline: Option<Instant>) {
-        self.deadline = deadline;
-    }
-
-    /// Attaches a cancellation token, polled alongside the deadline.
-    pub fn set_cancellation(&mut self, cancel: Option<CancellationToken>) {
-        self.cancel = cancel;
+    /// Sets the budget polled inside the solving loops. A query running
+    /// when it runs out aborts with [`SmtResult::Unknown`]; callers treat
+    /// that as "possibly sat", which can only make proofs fail, never
+    /// succeed spuriously.
+    pub fn set_budget(&mut self, budget: Budget) {
+        self.budget = budget;
     }
 
     /// Enables or disables the incremental DPLL(T) state: cross-query
@@ -247,20 +241,6 @@ impl Smt {
     /// oracle compare against; verdicts are unaffected either way.
     pub fn set_incremental_lia(&mut self, incremental: bool) {
         self.incremental_lia = incremental;
-    }
-
-    /// True if the deadline has passed or cancellation was requested.
-    /// Cheap enough to poll once per SAT/LIA step.
-    fn interrupt_requested(&self) -> bool {
-        if let Some(c) = &self.cancel {
-            if c.is_cancelled() {
-                return true;
-            }
-        }
-        match self.deadline {
-            Some(d) => Instant::now() > d,
-            None => false,
-        }
     }
 
     /// Statistics collected so far.
@@ -371,7 +351,7 @@ impl Smt {
         drop(cache_span);
         // Out of budget: answer `Unknown` without solving or caching (the
         // verdict reflects the budget, not the formula).
-        if self.interrupt_requested() {
+        if self.budget.exhausted() {
             self.interrupted = true;
             return SmtResult::Unknown;
         }
@@ -529,15 +509,13 @@ impl Smt {
             sat,
             lia: self
                 .incremental_lia
-                .then(|| IncrementalLia::new(problem.num_arith_vars)),
+                .then(|| IncrementalLia::new(problem.num_arith_vars, self.budget.clone())),
             atom_keys,
         }
     }
 
     /// One theory check through the session's LIA backend: the warm
-    /// tableau when the incremental path is on, a from-scratch solver
-    /// otherwise. The deadline is refreshed per check so a single
-    /// branch-and-bound search never outlives the query budget.
+    /// tableau when the incremental path is on, a fresh one otherwise.
     fn theory_check(
         &self,
         session: &mut EncodedSession,
@@ -545,15 +523,8 @@ impl Smt {
         constraints: &[&Constraint],
     ) -> LiaResult {
         match &mut session.lia {
-            Some(inc) => {
-                inc.deadline = self.deadline;
-                inc.check(constraints)
-            }
-            None => {
-                let mut lia = LiaSolver::new();
-                lia.deadline = self.deadline;
-                lia.check(num_arith_vars, constraints)
-            }
+            Some(inc) => inc.check(constraints),
+            None => IncrementalLia::new(num_arith_vars, self.budget.clone()).check(constraints),
         }
     }
 
@@ -588,8 +559,8 @@ impl Smt {
         assumptions: &[Lit],
     ) -> SmtResult {
         self.interrupted = false;
-        for _ in 0..self.max_iterations {
-            if self.interrupt_requested() {
+        for _ in 0..MAX_DPLL_ITERATIONS {
+            if self.budget.exhausted() {
                 self.interrupted = true;
                 return SmtResult::Unknown;
             }
@@ -623,11 +594,10 @@ impl Smt {
             match verdict {
                 LiaResult::Sat(_) => return SmtResult::Sat,
                 LiaResult::Unknown => {
-                    // A branch-budget `Unknown` is a deterministic verdict
-                    // and may be cached; one caused by the deadline
-                    // reflects the budget and must not be (the warm
-                    // tableau poisons itself on deadline truncation).
-                    if self.interrupt_requested() {
+                    // A branch-limit `Unknown` is a deterministic verdict
+                    // and may be cached; one caused by the run's budget
+                    // must not be (the warm tableau poisons itself then).
+                    if self.budget.exhausted() {
                         self.interrupted = true;
                     }
                     return SmtResult::Unknown;
@@ -653,7 +623,7 @@ impl Smt {
                     let mut core = literals;
                     let mut block = core.len().div_ceil(2);
                     loop {
-                        if self.interrupt_requested() {
+                        if self.budget.exhausted() {
                             self.interrupted = true;
                             return SmtResult::Unknown;
                         }
@@ -663,7 +633,7 @@ impl Smt {
                             // checks; poll between them, not just per
                             // pass, so the budget overshoot stays
                             // bounded by one check.
-                            if self.interrupt_requested() {
+                            if self.budget.exhausted() {
                                 self.interrupted = true;
                                 return SmtResult::Unknown;
                             }

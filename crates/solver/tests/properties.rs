@@ -7,8 +7,8 @@
 //! exact case.
 
 use synquid_logic::{BinOp, Rng, Sort, Term, UnOp};
-use synquid_solver::lia::{Constraint, LiaResult, LiaSolver, LinExpr, Rel};
-use synquid_solver::{Lit, Rational, SatResult, SatSolver, Smt, SmtResult};
+use synquid_solver::lia::{Constraint, IncrementalLia, LiaResult, LinExpr, Rel};
+use synquid_solver::{Budget, Lit, Rational, SatResult, SatSolver, Smt, SmtResult};
 
 /// `n` draws of `draw`, where `n` is uniform in `lo..=hi`.
 fn vec_of<T>(rng: &mut Rng, lo: u64, hi: u64, mut draw: impl FnMut(&mut Rng) -> T) -> Vec<T> {
@@ -132,7 +132,7 @@ fn lia_never_misses_box_solutions() {
                 Constraint { expr, rel: c.rel }
             })
             .collect();
-        let verdict = LiaSolver::new().check(3, &lia_constraints);
+        let verdict = IncrementalLia::new(3, Budget::default()).check(&lia_constraints);
         if lia_brute_force(&constraints) {
             assert!(
                 verdict.possibly_sat(),
