@@ -38,12 +38,15 @@ pub struct SynthesisConfig {
     pub incremental_smt: bool,
     /// Keep one warm simplex tableau per DPLL(T) query in the LIA
     /// backend (bounds asserted/retracted over a push/pop stack instead
-    /// of rebuilding the tableau for every theory check), plus the
-    /// shared-encoding MUS oracle that rides on it. Disabling gives the
-    /// from-scratch per-check baseline. Verdicts are identical either
-    /// way — backtracking restores exactly the bounds each check
-    /// asserted — so this flag exists for the differential fuzz oracle
-    /// and A/B benchmarking, not for correctness workarounds.
+    /// of rebuilding the tableau for every theory check). Disabling
+    /// gives the from-scratch per-check baseline: every theory check
+    /// builds a fresh tableau, MUS subset checks included. MUS
+    /// enumeration keeps its one path either way: it encodes its
+    /// constraint set once and checks subsets under selector
+    /// assumptions. Verdicts are identical either way — backtracking
+    /// restores exactly the bounds each check asserted — so this flag
+    /// exists for the differential fuzz oracle and A/B benchmarking, not
+    /// for correctness workarounds.
     pub incremental_lia: bool,
     /// Wall-clock timeout for one synthesis goal.
     pub timeout: Duration,

@@ -121,8 +121,6 @@ pub struct SynthesisStats {
     pub branches_abduced: usize,
     /// Pattern matches generated.
     pub matches_generated: usize,
-    /// Wall-clock seconds spent.
-    pub elapsed_secs: f64,
     /// Validity/satisfiability queries issued to the SMT backend
     /// (including ones answered from either cache layer).
     pub smt_queries: usize,
@@ -150,8 +148,9 @@ pub struct SynthesisStats {
     /// skeletons (each lets a derived bound kill related atoms by unit
     /// propagation instead of an LIA call).
     pub bounds_propagated: usize,
-    /// MUS enumerations that ran against one shared encoding with
-    /// selector-literal subset activation (vs re-encoding per subset).
+    /// MUS enumerations that missed the MUS memo. Each encodes its
+    /// constraint set once and checks subsets under selector
+    /// assumptions, the enumerator's only path.
     pub mus_shared_encodings: usize,
     /// Estimated simplex pivots avoided by warm starts (cold first-check
     /// cost minus actual cost, summed over warm checks).
@@ -289,12 +288,11 @@ impl Synthesizer {
 
     /// Synthesizes a program for the goal.
     pub fn synthesize(&mut self, goal: &Goal) -> Result<Synthesized, SynthesisError> {
-        let start = Instant::now();
         // Budget enforcement reaches the DPLL(T) loop and the simplex: a
         // single liquid-abduction round can spend the whole budget inside
         // one fixpoint strengthening, so checks between candidates alone
         // would overshoot by minutes.
-        self.budget = self.budget.until(start + self.config.timeout);
+        self.budget = self.budget.until(Instant::now() + self.config.timeout);
         self.smt.set_budget(self.budget.clone());
         self.node_counter = 0;
         self.current_node = 0;
@@ -302,7 +300,7 @@ impl Synthesizer {
         // profile is a thread-local window around it (no locks, no
         // cross-worker bleed).
         let profile = synquid_telemetry::window();
-        let mut result = self.synthesize_goal(goal, start);
+        let mut result = self.synthesize_goal(goal);
         // A search that exhausted its candidates *after* the budget ran
         // out may have done so only because interrupted SMT queries
         // answered `Unknown`: its `NoSolution` reflects the budget, not
@@ -312,25 +310,17 @@ impl Synthesizer {
         if matches!(result, Err(SynthesisError::NoSolution(_))) && self.budget.exhausted() {
             result = Err(SynthesisError::Timeout(self.goal_name.clone()));
         }
-        // Record wall time on failures too: [`Synthesizer::stats`] (and
-        // `RunResult::stats`) are meaningful for timed-out runs.
-        self.stats.elapsed_secs = start.elapsed().as_secs_f64();
         if let Some(profile) = profile {
             self.stats.phases = profile.close();
         }
-        // Refresh the result's stats copy with the final elapsed time and
-        // the captured phase profile.
+        // Refresh the result's stats copy with the captured phase profile.
         if let Ok(synthesized) = &mut result {
             synthesized.stats = self.stats();
         }
         result
     }
 
-    fn synthesize_goal(
-        &mut self,
-        goal: &Goal,
-        start: Instant,
-    ) -> Result<Synthesized, SynthesisError> {
+    fn synthesize_goal(&mut self, goal: &Goal) -> Result<Synthesized, SynthesisError> {
         self.goal_name = goal.name.clone();
         let mut env = goal.env.clone();
         env.add_qualifiers_from_type(&goal.schema.ty);
@@ -362,11 +352,10 @@ impl Synthesizer {
         if recursive.is_some() && program_mentions(&program, &goal.name) {
             program = Program::Fix(goal.name.clone(), Box::new(program));
         }
-        self.stats.elapsed_secs = start.elapsed().as_secs_f64();
         Ok(Synthesized {
             program,
-            // `stats()` folds in the SMT counters; `elapsed_secs` was
-            // just set, and the caller refreshes it once more on return.
+            // `stats()` folds in the SMT counters; the caller refreshes
+            // the copy with the phase profile on return.
             stats: self.stats(),
         })
     }

@@ -15,7 +15,9 @@
 //!   rungs of each goal become competing jobs under a shared per-goal
 //!   time budget and cancellation tokens; the lowest rung that solves
 //!   wins and cancels its deeper siblings, so the reported program is
-//!   the one the sequential ladder would have found;
+//!   the one the sequential ladder would have found. The budget ledger
+//!   is one state machine, [`portfolio::Portfolio::claim`] and
+//!   [`portfolio::Portfolio::finish`], and an empty slice never runs;
 //! * **resident sessions** ([`session`]) — all cross-goal state (the
 //!   [`SharedValidityCache`](synquid_solver::SharedValidityCache) with
 //!   its hash-consed `(antecedent, consequent)` keys, the enumeration
@@ -64,7 +66,7 @@ pub mod portfolio;
 pub mod scheduler;
 pub mod session;
 
-pub use portfolio::{Portfolio, RungOutcome, DEFAULT_RUNGS};
+pub use portfolio::DEFAULT_RUNGS;
 pub use scheduler::{BatchReport, Engine, EngineConfig, GoalJob, GoalOutcome};
 pub use session::{SessionStats, SynthesisSession, WarmStart};
 pub use synquid_core::SessionCaches;

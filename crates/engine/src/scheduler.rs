@@ -9,22 +9,23 @@
 //! obligation proven for one rung (or one goal) is never re-proven by
 //! another — and, for resident sessions, not even by a later batch.
 //!
-//! Each claim is budgeted through the goal's [`Portfolio`] ledger: the
-//! attempt reserves a bounded slice of the goal's remaining budget, is
-//! charged exactly the wall time it measures, and — when the slice runs
-//! out before the search finishes — is re-queued *in front of* its
-//! pending siblings to run again on whatever budget remains (the
-//! enumeration memo and the shared validity cache make the replayed
-//! prefix cheap). Rungs that a completed failure proves equivalent are
-//! skipped without running; rungs claimed once the budget is gone are
-//! recorded as out-of-budget, never charged for time they did not use.
+//! Every ledger transition is decided by the goal's [`Portfolio`]:
+//! [`Portfolio::claim`] reserves a bounded slice of the goal's remaining
+//! budget (or parks the rung, skips it, or records it cancelled or out
+//! of budget), and [`Portfolio::finish`] charges exactly the wall time the
+//! attempt measured and says whether a rung whose slice ran out before
+//! its search finished is re-queued *in front of* its pending siblings to
+//! run again on whatever budget remains (the enumeration memo and the
+//! shared validity cache make the replayed prefix cheap). The worker
+//! keeps only the lock, the queue order, the trace events and the
+//! synthesis call.
 //!
 //! Results are aggregated deterministically: outcomes are reported in
 //! job-submission order, and each goal's winner is decided by the
 //! portfolio's lowest-solved-rung rule (see [`crate::portfolio`]), not by
 //! wall-clock finish order.
 
-use crate::portfolio::{Portfolio, RungOutcome, DEFAULT_RUNGS};
+use crate::portfolio::{Claim, Portfolio, DEFAULT_RUNGS};
 use crate::session::{SessionStats, SynthesisSession};
 use std::collections::VecDeque;
 use std::sync::Mutex;
@@ -98,9 +99,9 @@ pub struct GoalOutcome {
     /// Rungs cancelled after a shallower rung won.
     pub rungs_cancelled: usize,
     /// Rungs skipped because a completed failure proved their search
-    /// identical; their budget slices were refunded without running.
+    /// identical; they never ran.
     pub rungs_skipped: usize,
-    /// Rungs that never ran because the goal's budget was exhausted
+    /// Rungs that never finished because the goal's budget was exhausted
     /// (distinct from cancellation: no winner was involved).
     pub rungs_out_of_budget: usize,
     /// Total wall time the ledger charged to this goal's rung attempts.
@@ -236,7 +237,7 @@ impl Engine {
             for rung_idx in 0..rungs.len() {
                 queue.push_back((goal_idx, rung_idx));
             }
-            portfolios.push(Portfolio::with_shaping(
+            portfolios.push(Portfolio::new(
                 rungs.clone(),
                 self.config.timeout,
                 self.config.shaping,
@@ -257,38 +258,7 @@ impl Engine {
         let outcomes = jobs
             .iter()
             .zip(&shared.portfolios)
-            .map(|(job, portfolio)| {
-                let (result, winning_rung) = portfolio.verdict();
-                let consumed_secs = portfolio.consumed().as_secs_f64();
-                let mut result = result.cloned().unwrap_or_else(|| RunResult {
-                    name: job.goal.name.clone(),
-                    solved: false,
-                    timed_out: true,
-                    time_secs: 0.0,
-                    program: None,
-                    ast: None,
-                    code_size: None,
-                    stats: None,
-                });
-                if !result.solved {
-                    // Honest failure reporting: the goal is timed out only
-                    // if some rung actually ran out of its budget, and the
-                    // reported time is the ledger's total consumption —
-                    // never the scrap measured by the last unluckiest rung.
-                    result.timed_out = portfolio.ran_out_of_budget();
-                    result.time_secs = consumed_secs;
-                }
-                GoalOutcome {
-                    source: job.source.clone(),
-                    result,
-                    winning_rung,
-                    rungs_run: portfolio.rungs_run(),
-                    rungs_cancelled: portfolio.rungs_cancelled(),
-                    rungs_skipped: portfolio.rungs_skipped(),
-                    rungs_out_of_budget: portfolio.rungs_out_of_budget(),
-                    consumed_secs,
-                }
-            })
+            .map(|(job, portfolio)| portfolio.outcome(job))
             .collect();
         // Measure this run's traffic before GC mutates the gauges, then
         // close the batch's epoch: entries untouched for two more
@@ -303,88 +273,70 @@ impl Engine {
         }
     }
 
-    /// One worker: claim items until the queue is empty.
+    /// One worker: claim items until the queue is empty. The goal's
+    /// [`Portfolio`] decides every ledger transition; the worker keeps
+    /// the lock, the queue order, the events and the synthesis call.
     fn worker(&self, shared: &Mutex<Shared>, jobs: &[GoalJob], context: &SolverContext) {
         // Consecutive pops that all ended in a starved park (see below).
         let mut parked_streak = 0usize;
         loop {
-            // Claim the next runnable item under the lock; decide without
-            // it whether to run (the synthesis itself must not hold it).
-            let claimed = {
+            // Claim the next runnable item under the lock; the synthesis
+            // itself must not hold it.
+            let (goal_idx, rung_idx, (app_depth, match_depth), slice, token) = {
                 let mut state = shared.lock().expect("scheduler state poisoned");
                 let Some((goal_idx, rung_idx)) = state.queue.pop_front() else {
                     return;
                 };
                 let portfolio = &mut state.portfolios[goal_idx];
-                if portfolio.is_dominated(rung_idx) || portfolio.tokens[rung_idx].is_cancelled() {
-                    portfolio.record(rung_idx, RungOutcome::Cancelled);
-                    continue;
-                }
-                if portfolio.skippable(rung_idx) {
-                    let (app, mat) = portfolio.rungs[rung_idx];
-                    portfolio.record(rung_idx, RungOutcome::Skipped);
+                let goal = &jobs[goal_idx].goal.name;
+                let bounds = portfolio.rungs[rung_idx];
+                let rung_event = |kind| {
                     events::emit(|| {
-                        Event::new("rung_skip")
+                        Event::new(kind)
                             .uint("rung", rung_idx as u64)
-                            .str("goal", &jobs[goal_idx].goal.name)
-                            .uint("app_depth", app as u64)
-                            .uint("match_depth", mat as u64)
-                    });
-                    continue;
-                }
-                let slice = portfolio.slice_for(rung_idx);
-                if slice < portfolio.min_slice() {
-                    if portfolio.any_in_flight() {
+                            .str("goal", goal)
+                            .uint("app_depth", bounds.0 as u64)
+                            .uint("match_depth", bounds.1 as u64)
+                    })
+                };
+                let (slice, token) = match portfolio.claim(rung_idx) {
+                    Claim::Run { slice, token } => (slice, token),
+                    Claim::Park => {
                         // The budget is tied up in running siblings whose
                         // refunds may re-fund this rung: park it behind
-                        // them and let the pool make progress elsewhere.
+                        // them and keep draining, since other entries may
+                        // be claimable now. Only once a full queue's worth
+                        // of consecutive pops were all starved parks, back
+                        // off briefly so this loop does not spin on the
+                        // scheduler lock.
                         state.queue.push_back((goal_idx, rung_idx));
-                        Err(state.queue.len())
-                    } else {
-                        let (app, mat) = portfolio.rungs[rung_idx];
-                        portfolio.record(rung_idx, RungOutcome::OutOfBudget);
-                        events::emit(|| {
-                            Event::new("rung_out_of_budget")
-                                .uint("rung", rung_idx as u64)
-                                .str("goal", &jobs[goal_idx].goal.name)
-                                .uint("app_depth", app as u64)
-                                .uint("match_depth", mat as u64)
-                        });
+                        parked_streak += 1;
+                        if parked_streak >= state.queue.len() {
+                            drop(state);
+                            std::thread::sleep(Duration::from_millis(2));
+                            parked_streak = 0;
+                        }
                         continue;
                     }
-                } else {
-                    portfolio.start(rung_idx, slice);
-                    events::emit(|| {
-                        Event::new("ledger_reserve")
-                            .uint("rung", rung_idx as u64)
-                            .str("goal", &jobs[goal_idx].goal.name)
-                            .f64("slice_secs", slice.as_secs_f64())
-                            .f64("available_secs", portfolio.available().as_secs_f64())
-                    });
-                    let token = portfolio.tokens[rung_idx].clone();
-                    let bounds = portfolio.rungs[rung_idx];
-                    Ok((goal_idx, rung_idx, bounds, slice, token))
-                }
-            };
-            let (goal_idx, rung_idx, (app_depth, match_depth), slice, token) = match claimed {
-                Ok(claim) => {
-                    parked_streak = 0;
-                    claim
-                }
-                Err(queue_len) => {
-                    // Parked. Other queue entries may be claimable right
-                    // now, so keep draining; only once a full queue's
-                    // worth of consecutive pops were all starved parks
-                    // (everything runnable is waiting on in-flight
-                    // reservations) back off briefly so this loop does
-                    // not spin on the scheduler lock.
-                    parked_streak += 1;
-                    if parked_streak >= queue_len.max(1) {
-                        std::thread::sleep(Duration::from_millis(2));
-                        parked_streak = 0;
+                    Claim::Cancelled => continue,
+                    Claim::Skipped => {
+                        rung_event("rung_skip");
+                        continue;
                     }
-                    continue;
-                }
+                    Claim::OutOfBudget => {
+                        rung_event("rung_out_of_budget");
+                        continue;
+                    }
+                };
+                events::emit(|| {
+                    Event::new("ledger_reserve")
+                        .uint("rung", rung_idx as u64)
+                        .str("goal", goal)
+                        .f64("slice_secs", slice.as_secs_f64())
+                        .f64("available_secs", portfolio.available().as_secs_f64())
+                });
+                parked_streak = 0;
+                (goal_idx, rung_idx, bounds, slice, token)
             };
 
             let mut config = self.config.base.clone().with_bounds(app_depth, match_depth);
@@ -423,7 +375,7 @@ impl Engine {
 
             let mut state = shared.lock().expect("scheduler state poisoned");
             let portfolio = &mut state.portfolios[goal_idx];
-            let charged = portfolio.settle(rung_idx, slice, elapsed);
+            let (charged, requeue) = portfolio.finish(rung_idx, slice, elapsed, result);
             events::emit(|| {
                 Event::new("ledger_settle")
                     .uint("rung", rung_idx as u64)
@@ -431,15 +383,7 @@ impl Engine {
                     .f64("charged_secs", charged.as_secs_f64())
                     .f64("remaining_secs", portfolio.available().as_secs_f64())
             });
-            if !result.timed_out {
-                // Ran to completion: solved, or genuinely exhausted its
-                // search space (the synthesizer reports budget-truncated
-                // exhaustion as a timeout, so this verdict is trustable).
-                portfolio.record(rung_idx, RungOutcome::finished(result));
-            } else if portfolio.tokens[rung_idx].is_cancelled() {
-                // Aborted because a shallower sibling won.
-                portfolio.record(rung_idx, RungOutcome::Cancelled);
-            } else if portfolio.available() >= portfolio.min_slice() || portfolio.any_in_flight() {
+            if requeue {
                 // Truncated at its slice with budget left (or refunds
                 // still possible): re-queue in front of pending siblings
                 // so the re-lent budget concentrates on the lowest
@@ -447,8 +391,6 @@ impl Engine {
                 // warm enumeration memo and validity cache make the
                 // replayed prefix of the re-run cheap.
                 state.queue.push_front((goal_idx, rung_idx));
-            } else {
-                portfolio.record(rung_idx, RungOutcome::OutOfBudget);
             }
         }
     }

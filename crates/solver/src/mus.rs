@@ -173,9 +173,10 @@ pub fn enumerate_mus(
 /// sound because a larger universe only sharpens the finite-model
 /// abstraction). Each soft constraint gets a selector literal; a subset
 /// check is then a single assumption-based call into the shared DPLL(T)
-/// session, reusing its SAT clause database, learned theory conflicts,
-/// and warm simplex tableau across all subsets — instead of re-encoding
-/// and re-solving every subset from scratch.
+/// session, reusing its SAT clause database and learned theory conflicts
+/// across all subsets, and its warm simplex tableau unless incremental
+/// LIA is off (then each theory check builds a fresh tableau). This is
+/// the only path: no subset is ever encoded on its own.
 ///
 /// Enumerations are memoized in the solver's [`MusMemo`] (none when
 /// incrementality is off): the liquid-abduction loop poses the *same*

@@ -90,9 +90,10 @@ pub struct SmtStats {
     /// trail by unit propagation, killing boolean models — and whole
     /// candidate families — without an LIA call.
     pub bounds_propagated: usize,
-    /// MUS enumerations that ran against one shared encoding with
-    /// selector-literal subset activation, instead of re-encoding
-    /// `background ∧ subset` per oracle call.
+    /// MUS enumerations that missed the MUS memo (or ran without one).
+    /// Each encodes `background ∧ soft` once and checks every subset
+    /// under selector assumptions; that is the enumerator's only path,
+    /// with or without incremental LIA.
     pub mus_shared_encodings: usize,
     /// Estimated simplex pivots saved by warm tableau starts, summed
     /// over all queries: per warm check, the query's cold first-solve

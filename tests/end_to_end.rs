@@ -120,7 +120,8 @@ fn is_empty_synthesizes_and_is_behaviourally_correct() {
 fn portfolio_of_fast_benchmarks_synthesizes() {
     // A portfolio of the quick benchmarks with a modest per-goal budget:
     // the reproduction is considered healthy if most of these succeed
-    // (slower benchmarks are tracked in EXPERIMENTS.md, not here).
+    // (slower benchmarks are tracked by the "Reference solutions" item
+    // of `ROADMAP.md`, not here).
     let names = [
         "is empty",
         "i-th element",
@@ -299,7 +300,7 @@ fn verification_rejects_an_incorrect_candidate_type() {
 }
 
 #[test]
-#[ignore = "BST-insert checking needs per-occurrence predicate-unknown instantiation (EXPERIMENTS.md, known gaps)"]
+#[ignore = "BST-insert checking needs MUSFIX to find the weakest instantiation of a type variable (ROADMAP.md: \"MUSFIX must find the weakest instantiation\" and \"Reference solutions\")"]
 fn hand_written_bst_insert_type_checks_against_the_paper_spec() {
     // The Sec. 2 example program for BST insertion, validated by the
     // standalone checker (synthesis of this goal is exercised by the
