@@ -186,18 +186,20 @@ impl LiaResult {
 }
 
 /// A simplex tableau specialised to feasibility checking.
+///
+/// Bounds and β are indexed by variable id (problem variables first, then
+/// slacks). Every basic variable's β equals its row evaluated at β: each
+/// step moves only the values that change, which keeps that exact.
 #[derive(Debug, Clone)]
 struct Simplex {
-    /// Number of variables (problem + slack).
-    num_vars: usize,
     /// Rows: basic variable -> linear combination of non-basic variables.
     rows: BTreeMap<VarId, BTreeMap<VarId, Rational>>,
     /// Lower bounds.
-    lower: BTreeMap<VarId, Rational>,
+    lower: Vec<Option<Rational>>,
     /// Upper bounds.
-    upper: BTreeMap<VarId, Rational>,
+    upper: Vec<Option<Rational>>,
     /// Current assignment β.
-    beta: BTreeMap<VarId, Rational>,
+    beta: Vec<Rational>,
     /// Total pivots performed over the tableau's lifetime.
     pivots: u64,
 }
@@ -205,36 +207,26 @@ struct Simplex {
 impl Simplex {
     fn new(num_problem_vars: usize) -> Simplex {
         Simplex {
-            num_vars: num_problem_vars,
             rows: BTreeMap::new(),
-            lower: BTreeMap::new(),
-            upper: BTreeMap::new(),
-            beta: BTreeMap::new(),
+            lower: vec![None; num_problem_vars],
+            upper: vec![None; num_problem_vars],
+            beta: vec![Rational::ZERO; num_problem_vars],
             pivots: 0,
         }
-    }
-
-    fn beta(&self, v: VarId) -> Rational {
-        self.beta.get(&v).copied().unwrap_or(Rational::ZERO)
-    }
-
-    fn set_beta(&mut self, v: VarId, val: Rational) {
-        self.beta.insert(v, val);
     }
 
     /// Introduces a slack variable equal to the given combination of
     /// problem variables and returns its id.
     fn add_slack(&mut self, combo: &BTreeMap<VarId, Rational>) -> VarId {
-        let s = self.num_vars;
-        self.num_vars += 1;
+        let s = self.beta.len();
         // The slack starts basic: s = Σ aᵢ·xᵢ, where each xᵢ is currently
         // non-basic (or basic — substitute its row).
         let mut row: BTreeMap<VarId, Rational> = BTreeMap::new();
         for (v, a) in combo {
-            if let Some(vrow) = self.rows.get(v).cloned() {
+            if let Some(vrow) = self.rows.get(v) {
                 for (w, b) in vrow {
-                    let e = row.entry(w).or_insert(Rational::ZERO);
-                    *e = *e + *a * b;
+                    let e = row.entry(*w).or_insert(Rational::ZERO);
+                    *e = *e + *a * *b;
                 }
             } else {
                 let e = row.entry(*v).or_insert(Rational::ZERO);
@@ -244,26 +236,22 @@ impl Simplex {
         row.retain(|_, a| !a.is_zero());
         let val = row
             .iter()
-            .map(|(v, a)| *a * self.beta(*v))
+            .map(|(v, a)| *a * self.beta[*v])
             .fold(Rational::ZERO, |x, y| x + y);
         self.rows.insert(s, row);
-        self.set_beta(s, val);
+        self.lower.push(None);
+        self.upper.push(None);
+        self.beta.push(val);
         s
     }
 
     fn assert_upper(&mut self, v: VarId, c: Rational) -> bool {
-        if let Some(l) = self.lower.get(&v) {
-            if *l > c {
-                return false;
-            }
+        if self.lower[v].is_some_and(|l| l > c) {
+            return false;
         }
-        let tighter = match self.upper.get(&v) {
-            Some(u) => c < *u,
-            None => true,
-        };
-        if tighter {
-            self.upper.insert(v, c);
-            if !self.rows.contains_key(&v) && self.beta(v) > c {
+        if self.upper[v].is_none_or(|u| c < u) {
+            self.upper[v] = Some(c);
+            if !self.rows.contains_key(&v) && self.beta[v] > c {
                 self.update_nonbasic(v, c);
             }
         }
@@ -271,40 +259,31 @@ impl Simplex {
     }
 
     fn assert_lower(&mut self, v: VarId, c: Rational) -> bool {
-        if let Some(u) = self.upper.get(&v) {
-            if *u < c {
-                return false;
-            }
+        if self.upper[v].is_some_and(|u| u < c) {
+            return false;
         }
-        let tighter = match self.lower.get(&v) {
-            Some(l) => c > *l,
-            None => true,
-        };
-        if tighter {
-            self.lower.insert(v, c);
-            if !self.rows.contains_key(&v) && self.beta(v) < c {
+        if self.lower[v].is_none_or(|l| c > l) {
+            self.lower[v] = Some(c);
+            if !self.rows.contains_key(&v) && self.beta[v] < c {
                 self.update_nonbasic(v, c);
             }
         }
         true
     }
 
-    /// Sets a non-basic variable to a new value and updates all basic rows.
+    /// Sets a non-basic variable to a new value and moves the basic
+    /// variables whose rows contain it.
     fn update_nonbasic(&mut self, v: VarId, val: Rational) {
-        let delta = val - self.beta(v);
+        let delta = val - self.beta[v];
         if delta.is_zero() {
             return;
         }
-        let rows: Vec<(VarId, Rational)> = self
-            .rows
-            .iter()
-            .filter_map(|(b, row)| row.get(&v).map(|a| (*b, *a)))
-            .collect();
-        for (b, a) in rows {
-            let nb = self.beta(b) + a * delta;
-            self.set_beta(b, nb);
+        for (b, row) in &self.rows {
+            if let Some(a) = row.get(&v) {
+                self.beta[*b] = self.beta[*b] + *a * delta;
+            }
         }
-        self.set_beta(v, val);
+        self.beta[v] = val;
     }
 
     /// Pivot: basic variable `b` leaves the basis, non-basic `n` enters.
@@ -320,45 +299,25 @@ impl Simplex {
                 row_n.insert(*j, -*a / a_bn);
             }
         }
-        row_n.retain(|_, a| !a.is_zero());
-
-        // Substitute n's new definition into every other row.
-        let keys: Vec<VarId> = self.rows.keys().copied().collect();
-        for k in keys {
-            let row = self.rows.get(&k).cloned().unwrap_or_default();
-            if let Some(a_kn) = row.get(&n).copied() {
-                let mut new_row = row.clone();
-                new_row.remove(&n);
-                for (j, a) in &row_n {
-                    let e = new_row.entry(*j).or_insert(Rational::ZERO);
-                    *e = *e + a_kn * *a;
-                }
-                new_row.retain(|_, a| !a.is_zero());
-                self.rows.insert(k, new_row);
+        // b takes its target value, so n moves by Δn = Δb / a_bn. Only
+        // the rows that contain n change: n's new definition is
+        // substituted into each in place, and its basic variable moves by
+        // a_kn·Δn, which keeps it equal to its row.
+        let delta_n = (new_b_value - self.beta[b]) / a_bn;
+        for (k, row) in self.rows.iter_mut() {
+            let Some(a_kn) = row.remove(&n) else {
+                continue;
+            };
+            for (j, a) in &row_n {
+                let e = row.entry(*j).or_insert(Rational::ZERO);
+                *e = *e + a_kn * *a;
             }
+            row.retain(|_, a| !a.is_zero());
+            self.beta[*k] = self.beta[*k] + a_kn * delta_n;
         }
         self.rows.insert(n, row_n);
-
-        // Update assignments: b takes its target value, n is recomputed so
-        // that b's row still holds, and all other basic variables follow.
-        let delta_b = new_b_value - self.beta(b);
-        let delta_n = delta_b / a_bn;
-        let new_n = self.beta(n) + delta_n;
-
-        // Recompute every basic variable's value from scratch after the
-        // non-basic update (simpler than incremental bookkeeping and still
-        // cheap at our problem sizes).
-        self.set_beta(b, new_b_value);
-        self.set_beta(n, new_n);
-        let basics: Vec<VarId> = self.rows.keys().copied().collect();
-        for bb in basics {
-            let row = &self.rows[&bb];
-            let val = row
-                .iter()
-                .map(|(v, a)| *a * self.beta(*v))
-                .fold(Rational::ZERO, |x, y| x + y);
-            self.set_beta(bb, val);
-        }
+        self.beta[b] = new_b_value;
+        self.beta[n] = self.beta[n] + delta_n;
     }
 
     /// Restores feasibility (the "check" procedure of the general simplex).
@@ -367,46 +326,30 @@ impl Simplex {
         for _ in 0..max_iters {
             // Find a basic variable violating one of its bounds (Bland's
             // rule: smallest id first, to guarantee termination).
-            let violated = self.rows.keys().copied().find(|b| {
-                let v = self.beta(*b);
-                self.lower.get(b).is_some_and(|l| v < *l)
-                    || self.upper.get(b).is_some_and(|u| v > *u)
+            let violated = self.rows.keys().copied().find(|&b| {
+                let v = self.beta[b];
+                self.lower[b].is_some_and(|l| v < l) || self.upper[b].is_some_and(|u| v > u)
             });
             let Some(b) = violated else {
                 return true;
             };
-            let v = self.beta(b);
-            let below = self.lower.get(&b).is_some_and(|l| v < *l);
-            let target = if below {
-                self.lower[&b]
-            } else {
-                self.upper[&b]
-            };
-            let row = self.rows[&b].clone();
-            // Find a suitable non-basic variable to pivot with (Bland).
-            let mut entering = None;
-            let mut candidates: Vec<(VarId, Rational)> = row.into_iter().collect();
-            candidates.sort_by_key(|(v, _)| *v);
-            for (n, a) in candidates {
-                let n_val = self.beta(n);
-                let can_increase = match self.upper.get(&n) {
-                    Some(u) => n_val < *u,
-                    None => true,
-                };
-                let can_decrease = match self.lower.get(&n) {
-                    Some(l) => n_val > *l,
-                    None => true,
-                };
+            let v = self.beta[b];
+            let below = self.lower[b].is_some_and(|l| v < l);
+            let target = if below { self.lower[b] } else { self.upper[b] };
+            let target = target.expect("a violated variable has that bound");
+            // Find a suitable non-basic variable to pivot with (Bland: the
+            // row is ordered by id, so the first fit is the smallest).
+            let entering = self.rows[&b].iter().find_map(|(&n, &a)| {
+                let n_val = self.beta[n];
+                let can_increase = self.upper[n].is_none_or(|u| n_val < u);
+                let can_decrease = self.lower[n].is_none_or(|l| n_val > l);
                 let ok = if below {
                     (a.is_positive() && can_increase) || (a.is_negative() && can_decrease)
                 } else {
                     (a.is_positive() && can_decrease) || (a.is_negative() && can_increase)
                 };
-                if ok {
-                    entering = Some(n);
-                    break;
-                }
-            }
+                ok.then_some(n)
+            });
             match entering {
                 Some(n) => self.pivot(b, n, target),
                 None => return false,
@@ -417,7 +360,26 @@ impl Simplex {
     }
 
     fn model(&self, num_problem_vars: usize) -> BTreeMap<VarId, Rational> {
-        (0..num_problem_vars).map(|v| (v, self.beta(v))).collect()
+        (0..num_problem_vars).map(|v| (v, self.beta[v])).collect()
+    }
+}
+
+#[cfg(test)]
+impl Simplex {
+    /// The basic variables whose β differs from their row evaluated at β:
+    /// empty while the invariant that `pivot`'s in-place β update relies
+    /// on holds.
+    fn stale_basics(&self) -> Vec<VarId> {
+        self.rows
+            .iter()
+            .filter(|(b, row)| {
+                let value = row
+                    .iter()
+                    .fold(Rational::ZERO, |acc, (v, a)| acc + *a * self.beta[*v]);
+                value != self.beta[**b]
+            })
+            .map(|(b, _)| *b)
+            .collect()
     }
 }
 
@@ -546,19 +508,12 @@ impl IncrementalLia {
         let mark = self.frames.pop().expect("pop without matching push");
         while self.trail.len() > mark {
             let undo = self.trail.pop().unwrap();
-            let map = if undo.upper {
+            let bounds = if undo.upper {
                 &mut self.simplex.upper
             } else {
                 &mut self.simplex.lower
             };
-            match undo.old {
-                Some(c) => {
-                    map.insert(undo.var, c);
-                }
-                None => {
-                    map.remove(&undo.var);
-                }
-            }
+            bounds[undo.var] = undo.old;
         }
     }
 
@@ -574,7 +529,7 @@ impl IncrementalLia {
         self.trail.push(BoundUndo {
             var: v,
             upper: true,
-            old: self.simplex.upper.get(&v).copied(),
+            old: self.simplex.upper[v],
         });
         self.simplex.assert_upper(v, c)
     }
@@ -583,7 +538,7 @@ impl IncrementalLia {
         self.trail.push(BoundUndo {
             var: v,
             upper: false,
-            old: self.simplex.lower.get(&v).copied(),
+            old: self.simplex.lower[v],
         });
         self.simplex.assert_lower(v, c)
     }
@@ -712,6 +667,7 @@ impl IncrementalLia {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use synquid_logic::Rng;
 
     fn var(v: VarId) -> LinExpr {
         LinExpr::variable(v)
@@ -939,6 +895,112 @@ mod tests {
             LiaResult::Sat(m) => assert_eq!(m[&0], Rational::from_int(2)),
             other => panic!("expected sat, got {other:?}"),
         }
+    }
+
+    /// FNV-1a over the little-endian bytes of `word`, continuing from `hash`.
+    fn fnv1a(hash: u64, word: u64) -> u64 {
+        word.to_le_bytes().iter().fold(hash, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    /// One warm tableau per seed answers ten random checks over four
+    /// shared linear combinations, as the checks of one DPLL(T) query
+    /// share atoms. No check is `Unsat` where a brute force over the box
+    /// `-6..=6`³ finds a model, decided verdicts agree with a fresh
+    /// tableau's, every model satisfies its constraints, and after every
+    /// check each basic variable's β equals its row evaluated at β. The
+    /// verdicts, models, `pivots_saved()` and `warm_checks()` fold into a
+    /// digest, so a kernel change that alters a pivot fails the pin even
+    /// when every answer is still correct.
+    #[test]
+    fn a_reused_tableau_agrees_with_fresh_ones_and_keeps_its_decisions() {
+        type Small = ([i64; 3], i64, Rel);
+        let holds = |(coeffs, constant, rel): &Small, point: [i64; 3]| {
+            let lhs = constant + (0..3).map(|i| coeffs[i] * point[i]).sum::<i64>();
+            match rel {
+                Rel::Le => lhs <= 0,
+                Rel::Ge => lhs >= 0,
+                Rel::Eq => lhs == 0,
+            }
+        };
+        let box_has_model = |small: &[Small]| {
+            let range = -6i64..=6;
+            range.clone().any(|x| {
+                range.clone().any(|y| {
+                    range
+                        .clone()
+                        .any(|z| small.iter().all(|c| holds(c, [x, y, z])))
+                })
+            })
+        };
+        let mut digest = 0xcbf2_9ce4_8422_2325;
+        for seed in 0..128 {
+            let mut rng = Rng::new(seed);
+            let combos: Vec<[i64; 3]> =
+                (0..4).map(|_| [(); 3].map(|_| rng.int_in(-2, 2))).collect();
+            let mut inc = IncrementalLia::new(3, Budget::default());
+            for round in 0..10 {
+                let small: Vec<Small> = (0..=rng.below(4))
+                    .map(|_| {
+                        let combo = combos[rng.below(4) as usize];
+                        let rel = [Rel::Le, Rel::Ge, Rel::Eq][rng.below(3) as usize];
+                        (combo, rng.int_in(-4, 4), rel)
+                    })
+                    .collect();
+                let cs: Vec<Constraint> = small
+                    .iter()
+                    .map(|(coeffs, constant, rel)| {
+                        let mut expr = num(*constant);
+                        for (v, a) in coeffs.iter().enumerate() {
+                            expr.add_scaled(&var(v), Rational::from_int(*a));
+                        }
+                        Constraint { expr, rel: *rel }
+                    })
+                    .collect();
+                let warm = inc.check(&cs);
+                let stale = inc.simplex.stale_basics();
+                assert!(
+                    stale.is_empty(),
+                    "seed {seed}, round {round}: β of basic {stale:?} differs from its row"
+                );
+                if box_has_model(&small) {
+                    assert!(
+                        warm.possibly_sat(),
+                        "seed {seed}, round {round}: Unsat, but the box has a model of {small:?}"
+                    );
+                }
+                let fresh = check(3, &cs);
+                if warm != LiaResult::Unknown && fresh != LiaResult::Unknown {
+                    assert_eq!(
+                        warm == LiaResult::Unsat,
+                        fresh == LiaResult::Unsat,
+                        "seed {seed}, round {round}: warm {warm:?}, fresh {fresh:?} on {small:?}"
+                    );
+                }
+                match &warm {
+                    LiaResult::Sat(model) => {
+                        assert!(
+                            cs.iter().all(|c| c.holds(model)),
+                            "seed {seed}, round {round}: {model:?} violates {small:?}"
+                        );
+                        digest = fnv1a(digest, 1);
+                        for value in model.values() {
+                            digest = fnv1a(digest, value.floor() as u64);
+                        }
+                    }
+                    LiaResult::Unsat => digest = fnv1a(digest, 0),
+                    LiaResult::Unknown => digest = fnv1a(digest, 2),
+                }
+            }
+            digest = fnv1a(digest, inc.pivots_saved());
+            digest = fnv1a(digest, inc.warm_checks());
+        }
+        assert_eq!(
+            format!("{digest:016x}"),
+            "7696068bbd9a46e5",
+            "a simplex decision changed: some verdict, model or pivot count differs from the pinned sweep"
+        );
     }
 
     /// A check under an `exhausted` budget answers Unknown and marks the

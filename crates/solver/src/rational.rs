@@ -4,7 +4,11 @@
 //! denominator. The linear programs arising from refinement-type
 //! verification conditions are tiny, so `i128` precision is ample; all
 //! operations use checked arithmetic and panic on overflow rather than
-//! silently producing wrong answers.
+//! silently producing wrong answers, in release builds too.
+//!
+//! The encoder's coefficients and bounds are integers, so most values
+//! have denominator 1: [`Rational::new`], `+` and `*` then skip the gcd,
+//! and `cmp` compares numerators whenever the denominators are equal.
 
 use std::cmp::Ordering;
 use std::fmt;
@@ -18,7 +22,8 @@ pub struct Rational {
 }
 
 fn gcd(a: i128, b: i128) -> i128 {
-    let (mut a, mut b) = (a.abs(), b.abs());
+    let abs = |x: i128| x.checked_abs().expect("rational overflow in gcd");
+    let (mut a, mut b) = (abs(a), abs(b));
     while b != 0 {
         let t = a % b;
         a = b;
@@ -39,11 +44,14 @@ impl Rational {
     /// Panics if `den == 0`.
     pub fn new(num: i128, den: i128) -> Rational {
         assert!(den != 0, "rational with zero denominator");
-        let sign = if den < 0 { -1 } else { 1 };
-        let g = gcd(num, den).max(1);
+        if den == 1 {
+            return Rational { num, den };
+        }
+        // The divisor takes the denominator's sign, so `den` ends positive.
+        let g = gcd(num, den) * den.signum();
         Rational {
-            num: sign * num / g,
-            den: sign * den / g,
+            num: num / g,
+            den: den / g,
         }
     }
 
@@ -77,16 +85,15 @@ impl Rational {
 
     /// Largest integer less than or equal to this rational.
     pub fn floor(&self) -> i128 {
-        if self.num >= 0 {
-            self.num / self.den
-        } else {
-            -((-self.num + self.den - 1) / self.den)
-        }
+        // Euclidean division by a positive divisor rounds down and cannot
+        // overflow.
+        self.num.div_euclid(self.den)
     }
 
     /// Smallest integer greater than or equal to this rational.
     pub fn ceil(&self) -> i128 {
-        -(-*self).floor()
+        // A non-integer's floor lies below a representable value.
+        self.floor() + i128::from(!self.is_integer())
     }
 
     /// Multiplicative inverse.
@@ -114,12 +121,21 @@ impl From<i64> for Rational {
 impl Add for Rational {
     type Output = Rational;
     fn add(self, rhs: Rational) -> Rational {
+        if self.den == 1 && rhs.den == 1 {
+            let num = self
+                .num
+                .checked_add(rhs.num)
+                .expect("rational overflow in add");
+            return Rational { num, den: 1 };
+        }
         Rational::new(
             self.num
                 .checked_mul(rhs.den)
                 .and_then(|a| rhs.num.checked_mul(self.den).and_then(|b| a.checked_add(b)))
                 .expect("rational overflow in add"),
-            self.den.checked_mul(rhs.den).expect("rational overflow"),
+            self.den
+                .checked_mul(rhs.den)
+                .expect("rational overflow in add"),
         )
     }
 }
@@ -134,6 +150,13 @@ impl Sub for Rational {
 impl Mul for Rational {
     type Output = Rational;
     fn mul(self, rhs: Rational) -> Rational {
+        if self.den == 1 && rhs.den == 1 {
+            let num = self
+                .num
+                .checked_mul(rhs.num)
+                .expect("rational overflow in mul");
+            return Rational { num, den: 1 };
+        }
         Rational::new(
             self.num
                 .checked_mul(rhs.num)
@@ -157,7 +180,7 @@ impl Neg for Rational {
     type Output = Rational;
     fn neg(self) -> Rational {
         Rational {
-            num: -self.num,
+            num: self.num.checked_neg().expect("rational overflow in neg"),
             den: self.den,
         }
     }
@@ -171,6 +194,9 @@ impl PartialOrd for Rational {
 
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
+        if self.den == other.den {
+            return self.num.cmp(&other.num);
+        }
         let lhs = self
             .num
             .checked_mul(other.den)
@@ -224,6 +250,56 @@ mod tests {
         assert_eq!(Rational::new(-7, 2).ceil(), -3);
         assert_eq!(Rational::from_int(5).floor(), 5);
         assert_eq!(Rational::from_int(5).ceil(), 5);
+    }
+
+    #[test]
+    fn integer_fast_paths_agree_with_the_general_path() {
+        assert_eq!(
+            Rational::new(6, 3) + Rational::from_int(1),
+            Rational::from_int(3)
+        );
+        let values = [
+            (-3, 1),
+            (0, 1),
+            (2, 1),
+            (7, 1),
+            (1, 2),
+            (-5, 3),
+            (4, -6),
+            (6, 3),
+        ];
+        for (p, q) in values {
+            for (r, s) in values {
+                let (a, b) = (Rational::new(p, q), Rational::new(r, s));
+                // Doubling the denominator keeps the value and takes the
+                // general path, whatever the operands' denominators.
+                assert_eq!(a + b, Rational::new(2 * (p * s + r * q), 2 * q * s));
+                assert_eq!(a - b, Rational::new(2 * (p * s - r * q), 2 * q * s));
+                assert_eq!(a * b, Rational::new(2 * p * r, 2 * q * s));
+                assert_eq!(a.cmp(&b), (a.num * b.den).cmp(&(b.num * a.den)));
+                assert_eq!(-a, Rational::new(-2 * p, 2 * q));
+            }
+        }
+        assert!(Rational::from_int(-2) < Rational::from_int(1));
+        assert!(Rational::new(-1, 3) > Rational::new(-2, 3));
+        assert_eq!(
+            Rational::new(4, 2).cmp(&Rational::from_int(2)),
+            Ordering::Equal
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rational overflow in neg")]
+    fn negating_i128_min_panics_in_every_profile() {
+        let _ = -Rational::new(i128::MIN, 1);
+    }
+
+    #[test]
+    fn floor_and_ceil_do_not_overflow_at_the_extremes() {
+        assert_eq!(Rational::new(i128::MIN, 1).floor(), i128::MIN);
+        assert_eq!(Rational::new(i128::MIN, 1).ceil(), i128::MIN);
+        assert_eq!(Rational::new(i128::MAX, 1).ceil(), i128::MAX);
+        assert_eq!(Rational::new(i128::MAX, 2).ceil(), i128::MAX / 2 + 1);
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! conflict-driven clause-learning solver with two-watched-literal
 //! propagation, first-UIP clause learning, activity-based branching, and
 //! solving under assumptions.
-
-use std::collections::HashMap;
+//!
+//! Watch lists are indexed by literal code, and each clause stores the
+//! two literals watching it, so the inner loop touches only the clauses
+//! of the falsified literal and reads them in place.
 
 /// A boolean variable, numbered from 0.
 pub type BVar = usize;
@@ -83,11 +85,19 @@ enum Value {
     Unassigned,
 }
 
+/// A clause and the two literals watching it (the same literal twice for
+/// a unit clause). The clause sits in exactly those literals' watch lists.
+#[derive(Debug)]
+struct Clause {
+    lits: Vec<Lit>,
+    watched: [Lit; 2],
+}
+
 /// The CDCL solver.
 #[derive(Debug, Default)]
 pub struct SatSolver {
-    clauses: Vec<Vec<Lit>>,
-    watches: HashMap<usize, Vec<usize>>, // literal index -> clause ids watching it
+    clauses: Vec<Clause>,
+    watches: Vec<Vec<usize>>, // literal index -> clause ids watching it
     assignment: Vec<Value>,
     level: Vec<usize>,
     reason: Vec<Option<usize>>, // clause id that implied the assignment
@@ -120,6 +130,7 @@ impl SatSolver {
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
+        self.watches.extend([Vec::new(), Vec::new()]);
         v
     }
 
@@ -148,15 +159,19 @@ impl SatSolver {
         for l in &lits {
             self.reserve_vars(l.var() + 1);
         }
+        self.attach(lits);
+    }
+
+    /// Stores a non-empty clause watched by its first two literals (or
+    /// its single literal).
+    fn attach(&mut self, lits: Vec<Lit>) {
         let id = self.clauses.len();
-        // Watch the first two literals (or duplicate the single literal).
-        let w0 = lits[0];
-        let w1 = *lits.get(1).unwrap_or(&lits[0]);
-        self.clauses.push(lits);
-        self.watches.entry(w0.index()).or_default().push(id);
-        if w1 != w0 {
-            self.watches.entry(w1.index()).or_default().push(id);
+        let watched = [lits[0], *lits.get(1).unwrap_or(&lits[0])];
+        self.watches[watched[0].index()].push(id);
+        if watched[1] != watched[0] {
+            self.watches[watched[1].index()].push(id);
         }
+        self.clauses.push(Clause { lits, watched });
     }
 
     fn value(&self, l: Lit) -> Value {
@@ -183,100 +198,38 @@ impl SatSolver {
         self.trail_lim.len()
     }
 
-    fn enqueue(&mut self, l: Lit, reason: Option<usize>) -> bool {
-        match self.value(l) {
-            Value::False => false,
-            Value::True => true,
-            Value::Unassigned => {
-                self.assignment[l.var()] = if l.is_pos() {
-                    Value::True
-                } else {
-                    Value::False
-                };
-                self.level[l.var()] = self.decision_level();
-                self.reason[l.var()] = reason;
-                self.trail.push(l);
-                true
-            }
-        }
+    /// Makes the unassigned literal `l` true at the current decision level.
+    fn enqueue(&mut self, l: Lit, reason: Option<usize>) {
+        debug_assert_eq!(self.value(l), Value::Unassigned);
+        self.assignment[l.var()] = if l.is_pos() {
+            Value::True
+        } else {
+            Value::False
+        };
+        self.level[l.var()] = self.decision_level();
+        self.reason[l.var()] = reason;
+        self.trail.push(l);
     }
 
     /// Unit propagation; returns the id of a conflicting clause, if any.
     fn propagate(&mut self) -> Option<usize> {
         while self.propagate_head < self.trail.len() {
-            let l = self.trail[self.propagate_head];
+            let falsified = self.trail[self.propagate_head].negate();
             self.propagate_head += 1;
-            let falsified = l.negate();
-            let watching = self
-                .watches
-                .get(&falsified.index())
-                .cloned()
-                .unwrap_or_default();
-            let mut still_watching = Vec::with_capacity(watching.len());
+            // No watch moves onto `falsified` (a new watch is unassigned),
+            // so its list can be taken out and compacted in place.
+            let mut watching = std::mem::take(&mut self.watches[falsified.index()]);
+            let mut kept = 0;
             let mut conflict = None;
-            let mut i = 0;
-            while i < watching.len() {
+            for i in 0..watching.len() {
                 let cid = watching[i];
-                i += 1;
-                if conflict.is_some() {
-                    still_watching.push(cid);
-                    continue;
-                }
-                let clause = self.clauses[cid].clone();
-                // Try to find a non-false literal other than `falsified` to watch.
-                let mut satisfied = false;
-                let mut new_watch = None;
-                let mut unassigned = None;
-                for &cl in &clause {
-                    if cl == falsified {
-                        continue;
-                    }
-                    match self.value(cl) {
-                        Value::True => {
-                            satisfied = true;
-                            break;
-                        }
-                        Value::Unassigned => {
-                            if unassigned.is_none() {
-                                unassigned = Some(cl);
-                            }
-                            if new_watch.is_none() && !self.is_watched(cid, cl) {
-                                new_watch = Some(cl);
-                            }
-                        }
-                        Value::False => {
-                            if new_watch.is_none() && !self.is_watched(cid, cl) {
-                                // Could re-watch a false literal only as a
-                                // last resort; skip.
-                            }
-                        }
-                    }
-                }
-                if satisfied {
-                    still_watching.push(cid);
-                    continue;
-                }
-                if let Some(nw) = new_watch {
-                    // Move the watch from `falsified` to `nw`.
-                    self.watches.entry(nw.index()).or_default().push(cid);
-                    continue;
-                }
-                match unassigned {
-                    Some(unit) => {
-                        // Clause is unit: propagate.
-                        still_watching.push(cid);
-                        if !self.enqueue(unit, Some(cid)) {
-                            conflict = Some(cid);
-                        }
-                    }
-                    None => {
-                        // All literals false: conflict.
-                        still_watching.push(cid);
-                        conflict = Some(cid);
-                    }
+                if conflict.is_some() || self.visit(cid, falsified, &mut conflict) {
+                    watching[kept] = cid;
+                    kept += 1;
                 }
             }
-            self.watches.insert(falsified.index(), still_watching);
+            watching.truncate(kept);
+            self.watches[falsified.index()] = watching;
             if conflict.is_some() {
                 return conflict;
             }
@@ -284,11 +237,44 @@ impl SatSolver {
         None
     }
 
-    fn is_watched(&self, cid: usize, l: Lit) -> bool {
-        self.watches
-            .get(&l.index())
-            .map(|v| v.contains(&cid))
-            .unwrap_or(false)
+    /// Visits clause `cid` after its watched literal `falsified` became
+    /// false. A clause with a true literal is left alone; otherwise the
+    /// watch moves to the first unwatched unassigned literal, or the
+    /// clause propagates its one unassigned literal, or it is the
+    /// conflict. Returns false when the watch moved off `falsified`.
+    fn visit(&mut self, cid: usize, falsified: Lit, conflict: &mut Option<usize>) -> bool {
+        let clause = &self.clauses[cid];
+        let [w0, w1] = clause.watched;
+        let other = if w0 == falsified { w1 } else { w0 };
+        let mut new_watch = None;
+        let mut unassigned = None;
+        for &cl in &clause.lits {
+            if cl == falsified {
+                continue;
+            }
+            match self.value(cl) {
+                Value::True => return true,
+                Value::Unassigned => {
+                    unassigned = unassigned.or(Some(cl));
+                    if new_watch.is_none() && cl != other {
+                        new_watch = Some(cl);
+                    }
+                }
+                Value::False => {}
+            }
+        }
+        match (new_watch, unassigned) {
+            (Some(nw), _) => {
+                self.clauses[cid].watched = [other, nw];
+                self.watches[nw.index()].push(cid);
+                return false;
+            }
+            (None, Some(unit)) => {
+                self.enqueue(unit, Some(cid));
+            }
+            (None, None) => *conflict = Some(cid),
+        }
+        true
     }
 
     fn bump(&mut self, v: BVar) {
@@ -312,8 +298,8 @@ impl SatSolver {
         let mut trail_idx = self.trail.len();
 
         loop {
-            let clause = self.clauses[clause_id].clone();
-            for &q in &clause {
+            for k in 0..self.clauses[clause_id].lits.len() {
+                let q = self.clauses[clause_id].lits[k];
                 if Some(q) == p {
                     continue;
                 }
@@ -362,12 +348,6 @@ impl SatSolver {
 
     fn backtrack(&mut self, level: usize) {
         while let Some(&l) = self.trail.last() {
-            if self.level[l.var()] <= level
-                && self.reason[l.var()].is_none()
-                && self.level[l.var()] != 0
-            {
-                // Decision at or below the target level stays only if below.
-            }
             if self.level[l.var()] <= level {
                 break;
             }
@@ -424,37 +404,28 @@ impl SatSolver {
             return SatResult::Unsat;
         }
 
-        loop {
-            // Apply assumptions as pseudo-decisions first.
-            let mut all_assumed = true;
-            for &a in assumptions {
-                match self.value(a) {
-                    Value::True => continue,
-                    // The assumptions contradict each other or the clauses.
-                    Value::False => return SatResult::Unsat,
-                    Value::Unassigned => {
-                        self.trail_lim.push(self.trail.len());
-                        self.enqueue(a, None);
-                        all_assumed = false;
-                        break;
-                    }
-                }
-            }
-            if !all_assumed {
-                if let Some(conflict) = self.propagate() {
-                    // A conflict with no free decision on the trail.
-                    if self.decision_level() <= assumptions.len() {
+        // Each assumption not yet true becomes a pseudo-decision at its own
+        // level; while only assumptions are decided, a conflict refutes them.
+        for &a in assumptions {
+            match self.value(a) {
+                Value::True => {}
+                // The assumptions contradict each other or the clauses.
+                Value::False => return SatResult::Unsat,
+                Value::Unassigned => {
+                    self.trail_lim.push(self.trail.len());
+                    self.enqueue(a, None);
+                    if self.propagate().is_some() {
                         return SatResult::Unsat;
                     }
-                    let (learned, bt) = self.analyze(conflict);
-                    self.backtrack(bt);
-                    let unit = learned[0];
-                    self.add_clause_runtime(learned);
-                    self.enqueue_learned(unit);
                 }
-                continue;
             }
+        }
+        // Levels `1..=assumed` hold the assumptions. An assumption that was
+        // already true opened none, so this can be fewer than
+        // `assumptions.len()`. The search never backtracks below them.
+        let assumed = self.decision_level();
 
+        loop {
             match self.decide() {
                 None => {
                     let model = self
@@ -472,31 +443,16 @@ impl SatSolver {
 
             while let Some(conflict) = self.propagate() {
                 // A conflict with no free decision on the trail.
-                if self.decision_level() <= assumptions.len() {
+                if self.decision_level() <= assumed {
                     return SatResult::Unsat;
                 }
                 self.var_inc *= 1.05;
                 let (learned, bt) = self.analyze(conflict);
-                self.backtrack(bt.max(assumptions.len().min(self.decision_level())));
+                self.backtrack(bt.max(assumed));
                 let unit = learned[0];
-                self.add_clause_runtime(learned);
+                self.attach(learned);
                 self.enqueue_learned(unit);
             }
-        }
-    }
-
-    fn add_clause_runtime(&mut self, lits: Vec<Lit>) {
-        if lits.is_empty() {
-            self.has_empty_clause = true;
-            return;
-        }
-        let id = self.clauses.len();
-        let w0 = lits[0];
-        let w1 = *lits.get(1).unwrap_or(&lits[0]);
-        self.clauses.push(lits);
-        self.watches.entry(w0.index()).or_default().push(id);
-        if w1 != w0 {
-            self.watches.entry(w1.index()).or_default().push(id);
         }
     }
 

@@ -623,6 +623,9 @@ impl Smt {
                     let _shrink_span = synquid_telemetry::span(Phase::CoreShrink);
                     let mut core = literals;
                     let mut block = core.len().div_ceil(2);
+                    // One probe buffer serves every shrink check: the core
+                    // minus the block under test, in core order.
+                    let mut probe: Vec<&Constraint> = Vec::with_capacity(core.len());
                     loop {
                         if self.budget.exhausted() {
                             self.interrupted = true;
@@ -639,16 +642,14 @@ impl Smt {
                                 return SmtResult::Unknown;
                             }
                             let end = (i + block).min(core.len());
-                            let mut candidate = core.clone();
-                            candidate.drain(i..end);
-                            let cs: Vec<&Constraint> =
-                                candidate.iter().map(|&(_, _, c)| c).collect();
+                            probe.clear();
+                            probe.extend(core[..i].iter().chain(&core[end..]).map(|&(_, _, c)| c));
                             self.stats.theory_calls += 1;
                             if matches!(
-                                self.theory_check(session, problem.num_arith_vars, &cs),
+                                self.theory_check(session, problem.num_arith_vars, &probe),
                                 LiaResult::Unsat
                             ) {
-                                core = candidate;
+                                core.drain(i..end);
                             } else {
                                 i = end;
                             }

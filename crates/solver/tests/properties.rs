@@ -74,6 +74,92 @@ fn cdcl_agrees_with_brute_force() {
     }
 }
 
+fn sat_lits(lits: &[(usize, bool)]) -> Vec<Lit> {
+    lits.iter().map(|&(v, p)| Lit::new(v, p)).collect()
+}
+
+/// FNV-1a over the little-endian bytes of `word`, continuing from `hash`
+/// (start from [`FNV_OFFSET`]).
+fn fnv1a(hash: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(hash, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// One solver per seed answers eight rounds of `solve_with_assumptions`
+/// under random assumptions, with random clauses added between rounds,
+/// so learned clauses and watch lists carry over from call to call.
+/// Every verdict equals brute force over the clauses plus the
+/// assumptions, and every model satisfies both. The sweep's verdicts
+/// and models fold into a digest: a kernel change that alters a
+/// decision picks a different model somewhere and fails the pin, even
+/// when every answer is still correct.
+#[test]
+fn a_reused_cdcl_solver_agrees_with_brute_force_and_keeps_its_models() {
+    const VARS: usize = 10;
+    let mut digest = FNV_OFFSET;
+    for seed in 0..160 {
+        let mut rng = Rng::new(seed);
+        let mut solver = SatSolver::new();
+        solver.reserve_vars(VARS);
+        let mut cnf: Vec<Vec<(usize, bool)>> = Vec::new();
+        let lit = |rng: &mut Rng| (rng.below(VARS as u64) as usize, rng.flip());
+        for round in 0..8 {
+            for clause in vec_of(&mut rng, 0, 6, |rng| vec_of(rng, 1, 3, lit)) {
+                solver.add_clause(sat_lits(&clause));
+                cnf.push(clause);
+            }
+            let assumptions = vec_of(&mut rng, 0, 3, lit);
+            let mut constrained = cnf.clone();
+            constrained.extend(assumptions.iter().map(|&a| vec![a]));
+            let expected = brute_force_sat(VARS, &constrained);
+            if seed == 78 && round == 4 {
+                let mut fresh = SatSolver::new();
+                fresh.reserve_vars(VARS);
+                for c in &cnf {
+                    fresh.add_clause(sat_lits(c));
+                }
+                eprintln!(
+                    "CNF {cnf:?}\nASSUME {assumptions:?}\nfresh {:?}",
+                    fresh.solve_with_assumptions(&sat_lits(&assumptions))
+                );
+            }
+            match solver.solve_with_assumptions(&sat_lits(&assumptions)) {
+                SatResult::Sat(model) => {
+                    assert!(
+                        expected,
+                        "seed {seed}, round {round}: SAT on an UNSAT instance under {assumptions:?}"
+                    );
+                    for clause in &constrained {
+                        assert!(
+                            clause.iter().any(|(v, p)| model[*v] == *p),
+                            "seed {seed}, round {round}: model violates {clause:?}"
+                        );
+                    }
+                    digest = fnv1a(digest, 1);
+                    for value in model {
+                        digest = fnv1a(digest, u64::from(value));
+                    }
+                }
+                SatResult::Unsat => {
+                    assert!(
+                        !expected,
+                        "seed {seed}, round {round}: UNSAT on a SAT instance under {assumptions:?}"
+                    );
+                    digest = fnv1a(digest, 0);
+                }
+            }
+        }
+    }
+    assert_eq!(
+        format!("{digest:016x}"),
+        "d988febd5b9f79a5",
+        "a SAT decision changed: some verdict or model differs from the pinned sweep"
+    );
+}
+
 // ---------------------------------------------------------------------
 // LIA solver vs. brute force over a small box
 // ---------------------------------------------------------------------

@@ -381,8 +381,13 @@ fn explain_main(args: &[String]) -> ExitCode {
             timeout.as_secs_f64()
         );
         let report = synquid::trace::analyze(&trace);
-        if let Some(forensics) = report.goals.get(&goal_name) {
-            print!("{}", forensics.render(10));
+        match report.goals.get(&goal_name) {
+            Some(forensics) => print!("{}", forensics.render(10)),
+            // No rung ran, so the trace has nothing on the goal.
+            None => println!(
+                "the budget funded no rung: {} rungs out of budget",
+                outcome.rungs_out_of_budget
+            ),
         }
         if full {
             for attempt in forest.for_goal(&goal_name) {

@@ -23,14 +23,12 @@ fn fuzzing_zero_cases_is_a_usage_error() {
     );
 }
 
-/// A zero budget funds no slice, so every rung is recorded out of budget
-/// without running and the goal times out at once. An empty slice that
-/// is re-queued instead spins forever; the watchdog turns such a
-/// livelock into a failure instead of a hung test run.
-#[test]
-fn a_zero_budget_times_out_at_once() {
+/// Runs the built `synquid` binary from the repository root, killing it
+/// and failing after 60 s: a livelock fails the test instead of hanging
+/// the test run.
+fn synquid_within_a_minute(args: &[&str]) -> std::process::Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_synquid"))
-        .args(["--timeout", "0", "specs/is_empty.sq"])
+        .args(args)
         .current_dir(env!("CARGO_MANIFEST_DIR"))
         .stdout(Stdio::piped())
         .stderr(Stdio::piped())
@@ -41,15 +39,38 @@ fn a_zero_budget_times_out_at_once() {
         if Instant::now() >= deadline {
             child.kill().expect("the child can be killed");
             child.wait().expect("the killed child is reaped");
-            panic!("`synquid --timeout 0 specs/is_empty.sq` still ran after 60 s");
+            panic!("`synquid {}` still ran after 60 s", args.join(" "));
         }
         std::thread::sleep(Duration::from_millis(20));
     }
-    let out = child.wait_with_output().expect("the output is readable");
+    child.wait_with_output().expect("the output is readable")
+}
+
+/// A zero budget funds no slice, so every rung is recorded out of budget
+/// without running and the goal times out at once. An empty slice that
+/// is re-queued instead spins forever.
+#[test]
+fn a_zero_budget_times_out_at_once() {
+    let out = synquid_within_a_minute(&["--timeout", "0", "specs/is_empty.sq"]);
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
     assert!(
         stdout.contains("no solution within 0s (timed out)"),
+        "stdout: {stdout}"
+    );
+}
+
+/// With a zero budget no rung runs, so the trace holds no forensics for
+/// the goal: `explain` says that the budget funded no rung instead of
+/// ending its forensics section empty.
+#[test]
+fn explain_says_when_the_budget_funded_no_rung() {
+    let out =
+        synquid_within_a_minute(&["explain", "is_empty", "specs/is_empty.sq", "--timeout", "0"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "stdout: {stdout}");
+    assert!(
+        stdout.contains("the budget funded no rung: 5 rungs out of budget"),
         "stdout: {stdout}"
     );
 }
