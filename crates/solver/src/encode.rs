@@ -169,6 +169,8 @@ impl Encoded {
     /// query and `y ≥ x` in another produce the same key even though
     /// their [`VarId`]s differ. Opaque atoms have no arithmetic content
     /// and never participate in theory conflicts, so they yield `None`.
+    /// A solver formats the key once per comparison shape and replays
+    /// lemmas by the key's id (see [`crate::lemmas`]).
     pub fn portable_atom_key(&self, atom: usize) -> Option<String> {
         let TheoryAtom::Compare(c) = &self.atoms[atom] else {
             return None;

@@ -18,12 +18,11 @@
 use crate::cache::SharedValidityCache;
 use crate::cancel::Budget;
 use crate::encode::{Encoded, Encoder, Skeleton, TheoryAtom};
-use crate::lemmas::{Lemma, LemmaIndex, LemmaSeed, SharedLemmaStore};
+use crate::lemmas::{LemmaSeed, SharedLemmaStore, SolverLemmas};
 use crate::lia::{Constraint, IncrementalLia, LiaResult};
 use crate::mus::MusMemo;
 use crate::rational::Rational;
 use crate::sat::{Lit, SatResult, SatSolver};
-use std::collections::HashMap;
 use std::time::Instant;
 use synquid_logic::Term;
 use synquid_telemetry::{events, events::Event, Phase};
@@ -128,10 +127,10 @@ pub struct Smt {
     interrupted: bool,
     /// The incremental DPLL(T) state persisted across `check_query`
     /// calls: theory conflicts learned in one query, replayed into every
-    /// later query that contains the conflict's atoms. `None` disables
-    /// persistence (the from-scratch baseline the parity tests compare
-    /// against).
-    lemmas: Option<Lemmas>,
+    /// later query that contains the conflict's atoms, next to the
+    /// lemmas of the session's seed. `None` disables persistence (the
+    /// from-scratch baseline the parity tests compare against).
+    lemmas: Option<SolverLemmas>,
     /// When true (the default), each DPLL(T) query keeps one warm
     /// [`IncrementalLia`] tableau across all of its theory checks
     /// (including core shrinking and MUS subset oracles). When false,
@@ -147,18 +146,6 @@ pub struct Smt {
     /// [`with_session`](Smt::with_session). Disabled together with the
     /// theory lemmas.
     mus_memo: Option<MusMemo>,
-}
-
-/// The theory lemmas an incremental solver replays: the conflicts it
-/// learned itself, keyed portably (see [`Encoded::portable_atom_key`])
-/// so they survive the per-query atom renumbering, and the frozen seed
-/// of its session. Both are replayed alike; fresh conflicts also flow
-/// into the session's store, for *future* runs only.
-#[derive(Debug, Default)]
-struct Lemmas {
-    learned: LemmaIndex,
-    seed: LemmaSeed,
-    store: Option<SharedLemmaStore>,
 }
 
 impl Default for Smt {
@@ -177,7 +164,7 @@ impl Smt {
             shared: None,
             budget: Budget::default(),
             interrupted: false,
-            lemmas: Some(Lemmas::default()),
+            lemmas: Some(SolverLemmas::default()),
             incremental_lia: true,
             mus_memo: Some(MusMemo::new()),
         }
@@ -197,11 +184,7 @@ impl Smt {
     ) -> Smt {
         Smt {
             shared: Some(validity),
-            lemmas: Some(Lemmas {
-                learned: LemmaIndex::default(),
-                seed,
-                store: Some(store),
-            }),
+            lemmas: Some(SolverLemmas::new(seed, Some(store))),
             mus_memo: Some(mus),
             ..Smt::new()
         }
@@ -228,7 +211,7 @@ impl Smt {
     /// behaviour.
     pub fn set_incremental(&mut self, incremental: bool) {
         if incremental {
-            self.lemmas.get_or_insert_with(Lemmas::default);
+            self.lemmas.get_or_insert_with(SolverLemmas::default);
             self.mus_memo.get_or_insert_with(MusMemo::new);
         } else {
             self.lemmas = None;
@@ -442,69 +425,20 @@ impl Smt {
         // problem: each replayed lemma is asserted as a blocking clause up
         // front, pruning every boolean model that would have re-derived
         // the same conflict through a SAT + LIA round trip.
-        let atom_keys: Vec<Option<String>> = if self.lemmas.is_some() {
-            (0..problem.atoms.len())
-                .map(|i| problem.portable_atom_key(i))
-                .collect()
-        } else {
-            Vec::new()
+        let atom_keys = match &mut self.lemmas {
+            Some(lemmas) => {
+                let (atom_keys, replayed) = lemmas.replay(problem);
+                self.stats.conflicts_reused += replayed.len();
+                if !replayed.is_empty() {
+                    events::emit(|| Event::new("lemma_replay").uint("n", replayed.len() as u64));
+                }
+                for clause in replayed {
+                    sat.add_clause(clause);
+                }
+                atom_keys
+            }
+            None => Vec::new(),
         };
-        if let Some(lemmas) = &self.lemmas {
-            let mut by_key: HashMap<&str, usize> = HashMap::new();
-            for (idx, key) in atom_keys.iter().enumerate() {
-                if let Some(key) = key {
-                    // First occurrence wins; duplicates cannot arise from
-                    // one encoder, which dedups atoms by key.
-                    by_key.entry(key).or_insert(idx);
-                }
-            }
-            // Maps a lemma's literals onto this problem's atom indices;
-            // `None` if some atom is absent (the lemma does not apply).
-            let clause_of = |lemma: &Lemma| -> Option<Vec<Lit>> {
-                lemma
-                    .iter()
-                    .map(|(key, value)| by_key.get(key.as_str()).map(|&idx| Lit::new(idx, !*value)))
-                    .collect()
-            };
-            // Probe the learned lemmas, then the session seed, by this
-            // problem's atom keys: cost proportional to the query's
-            // atoms, not to the indexes. A seeded lemma can never
-            // coincide with a learned one: learning requires the SAT
-            // core to violate it, which the already-asserted replay
-            // clause makes impossible. Replayed seed lemmas are reported
-            // back to the resident store so the epoch GC sees them as
-            // live.
-            let mut replayed: Vec<Vec<Lit>> = Vec::new();
-            let mut touched: Vec<&Lemma> = Vec::new();
-            for (index, seeded) in [(&lemmas.learned, false), (&*lemmas.seed, true)] {
-                for first_key in by_key.keys() {
-                    for &id in index.ids_for_first_key(first_key) {
-                        let lemma = index.lemma(id);
-                        if let Some(clause) = clause_of(lemma) {
-                            replayed.push(clause);
-                            if seeded {
-                                touched.push(lemma);
-                            }
-                        }
-                    }
-                }
-            }
-            if let (Some(store), false) = (&lemmas.store, touched.is_empty()) {
-                store.touch_all(touched);
-            }
-            // HashMap iteration order is nondeterministic; the clause set
-            // is order-independent for correctness, but sort anyway so a
-            // run's SAT search (and hence its timing profile) is
-            // reproducible.
-            replayed.sort();
-            self.stats.conflicts_reused += replayed.len();
-            if !replayed.is_empty() {
-                events::emit(|| Event::new("lemma_replay").uint("n", replayed.len() as u64));
-            }
-            for clause in replayed {
-                sat.add_clause(clause);
-            }
-        }
 
         EncodedSession {
             sat,
@@ -664,30 +598,22 @@ impl Smt {
                     // LIA-inconsistent whatever boolean skeleton
                     // surrounds them.
                     if let Some(lemmas) = &mut self.lemmas {
-                        let lemma: Option<Lemma> = core
+                        let lemma: Option<Vec<(u32, bool)>> = core
                             .iter()
-                            .map(|(idx, value, _)| {
+                            .map(|&(idx, value, _)| {
                                 session
                                     .atom_keys
-                                    .get(*idx)
-                                    .and_then(|k| k.clone())
-                                    .map(|k| (k, *value))
+                                    .get(idx)
+                                    .copied()
+                                    .flatten()
+                                    .map(|k| (k, value))
                             })
                             .collect();
-                        if let Some(mut lemma) = lemma {
-                            lemma.sort();
-                            if lemmas.learned.learn(&lemma) {
-                                self.stats.conflicts_learned += 1;
-                                events::emit(|| {
-                                    Event::new("lemma_learn").uint("size", core.len() as u64)
-                                });
-                                // Publish for future runs of the owning
-                                // session (this run keeps replaying from
-                                // its learned lemmas and frozen seed).
-                                if let Some(store) = &lemmas.store {
-                                    store.insert(lemma, ());
-                                }
-                            }
+                        if lemma.is_some_and(|lemma| lemmas.learn(lemma)) {
+                            self.stats.conflicts_learned += 1;
+                            events::emit(|| {
+                                Event::new("lemma_learn").uint("size", core.len() as u64)
+                            });
                         }
                     }
                     let blocking: Vec<Lit> = core
@@ -713,7 +639,7 @@ impl Smt {
 
 /// A reusable DPLL(T) session over one encoded problem: the loaded SAT
 /// solver, the warm LIA tableau (when the incremental path is on), and
-/// the portable atom keys for lemma persistence. Created by
+/// the key id of each atom for lemma learning. Created by
 /// [`Smt::begin_session`], solved (repeatedly, under varying assumption
 /// sets) by [`Smt::solve_session`].
 #[derive(Debug)]
@@ -722,7 +648,9 @@ pub(crate) struct EncodedSession {
     /// `Some` = warm tableau shared by every theory check of the session;
     /// `None` = from-scratch per check (the ablation baseline).
     lia: Option<IncrementalLia>,
-    atom_keys: Vec<Option<String>>,
+    /// Each atom's portable key, numbered by the solver's lemmas; `None`
+    /// for an opaque atom, and empty when lemmas are off.
+    atom_keys: Vec<Option<u32>>,
 }
 
 impl EncodedSession {
@@ -1114,6 +1042,38 @@ mod tests {
         assert_eq!(second.check_sat(&cycle), SmtResult::Unsat);
         assert!(second.stats().conflicts_reused > 0);
         assert_eq!(second.stats().conflicts_learned, 0);
+    }
+
+    #[test]
+    fn a_key_shared_by_two_atoms_replays_one_clause() {
+        let z = || Term::var("z", Sort::Int);
+        let mut smt = Smt::new();
+        let cycle = x().lt(y()).and(y().lt(z())).and(z().lt(x()));
+        assert_eq!(smt.check_sat(&cycle), SmtResult::Unsat);
+        assert_eq!(smt.stats().conflicts_learned, 1);
+        // `x < y` and `y > x` encode as atoms 0 and 1, which share one
+        // portable key: the lemma binds to the first, once.
+        let twin = x()
+            .lt(y())
+            .and(y().gt(x()))
+            .and(y().lt(z()))
+            .and(z().lt(x()));
+        let problem = {
+            let mut encoder = Encoder::new();
+            let skeleton = encoder.encode(&twin);
+            encoder.finish(skeleton)
+        };
+        let lemmas = smt.lemmas.as_mut().expect("lemmas are on");
+        let (keys, clauses) = lemmas.replay(&problem);
+        assert!(keys[0].is_some() && keys[0] == keys[1]);
+        assert_eq!(clauses.len(), 1);
+        let atoms: Vec<usize> = clauses[0].iter().map(|lit| lit.var()).collect();
+        assert!(atoms.contains(&0) && !atoms.contains(&1), "{atoms:?}");
+        let before = smt.stats();
+        assert_eq!(smt.check_sat(&twin), SmtResult::Unsat);
+        let after = smt.stats();
+        assert_eq!(after.conflicts_reused, before.conflicts_reused + 1);
+        assert_eq!(after.conflicts_learned, before.conflicts_learned);
     }
 
     #[test]

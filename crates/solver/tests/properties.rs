@@ -6,9 +6,13 @@
 //! [`Rng`]; a failure names its seed, and `Rng::new(seed)` replays the
 //! exact case.
 
+use std::collections::BTreeSet;
 use synquid_logic::{BinOp, Rng, Sort, Term, UnOp};
 use synquid_solver::lia::{Constraint, IncrementalLia, LiaResult, LinExpr, Rel};
-use synquid_solver::{Budget, Lit, Rational, SatResult, SatSolver, Smt, SmtResult};
+use synquid_solver::{
+    enumerate_mus_smt, Budget, LemmaSeed, Lit, MusMemo, Rational, SatResult, SatSolver,
+    SharedLemmaStore, SharedValidityCache, Smt, SmtResult,
+};
 
 /// `n` draws of `draw`, where `n` is uniform in `lo..=hi`.
 fn vec_of<T>(rng: &mut Rng, lo: u64, hi: u64, mut draw: impl FnMut(&mut Rng) -> T) -> Vec<T> {
@@ -349,4 +353,174 @@ fn entailment_laws() {
             "seed {seed}: {f} ⊭ {f} ∨ {g}"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Theory-lemma replay across solvers
+// ---------------------------------------------------------------------
+
+/// A comparison between two of `vars`, drawn so that one portable atom
+/// key recurs under several spellings: `u ≤ v + k` also appears as its
+/// sign-flipped twin `v + k ≥ u`, scaled as `2u ≤ 2v + 2k`, strictly, or
+/// inside an equality.
+fn replay_atom(rng: &mut Rng, vars: &[Term]) -> Term {
+    let mut pick = || vars[rng.below(vars.len() as u64) as usize].clone();
+    let (u, v) = (pick(), pick());
+    let k = rng.int_in(-2, 2);
+    let twice = |t: Term| Term::int(2).times(t);
+    match rng.below(6) {
+        0 => u.le(v.plus(Term::int(k))),
+        1 => v.plus(Term::int(k)).ge(u),
+        2 => twice(u).le(twice(v).plus(Term::int(2 * k))),
+        3 => u.lt(v.plus(Term::int(k))),
+        4 => v.plus(Term::int(k)).gt(u),
+        _ => u.eq(v.plus(Term::int(k))),
+    }
+}
+
+/// [`replay_atom`]s under `∧`, `∨` and `¬`, at most `depth` connectives
+/// deep, leaning to conjunctions so that theory conflicts are common.
+fn replay_formula(rng: &mut Rng, vars: &[Term], depth: usize) -> Term {
+    if depth == 0 || rng.below(4) == 0 {
+        return replay_atom(rng, vars);
+    }
+    let a = replay_formula(rng, vars, depth - 1);
+    match rng.below(5) {
+        0 => a.or(replay_formula(rng, vars, depth - 1)),
+        1 => a.not(),
+        _ => a.and(replay_formula(rng, vars, depth - 1)),
+    }
+}
+
+/// One query of the replay sweep.
+enum ReplayQuery {
+    Sat(Term),
+    Mus(Term, Vec<Term>),
+}
+
+/// Six satisfiability queries, some of them entailments `p ∧ ¬q`, and
+/// one MUS enumeration over 3–4 integer variables.
+fn replay_queries(rng: &mut Rng) -> Vec<ReplayQuery> {
+    let vars: Vec<Term> = ["a", "b", "c", "d"][..3 + rng.below(2) as usize]
+        .iter()
+        .map(|name| Term::var(*name, Sort::Int))
+        .collect();
+    let mut queries: Vec<ReplayQuery> = (0..6)
+        .map(|_| match rng.below(2) {
+            0 => ReplayQuery::Sat(replay_formula(rng, &vars, 3)),
+            _ => ReplayQuery::Sat(
+                replay_formula(rng, &vars, 2).and(replay_formula(rng, &vars, 1).not()),
+            ),
+        })
+        .collect();
+    let background = replay_formula(rng, &vars, 1);
+    let soft = vec_of(rng, 2, 4, |rng| replay_atom(rng, &vars));
+    queries.push(ReplayQuery::Mus(background, soft));
+    queries
+}
+
+/// A query's outcome: a verdict, or the MUSes of an enumeration.
+#[derive(Debug, PartialEq)]
+enum ReplayOutcome {
+    Verdict(SmtResult),
+    Muses(Vec<BTreeSet<usize>>),
+}
+
+fn pose(smt: &mut Smt, query: &ReplayQuery) -> ReplayOutcome {
+    match query {
+        ReplayQuery::Sat(f) => ReplayOutcome::Verdict(smt.check_sat(f)),
+        ReplayQuery::Mus(background, soft) => {
+            ReplayOutcome::Muses(enumerate_mus_smt(smt, background, soft, &BTreeSet::new()))
+        }
+    }
+}
+
+fn fold_outcome(digest: u64, outcome: &ReplayOutcome) -> u64 {
+    match outcome {
+        ReplayOutcome::Verdict(verdict) => fnv1a(digest, *verdict as u64),
+        ReplayOutcome::Muses(muses) => muses.iter().fold(fnv1a(digest, 3), |h, mus| {
+            mus.iter()
+                .fold(fnv1a(h, mus.len() as u64), |h, &i| fnv1a(h, i as u64))
+        }),
+    }
+}
+
+/// Per seed, one solver on a fresh session store poses random LIA
+/// queries, learning theory lemmas into the store. A second solver, as
+/// a later batch would build it (the seed frozen from the store, a
+/// fresh validity cache and MUS memo), poses them again and replays
+/// the seeded lemmas. Each outcome of either solver equals that of a
+/// from-scratch `set_incremental(false)` solver unless one of the two
+/// is `Unknown`. The outcomes, both solvers' learned and replayed counts and
+/// the store's lemmas fold into a digest, so a change to which lemmas
+/// replay, or to their keys, fails the pin even when every verdict is
+/// still correct.
+#[test]
+fn a_solver_on_the_seed_of_a_store_replays_its_lemmas_and_keeps_every_verdict() {
+    let mut digest = FNV_OFFSET;
+    let (mut learned, mut reused) = (0, 0);
+    for seed in 0..64 {
+        let queries = replay_queries(&mut Rng::new(seed));
+        let store = SharedLemmaStore::new();
+        let session = |seed: LemmaSeed| {
+            Smt::with_session(
+                SharedValidityCache::new(),
+                MusMemo::new(),
+                seed,
+                store.clone(),
+            )
+        };
+        let mut first = session(LemmaSeed::default());
+        let first_outcomes: Vec<ReplayOutcome> =
+            queries.iter().map(|q| pose(&mut first, q)).collect();
+        let mut second = session(store.seed());
+        let second_outcomes: Vec<ReplayOutcome> =
+            queries.iter().map(|q| pose(&mut second, q)).collect();
+        let mut scratch = Smt::new();
+        scratch.set_incremental(false);
+        for (i, query) in queries.iter().enumerate() {
+            let expected = pose(&mut scratch, query);
+            for (solver, outcome) in [
+                ("first", &first_outcomes[i]),
+                ("second", &second_outcomes[i]),
+            ] {
+                let undecided =
+                    |o: &ReplayOutcome| o == &ReplayOutcome::Verdict(SmtResult::Unknown);
+                if !undecided(outcome) && !undecided(&expected) {
+                    assert_eq!(
+                        outcome, &expected,
+                        "seed {seed}, query {i}: the {solver} solver disagrees with a from-scratch one"
+                    );
+                }
+            }
+        }
+        for outcome in first_outcomes.iter().chain(&second_outcomes) {
+            digest = fold_outcome(digest, outcome);
+        }
+        for solver in [&first, &second] {
+            let stats = solver.stats();
+            digest = fnv1a(digest, stats.conflicts_learned as u64);
+            digest = fnv1a(digest, stats.conflicts_reused as u64);
+        }
+        learned += first.stats().conflicts_learned;
+        reused += second.stats().conflicts_reused;
+        for lemma in store.sorted_keys() {
+            digest = fnv1a(digest, lemma.len() as u64);
+            for (key, value) in lemma {
+                digest = key.bytes().fold(fnv1a(digest, key.len() as u64), |h, b| {
+                    fnv1a(h, u64::from(b))
+                });
+                digest = fnv1a(digest, u64::from(value));
+            }
+        }
+    }
+    assert!(
+        learned > 0 && reused > 0,
+        "the sweep must learn and replay lemmas"
+    );
+    assert_eq!(
+        format!("{digest:016x}"),
+        "49e0950bcec58e6d",
+        "a lemma replay changed: some outcome, count or stored lemma differs from the pinned sweep"
+    );
 }
